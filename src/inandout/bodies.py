@@ -106,10 +106,6 @@ class Body:
         if self.exact_volume is not None and not (self.exact_volume > 0.0):
             raise ValueError(f"exact volume must be positive, got {self.exact_volume}")
 
-    def bbox_volume(self) -> float:
-        lo, hi = self.bbox
-        return float(np.prod(hi - lo))
-
 
 def unit_ball_volume(n: int) -> float:
     """Lebesgue volume of the unit ball in n dimensions."""

@@ -19,6 +19,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -137,46 +138,68 @@ def build_body(node: dict, where: str = "body") -> bodies.Body:
 
 @dataclass
 class RunConfig:
-    """Parsed and validated configuration document."""
+    """Parsed and validated configuration document, defaults filled in."""
 
-    raw: dict
     body_node: Optional[dict]
     plan_node: Optional[dict]
     run_node: dict
     diagnose_node: dict
-    mode: Optional[str]
 
-    def to_dict(self) -> dict:
-        return self.raw
+
+# default and least value of each integer setting; a default of None makes
+# the setting optional, a least value of None admits any integer
+_RUN_INTEGERS = {"n_chains": (1, 1), "seed": (0, None),
+                 "t_cap": (None, 1), "n_cap": (None, 1)}
+_DIAGNOSE_INTEGERS = {"seed": (0, None), "n_mc": (20_000, 1), "inner_mc": (2_000, 1),
+                      "resolution": (400, 2), "n_cells": (16, 2)}
+_DIAGNOSE_NUMBERS = {"r_grid": [0.25, 0.5, 1.0], "t_grid": [0.1, 0.5, 1.0],
+                     "h_override": None}
+
+
+def _integer(value, where: str, least: Optional[int] = None) -> int:
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or (least is not None and value < least)):
+        need = "an integer" if least is None else f"an integer >= {least}"
+        raise ConfigError(f"{where}: need {need}, got {value!r}")
+    return value
+
+
+def _number(value, where: str, positive: bool = True):
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not 0 <= value < math.inf or (positive and value == 0)):
+        need = "a positive" if positive else "a nonnegative"
+        raise ConfigError(f"{where}: need {need} number, got {value!r}")
+
+
+def _settings(node, integers: dict, numbers: dict, where: str) -> dict:
+    """Check a settings section's keys and integers; fill in its defaults."""
+    _require_keys(node, set(integers) | set(numbers), set(), where)
+    out = {**{k: default for k, (default, _) in integers.items()}, **numbers, **node}
+    for key, (default, least) in integers.items():
+        if out[key] is not None or default is not None:
+            _integer(out[key], f"{where}.{key}", least)
+    return out
 
 
 def parse_config(doc: dict) -> RunConfig:
-    _require_keys(doc, {"body", "plan", "run", "diagnose", "mode"}, set(), "config")
-    mode = doc.get("mode")
-    if mode is not None and mode not in ("plan", "sample", "diagnose"):
-        raise ConfigError(f"config.mode: must be plan/sample/diagnose, got {mode!r}")
+    _require_keys(doc, {"body", "plan", "run", "diagnose"}, set(), "config")
     plan_node = doc.get("plan")
     if plan_node is not None:
         _require_keys(plan_node, {"q", "eps", "M", "C_PI", "alpha", "beta", "n"},
                       {"q", "eps", "M", "C_PI"}, "config.plan")
-    run_node = doc.get("run", {})
-    _require_keys(run_node, {"n_chains", "seed", "t_cap", "n_cap"}, set(), "config.run")
-    diag_node = doc.get("diagnose", {})
-    _require_keys(
-        diag_node,
-        {"seed", "n_mc", "inner_mc", "resolution", "n_cells", "r_grid", "t_grid",
-         "h_override"},
-        set(),
-        "config.diagnose",
-    )
-    return RunConfig(
-        raw=doc,
-        body_node=doc.get("body"),
-        plan_node=plan_node,
-        run_node=run_node,
-        diagnose_node=diag_node,
-        mode=mode,
-    )
+    run_node = _settings(doc.get("run", {}), _RUN_INTEGERS, {}, "config.run")
+    diag = _settings(doc.get("diagnose", {}), _DIAGNOSE_INTEGERS, _DIAGNOSE_NUMBERS,
+                     "config.diagnose")
+    # escape distances must be positive, dilations may be zero
+    for key in ("r_grid", "t_grid"):
+        if not isinstance(diag[key], list):
+            raise ConfigError(f"config.diagnose.{key}: need a list, got {diag[key]!r}")
+        for i, v in enumerate(diag[key]):
+            _number(v, f"config.diagnose.{key}[{i}]", positive=key == "r_grid")
+    if diag["h_override"] is not None:
+        _number(diag["h_override"], "config.diagnose.h_override")
+    return RunConfig(body_node=doc.get("body"), plan_node=plan_node,
+                     run_node=run_node, diagnose_node=diag)
 
 
 def resolve_plan_inputs(cfg: RunConfig) -> tuple:
@@ -206,10 +229,13 @@ def resolve_plan_inputs(cfg: RunConfig) -> tuple:
     try:
         inputs = planner.PlanInputs(
             q=node["q"], eps=node["eps"], M=node["M"], C_PI=node["C_PI"],
-            alpha=alpha, beta=beta, n=int(n),
+            alpha=alpha, beta=beta, n=n,
         )
     except ValueError as e:
         raise ConfigError(f"config.plan: {e}") from e
+    if body is not None and inputs.n != body.dim:
+        raise ConfigError(
+            f"config.plan.n: {inputs.n} differs from the body dimension {body.dim}")
     return inputs, body
 
 
@@ -270,23 +296,13 @@ def cmd_sample(cfg: RunConfig, out_dir: str, seed_override: Optional[int],
         p = planner.plan(inputs)
 
     run = cfg.run_node
-    n_chains = chains_override if chains_override is not None else run.get("n_chains", 1)
-    seed = seed_override if seed_override is not None else run.get("seed", 0)
-    if not isinstance(n_chains, int) or n_chains < 1:
-        raise ConfigError(f"config.run.n_chains: need a positive integer, got {n_chains!r}")
-    if not isinstance(seed, int):
-        raise ConfigError(f"config.run.seed: need an integer, got {seed!r}")
-    t_cap = run.get("t_cap")
-    n_cap = run.get("n_cap")
-    import dataclasses as _dc
-    if t_cap is not None:
-        if not isinstance(t_cap, int) or t_cap < 1:
-            raise ConfigError(f"config.run.t_cap: need a positive integer, got {t_cap!r}")
-        p = _dc.replace(p, T=min(p.T, t_cap))
-    if n_cap is not None:
-        if not isinstance(n_cap, int) or n_cap < 1:
-            raise ConfigError(f"config.run.n_cap: need a positive integer, got {n_cap!r}")
-        p = _dc.replace(p, N=min(p.N, n_cap))
+    n_chains = (run["n_chains"] if chains_override is None
+                else _integer(chains_override, "--chains", 1))
+    seed = run["seed"] if seed_override is None else seed_override
+    if run["t_cap"] is not None:
+        p = dataclasses.replace(p, T=min(p.T, run["t_cap"]))
+    if run["n_cap"] is not None:
+        p = dataclasses.replace(p, N=min(p.N, run["n_cap"]))
 
     t0 = time.monotonic()
     ens = sampler.run_ensemble(
@@ -315,7 +331,6 @@ def cmd_sample(cfg: RunConfig, out_dir: str, seed_override: Optional[int],
             "plan": p.to_dict(),
             "seed": seed,
             "all_failed": ens.summary["failure_fraction"] == 1.0,
-            "wall_time_s": wall,
         }
         (out / "summary.json").write_text(
             dumps_canonical(summary) + "\n", encoding="utf-8"
@@ -324,65 +339,57 @@ def cmd_sample(cfg: RunConfig, out_dir: str, seed_override: Optional[int],
         raise OSError(f"cannot write outputs under {out_dir}: {e}") from e
     print(dumps_canonical({"out": str(out), **{k: summary[k] for k in
                                                ("n_chains", "failure_fraction",
-                                                "all_failed")}}))
+                                                "all_failed")},
+                           "wall_time_s": wall}))
     return EXIT_OK
 
 
 def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
                      samples: Optional[np.ndarray]) -> tuple:
     """Run every applicable check; returns (records, any_violation)."""
-    seed = diag.get("seed", 0)
-    n_mc = diag.get("n_mc", 20_000)
-    inner_mc = diag.get("inner_mc", 2_000)
-    resolution = diag.get("resolution", 400)
-    n_cells = diag.get("n_cells", 16)
-    r_grid = diag.get("r_grid", [0.25, 0.5, 1.0])
-    t_grid = diag.get("t_grid", [0.1, 0.5, 1.0])
-
+    seed, n_mc, n_cells = diag["seed"], diag["n_mc"], diag["n_cells"]
     oracle = None
     if body.dim == 2:
-        oracle = diagnostics.GridOracle(body, resolution)
+        oracle = diagnostics.GridOracle(body, diag["resolution"])
 
     records = []
     violated = False
 
-    def run(name, fn):
+    def run(names, fn):
+        """Record the checks fn returns, one per name, or why none ran."""
         nonlocal violated
         try:
-            check = fn()
+            checks = fn()
         except diagnostics.UnsupportedCheck as e:
-            records.append({"name": name, "status": "skipped", "reason": str(e)})
+            records.extend({"name": name, "status": "skipped", "reason": str(e)}
+                           for name in names)
             return
         except ValueError as e:
-            records.append(
-                {"name": name, "status": "hypothesis_violation", "reason": str(e)}
-            )
+            records.extend({"name": name, "status": "hypothesis_violation",
+                            "reason": str(e)} for name in names)
             violated = True
             return
-        rec = check.to_dict()
-        rec["status"] = "ran"
-        records.append(rec)
-        if check.verdict != diagnostics.SATISFIED:
-            violated = True
+        for check in checks:
+            rec = check.to_dict()
+            rec["status"] = "ran"
+            records.append(rec)
+            if check.verdict != diagnostics.SATISFIED:
+                violated = True
 
-    for i, r in enumerate(r_grid):
+    for i, r in enumerate(diag["r_grid"]):
         rng = sampler.make_rng(sampler.derive_seed(seed, 100 + i))
-        run(f"stationary_escape(r={r})",
-            lambda r=r, rng=rng: diagnostics.stationary_escape_check(
-                body, p.h, r, n_mc, rng, oracle=oracle))
-    rng_f = sampler.make_rng(sampler.derive_seed(seed, 200))
-    run("stationary_failure",
-        lambda: diagnostics.stationary_failure_check(body, p, min(n_mc, 4000), rng_f,
-                                                     inner_mc=inner_mc))
-    rng_t = sampler.make_rng(sampler.derive_seed(seed, 300))
-    run("expected_trials",
-        lambda: diagnostics.expected_trials_check(body, p, min(n_mc, 4000), rng_t,
-                                                  inner_mc=inner_mc))
-    for i, t in enumerate(t_grid):
+        run([f"stationary_escape(r={r})"],
+            lambda r=r, rng=rng: [diagnostics.stationary_escape_check(
+                body, p.h, r, n_mc, rng, oracle=oracle)])
+    rng = sampler.make_rng(sampler.derive_seed(seed, 200))
+    run(["stationary_failure", "expected_trials"],
+        lambda: diagnostics.per_iteration_checks(body, p, min(n_mc, 4000), rng,
+                                                 inner_mc=diag["inner_mc"]))
+    for i, t in enumerate(diag["t_grid"]):
         rng = sampler.make_rng(sampler.derive_seed(seed, 400 + i))
-        run(f"certificate_soundness(t={t})",
-            lambda t=t, rng=rng: diagnostics.certificate_soundness_check(
-                body, t, n_mc, rng, oracle=oracle))
+        run([f"certificate_soundness(t={t})"],
+            lambda t=t, rng=rng: [diagnostics.certificate_soundness_check(
+                body, t, n_mc, rng, oracle=oracle)])
 
     if body.dim != 2:
         records.append({"name": "grid_tv", "status": "skipped",
@@ -427,12 +434,8 @@ def cmd_diagnose(cfg: RunConfig, out_path: str, seed_override: Optional[int],
     diag = dict(cfg.diagnose_node)
     if seed_override is not None:
         diag["seed"] = seed_override
-    h_override = diag.pop("h_override", None)
-    if h_override is not None:
-        import dataclasses as _dc
-        if not (isinstance(h_override, (int, float)) and h_override > 0):
-            raise ConfigError(f"config.diagnose.h_override: need a positive number")
-        p = _dc.replace(p, h=float(h_override))
+    if diag["h_override"] is not None:
+        p = dataclasses.replace(p, h=float(diag["h_override"]))
 
     samples = None
     if samples_path is not None:
@@ -456,10 +459,7 @@ def cmd_diagnose(cfg: RunConfig, out_path: str, seed_override: Optional[int],
     report = {
         "checks": records,
         "environment": {
-            "seed": diag.get("seed", 0),
-            "n_mc": diag.get("n_mc", 20_000),
-            "inner_mc": diag.get("inner_mc", 2_000),
-            "resolution": diag.get("resolution", 400),
+            **{k: diag[k] for k in ("seed", "n_mc", "inner_mc", "resolution")},
             "h": p.h,
         },
     }

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 
 from . import specfun
 from .bodies import Body, sample_uniform
-from .planner import Plan, PlanInputs
+from .planner import Plan, step_size_regime
 
 SATISFIED = "satisfied"
 VIOLATED = "violated_beyond_3se"
@@ -190,20 +190,17 @@ def stationary_escape_check(body: Body, h: float, r: float, n_mc: int,
 
     Draws X uniform on the body, forms Y = X + sqrt(h) Z, and compares
     the empirical frequency of dist(Y, body) > r against
-    alpha (n+1) Q_{2n}(r / sqrt(h)).  Requires the step-size regime
-    h <= 1 / (2 n^3 beta^2).
+    alpha (n+1) Q_{2n}(r / sqrt(h)).  Requires h within the base cap
+    of planner.step_size_regime.
     """
     if body.growth is None:
         raise ValueError("body has no growth certificate")
     if not (r > 0.0):
         raise ValueError(f"escape distance must be positive, got {r}")
     n = body.dim
-    beta = body.growth.beta
-    if not (0.0 < h <= 1.0 / (2.0 * n**3 * beta**2) * (1.0 + 1e-12)):
-        raise ValueError(
-            f"step size {h} violates the regime h <= 1/(2 n^3 beta^2) "
-            f"= {1.0 / (2.0 * n**3 * beta**2)}"
-        )
+    h_cap = step_size_regime(n, body.growth.beta).base_cap
+    if not (0.0 < h <= h_cap * (1.0 + 1e-12)):
+        raise ValueError(f"step size {h} violates the base regime cap {h_cap}")
     dist, note = _require_distance(body, oracle, resolution)
     xs = sample_uniform(body, rng, n_mc)
     ys = xs + math.sqrt(h) * rng.standard_normal((n_mc, n))
@@ -219,26 +216,6 @@ def stationary_escape_check(body: Body, h: float, r: float, n_mc: int,
         n_samples=n_mc,
         note=note,
     )
-
-
-def _check_per_iteration_regime(body: Body, p: Plan):
-    """Hypotheses shared by the failure and trial-count bounds."""
-    if body.growth is None:
-        raise ValueError("body has no growth certificate")
-    n = body.dim
-    alpha, beta = body.growth.alpha, body.growth.beta
-    h_cap = 1.0 / (
-        2.0 * n**2 * beta**2 * max(n, math.log((n + 1) * alpha * p.S))
-    )
-    if not (p.h <= h_cap * (1.0 + 1e-12)):
-        raise ValueError(
-            f"step size {p.h} violates the per-iteration regime cap {h_cap}"
-        )
-    n_floor = 8.0 * alpha * p.S * math.log(p.S)
-    if not (p.N >= n_floor * (1.0 - 1e-12)):
-        raise ValueError(
-            f"trial threshold {p.N} below the required 8 alpha S log S = {n_floor}"
-        )
 
 
 def smoothed_conductance_samples(body: Body, h: float, n_outer: int,
@@ -265,69 +242,82 @@ def smoothed_conductance_samples(body: Body, h: float, n_outer: int,
     return out
 
 
-def stationary_failure_check(body: Body, p: Plan, n_mc: int,
-                             rng: np.random.Generator,
-                             inner_mc: int = 10_000) -> BoundCheck:
-    """Check that the one-iteration failure mass under the smoothed law is <= 3/S.
+def per_iteration_checks(body: Body, p: Plan, n_mc: int,
+                         rng: np.random.Generator,
+                         inner_mc: int = 10_000) -> tuple:
+    """The (stationary_failure, expected_trials) checks on one shared sample.
 
-    The observable is E[(1 - conductance)^N]; conductance is itself
-    estimated with inner_mc proposals per outer point, which biases the
-    estimate upward (convexity), i.e. toward a stricter test.
-    """
-    _check_per_iteration_regime(body, p)
-    ell = smoothed_conductance_samples(body, p.h, n_mc, inner_mc, rng)
-    # (1 - ell)^N in log space; ell == 0 contributes exactly 1
-    vals = np.zeros(n_mc)
-    pos = ell > 0.0
-    with np.errstate(divide="ignore"):
-        vals[pos] = np.exp(p.N * np.log1p(-ell[pos]))
-    vals[~pos] = 1.0
-    mean, se = _mean_and_se(vals)
-    return BoundCheck(
-        name="stationary_failure",
-        empirical=mean,
-        theoretical_bound=3.0 / p.S,
-        mc_std_error=se,
-        n_samples=n_mc,
-        note=(
-            f"inner conductance from {inner_mc} proposals per point; "
-            "nested estimate is biased upward (conservative)"
-        ),
-    )
+    After checking the shared step-size and threshold hypotheses, estimates
+    the local conductance at n_mc smoothed-law points, inner_mc proposals
+    each.  Failure: E[(1 - conductance)^N] against 3/S; the nested
+    estimate is biased upward (convexity), i.e. toward a stricter test,
+    and a point with zero inner hits counts as a certain failure.
 
-
-def expected_trials_check(body: Body, p: Plan, n_mc: int,
-                          rng: np.random.Generator,
-                          inner_mc: int = 10_000) -> BoundCheck:
-    """Check the expected in-step trial count against 16 alpha log S.
-
-    Averages E[min(G, N)] over smoothed-law points, with the geometric
-    success probability replaced by its inner MC estimate.  Estimates
+    Trials: E[min(G, N)] against 16 alpha log S, with the geometric
+    success probability replaced by its inner estimate.  Estimates
     below the inner resolution 1/inner_mc are clamped to it: a zero-hit
     point would otherwise contribute min(G, N) ~ N on its own and both
     the mean and its std error would be dominated by a region whose
     (exponentially small) mass the escape check bounds separately.
     """
-    _check_per_iteration_regime(body, p)
+    if body.growth is None:
+        raise ValueError("body has no growth certificate")
+    alpha = body.growth.alpha
+    h_cap = step_size_regime(body.dim, body.growth.beta, alpha, p.S).per_iteration_cap
+    if not (p.h <= h_cap * (1.0 + 1e-12)):
+        raise ValueError(f"step size {p.h} violates the per-iteration regime cap {h_cap}")
+    n_floor = 8.0 * alpha * p.S * math.log(p.S)
+    if not (p.N >= n_floor * (1.0 - 1e-12)):
+        raise ValueError(
+            f"trial threshold {p.N} below the required 8 alpha S log S = {n_floor}"
+        )
+
     ell = smoothed_conductance_samples(body, p.h, n_mc, inner_mc, rng)
-    floor = 1.0 / inner_mc
-    clamped = int(np.count_nonzero(ell < floor))
-    vals = np.array([expected_trials_closed_form(max(e, floor), p.N)
-                     for e in ell])
+    # estimates are multiples of 1/inner_mc: the zero-hit points are
+    # exactly the ones below the resolution floor
+    zero = ell == 0.0
+    source = (f"inner conductance from {inner_mc} proposals per point; "
+              f"{np.count_nonzero(zero)}/{n_mc} outer points had zero inner hits")
+    # (1 - ell)^N in log space; ell == 0 contributes exactly 1
+    vals = np.ones(n_mc)
+    with np.errstate(divide="ignore"):
+        vals[~zero] = np.exp(p.N * np.log1p(-ell[~zero]))
     mean, se = _mean_and_se(vals)
-    bound = 16.0 * body.growth.alpha * math.log(p.S)
-    note = f"inner conductance from {inner_mc} proposals per point"
-    if clamped:
-        note += (f"; {clamped}/{n_mc} outer points fell below the "
-                 f"1/{inner_mc} resolution floor and were clamped to it")
-    return BoundCheck(
-        name="expected_trials",
+    failure = BoundCheck(
+        name="stationary_failure",
         empirical=mean,
-        theoretical_bound=bound,
+        theoretical_bound=3.0 / p.S,
         mc_std_error=se,
         n_samples=n_mc,
-        note=note,
+        note=(f"{source}; nested estimate is biased upward (conservative) and "
+              f"resolves failure mass only down to 1/{n_mc} = {1.0 / n_mc:.2g}"),
     )
+    floor = 1.0 / inner_mc
+    vals = np.array([expected_trials_closed_form(max(e, floor), p.N) for e in ell])
+    mean, se = _mean_and_se(vals)
+    trials = BoundCheck(
+        name="expected_trials",
+        empirical=mean,
+        theoretical_bound=16.0 * alpha * math.log(p.S),
+        mc_std_error=se,
+        n_samples=n_mc,
+        note=f"{source}; these were clamped to the 1/{inner_mc} resolution floor",
+    )
+    return failure, trials
+
+
+def stationary_failure_check(body: Body, p: Plan, n_mc: int,
+                             rng: np.random.Generator,
+                             inner_mc: int = 10_000) -> BoundCheck:
+    """Failure mass <= 3/S: the first record of per_iteration_checks."""
+    return per_iteration_checks(body, p, n_mc, rng, inner_mc)[0]
+
+
+def expected_trials_check(body: Body, p: Plan, n_mc: int,
+                          rng: np.random.Generator,
+                          inner_mc: int = 10_000) -> BoundCheck:
+    """Mean in-step trials <= 16 alpha log S: the second record of per_iteration_checks."""
+    return per_iteration_checks(body, p, n_mc, rng, inner_mc)[1]
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 T_LIMIT = 2**31
 
@@ -77,15 +77,7 @@ class PlanInputs:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PlanInputs":
-        return cls(
-            q=d["q"],
-            eps=d["eps"],
-            M=d["M"],
-            C_PI=d["C_PI"],
-            alpha=d["alpha"],
-            beta=d["beta"],
-            n=int(d["n"]),
-        )
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -137,6 +129,31 @@ class Plan:
         )
 
 
+class StepSizeRegime(NamedTuple):
+    """The three step sizes step_size_regime returns."""
+
+    base_cap: float
+    per_iteration_cap: float
+    planned_h: float
+
+
+def step_size_regime(n: int, beta: float, alpha: float = 1.0,
+                     S: float = 1.0) -> StepSizeRegime:
+    """The step-size regime the chain's guarantees rest on.
+
+    With base = 2 beta^2 n^3 and excess = log((n+1) alpha S) / n: the
+    escape and norm-ratio bounds need h <= base_cap = 1 / base, which is
+    free of alpha and S (base-regime callers leave them at their
+    defaults); the failure (<= 3/S) and trial (<= 16 alpha log S) bounds
+    need h <= per_iteration_cap = 1 / (base max(1, excess)); plan() takes
+    planned_h = 1 / (base (1 + excess)), below that cap as excess > 0.
+    """
+    base = 2.0 * beta**2 * n**3
+    excess = math.log((n + 1) * alpha * S) / n
+    return StepSizeRegime(1.0 / base, 1.0 / (base * max(1.0, excess)),
+                          1.0 / (base * (1.0 + excess)))
+
+
 def _z_value(inp: PlanInputs) -> float:
     # the quantity whose near-fixed-point gives the iteration count:
     # T = 2 z log z resolves T >= z * (2 log T-ish) self-consistently
@@ -173,12 +190,7 @@ def plan(inputs: PlanInputs) -> Plan:
     # the failure budget is computed from the *rounded* T so that the
     # final (T, S, h, N) quadruple is internally consistent
     S = 3.0 * T * inputs.M / eta
-    h = 1.0 / (
-        2.0
-        * inputs.beta**2
-        * inputs.n**3
-        * (1.0 + math.log((inputs.n + 1) * inputs.alpha * S) / inputs.n)
-    )
+    h = step_size_regime(inputs.n, inputs.beta, inputs.alpha, S).planned_h
     N = math.ceil(8.0 * inputs.alpha * S * math.log(S))
 
     log_rate = math.log1p(h / inputs.C_PI)
@@ -228,14 +240,7 @@ def check_plan_consistency(p: Plan, inputs: PlanInputs) -> ConsistencyReport:
     if not (p.T >= p.T_tilde):
         v.append(f"T = {p.T} below analytic requirement T_tilde = {p.T_tilde}")
 
-    # per-iteration guarantees need the step size inside the regime
-    # h <= 1 / (2 beta^2 n^3 max(1, log((n+1) alpha S) / n))
-    h_cap = 1.0 / (
-        2.0
-        * inputs.beta**2
-        * inputs.n**3
-        * max(1.0, math.log((inputs.n + 1) * inputs.alpha * p.S) / inputs.n)
-    )
+    h_cap = step_size_regime(inputs.n, inputs.beta, inputs.alpha, p.S).per_iteration_cap
     if not (p.h <= h_cap):
         v.append(f"step size h = {p.h} above per-iteration cap {h_cap}")
     n_floor = 8.0 * inputs.alpha * p.S * math.log(p.S)

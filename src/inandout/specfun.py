@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .planner import step_size_regime
+
 _EPS = 1e-16
 _TINY = 1e-300
 _MAX_ITER = 100_000
@@ -110,46 +112,6 @@ def chi_tail(m: int, r: float) -> float:
     return gamma_q(m / 2.0, r * r / 2.0)
 
 
-def _chi_tail_even(m: int, r: float) -> float:
-    # closed form for even m: Q_m(r) = e^-u * sum_{k<m/2} u^k / k!, u = r^2/2.
-    # Evaluated in log space term by term so large u stays accurate.
-    u = r * r / 2.0
-    if u == 0.0:
-        return 1.0
-    logu = math.log(u)
-    total = 0.0
-    for k in range(m // 2):
-        total += math.exp(-u + k * logu - math.lgamma(k + 1))
-    return min(total, 1.0)
-
-
-@dataclass(frozen=True)
-class ChiTail:
-    """Chi upper-tail evaluator for a fixed dimension.
-
-    `method` selects the evaluation route: "gamma" uses the
-    incomplete-gamma kernel (any m), "closed_form_even" uses the finite
-    Poisson sum available when m is even.  Both agree to roundoff; the
-    second exists as an internal cross-check.
-    """
-
-    m: int
-    method: str = "gamma"
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"degrees of freedom must be >= 1, got {self.m}")
-        if self.method not in ("gamma", "closed_form_even"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "closed_form_even" and self.m % 2 != 0:
-            raise ValueError("closed_form_even requires even degrees of freedom")
-
-    def __call__(self, r: float) -> float:
-        if self.method == "closed_form_even":
-            return _chi_tail_even(self.m, r)
-        return chi_tail(self.m, r)
-
-
 def log_chi_norm_const(n: int) -> float:
     """log of the chi-density normalizing constant 2^(n/2 - 1) Gamma(n/2)."""
     if n < 1:
@@ -181,7 +143,7 @@ class GammaRatioReport:
 
     all_below_one  -- every scaled ratio term was <= 1 (to roundoff)
     max_term       -- the largest term attained over i = 0..n
-    hypothesis_ok  -- whether h <= 1/(2 n^3 beta^2) held on entry
+    hypothesis_ok  -- whether h was within the base regime cap on entry
     terms          -- the individual terms, index i = 0..n
     """
 
@@ -194,14 +156,14 @@ class GammaRatioReport:
 def check_gamma_ratio_bound(h: float, n: int, beta: float) -> GammaRatioReport:
     """Evaluate (sqrt(h) n beta)^i * N_{n+i}/N_n for i = 0..n.
 
-    N_m is the chi normalizing constant.  Under h <= 1/(2 n^3 beta^2)
-    every term is provably <= 1; this evaluates all of them in log
-    space and reports the maximum.  Out-of-regime inputs are not an
-    error — the report simply flags the violated hypothesis.
+    N_m is the chi normalizing constant.  Within the base step-size regime
+    (planner.step_size_regime) every term is provably <= 1; this evaluates
+    all of them in log space and reports the maximum.  Out-of-regime
+    inputs are not an error — the report flags the violated hypothesis.
     """
     if h <= 0.0 or beta <= 0.0 or n < 1:
         raise ValueError("need h > 0, beta > 0, n >= 1")
-    hypothesis_ok = h <= 1.0 / (2.0 * n**3 * beta**2) * (1.0 + 1e-12)
+    hypothesis_ok = h <= step_size_regime(n, beta).base_cap * (1.0 + 1e-12)
     log_base = 0.5 * math.log(h) + math.log(n) + math.log(beta)
     log_nn = log_chi_norm_const(n)
     terms = []

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -67,6 +68,53 @@ def test_parse_config_rejects_unknown_keys():
         parse_config({"plan": {"q": 2, "eps": 0.1, "M": 1}})
     with pytest.raises(ConfigError, match="mode"):
         parse_config({"mode": "explore"})
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("run", "seed", True),
+    ("run", "n_chains", True),
+    ("run", "t_cap", True),
+    ("run", "n_cap", True),
+    ("diagnose", "seed", True),
+    ("diagnose", "n_mc", "abc"),
+    ("diagnose", "n_mc", True),
+    ("diagnose", "inner_mc", True),
+    ("diagnose", "resolution", True),
+    ("diagnose", "resolution", 1),
+    ("diagnose", "n_cells", True),
+    ("diagnose", "n_cells", 1),
+    ("diagnose", "r_grid", "0.5"),
+    ("diagnose", "r_grid", [0.5, 0.0]),
+    ("diagnose", "r_grid", [True]),
+    ("diagnose", "t_grid", [-0.1]),
+    ("diagnose", "h_override", True),
+])
+def test_bad_settings_exit_2(tmp_path, capsys, section, key, value):
+    doc = {"body": ANNULUS_BODY, "plan": ANNULUS_PLAN, section: {key: value}}
+    cfg = write_config(tmp_path, doc)
+    command = "sample" if section == "run" else "diagnose"
+    out = str(tmp_path / ("run" if section == "run" else "report.json"))
+    assert main([command, "--config", cfg, "--out", out]) == EXIT_BAD_CONFIG
+    assert f"config.{section}.{key}" in capsys.readouterr().err
+
+
+def test_settings_defaults_filled_once():
+    cfg = parse_config({})
+    assert cfg.run_node == {"n_chains": 1, "seed": 0, "t_cap": None, "n_cap": None}
+    assert cfg.diagnose_node == {
+        "seed": 0, "n_mc": 20_000, "inner_mc": 2_000, "resolution": 400,
+        "n_cells": 16, "r_grid": [0.25, 0.5, 1.0], "t_grid": [0.1, 0.5, 1.0],
+        "h_override": None}
+
+
+@pytest.mark.parametrize("n,with_body", [(2.9, False), (2.9, True), (3, True)])
+def test_plan_dimension_is_not_truncated(tmp_path, capsys, n, with_body):
+    doc = {"plan": {**ANNULUS_PLAN, "alpha": 1.0, "beta": 1.0, "n": n}}
+    if with_body:
+        doc["body"] = ANNULUS_BODY
+    cfg = write_config(tmp_path, doc)
+    assert main(["plan", "--config", cfg]) == EXIT_BAD_CONFIG
+    assert "config.plan" in capsys.readouterr().err
 
 
 def test_build_body_constructors():
@@ -191,9 +239,9 @@ def test_sample_command_outputs(tmp_path, capsys):
     assert summary["plan"]["T"] == 50          # t_cap applied
     assert summary["plan"]["N"] == 500         # n_cap applied
     assert summary["all_failed"] is False
-    assert summary["wall_time_s"] >= 0.0
     stdout_doc = json.loads(capsys.readouterr().out)
     assert stdout_doc["n_chains"] == 5
+    assert stdout_doc["wall_time_s"] >= 0.0
 
 
 def test_sample_command_reruns_byte_identical(tmp_path):
@@ -202,6 +250,7 @@ def test_sample_command_reruns_byte_identical(tmp_path):
     assert main(["sample", "--config", cfg, "--out", str(out1)]) == EXIT_OK
     assert main(["sample", "--config", cfg, "--out", str(out2)]) == EXIT_OK
     assert (out1 / "samples.jsonl").read_bytes() == (out2 / "samples.jsonl").read_bytes()
+    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
 def test_sample_command_overrides_change_output(tmp_path):
@@ -281,6 +330,27 @@ def test_diagnose_command_all_checks_pass(tmp_path, capsys):
     assert all(c["status"] == "ran" for c in report["checks"])
     assert all(c["verdict"] == "satisfied" for c in report["checks"])
     assert report["environment"]["seed"] == 7
+
+
+def test_diagnose_failure_estimate_is_the_zero_hit_share(tmp_path):
+    # on the annulus every point with an inner hit has (1 - ell)^N = 0 at
+    # the planned N, so the failure estimate is the zero-hit share that
+    # both per-iteration notes report, and it cannot go below 1/n_mc
+    cfg = write_config(tmp_path, diagnose_config())
+    out = tmp_path / "report.json"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    checks = {c["name"]: c for c in
+              json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    failure, trials = checks["stationary_failure"], checks["expected_trials"]
+    shares = []
+    for rec in (failure, trials):
+        m = re.search(r"(\d+)/(\d+) outer points had zero inner hits", rec["note"])
+        assert int(m.group(2)) == rec["n_samples"] == 2000
+        shares.append(int(m.group(1)) / int(m.group(2)))
+    assert shares[0] == shares[1] > 0.0
+    assert failure["empirical"] == shares[0]
+    assert "conservative" in failure["note"]
+    assert "1/2000 = 0.0005" in failure["note"]
 
 
 def test_diagnose_command_uses_sample_file(tmp_path):

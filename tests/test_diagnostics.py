@@ -21,6 +21,7 @@ from inandout.diagnostics import (
     failure_rate_slope,
     grid_tv_check,
     local_conductance_mc,
+    per_iteration_checks,
     smoothed_conductance_samples,
     stationary_escape_check,
     stationary_failure_check,
@@ -209,6 +210,17 @@ def test_escape_check_hypothesis_gate(unit_disk):
         stationary_escape_check(bare, h=0.05, r=1.0, n_mc=100, rng=make_rng(8))
 
 
+def test_escape_check_gate_at_the_base_cap(unit_disk, annulus):
+    for body in (unit_disk, annulus):
+        cap = planner.step_size_regime(body.dim, body.growth.beta).base_cap
+        chk = stationary_escape_check(body, h=cap, r=1.0, n_mc=100,
+                                      rng=make_rng(8))
+        assert chk.n_samples == 100
+        with pytest.raises(ValueError, match="regime"):
+            stationary_escape_check(body, h=cap * (1.0 + 1e-9), r=1.0,
+                                    n_mc=100, rng=make_rng(8))
+
+
 def test_escape_check_unsupported_in_3d():
     body = simplex_3d()
     h = 0.9 / (2.0 * 27.0 * body.growth.beta**2)
@@ -263,6 +275,36 @@ def test_per_iteration_regime_gate(unit_disk):
     with pytest.raises(ValueError, match="below the required"):
         expected_trials_check(unit_disk, dataclasses.replace(p, N=10),
                               n_mc=10, rng=make_rng(1))
+
+
+def test_per_iteration_gate_agrees_with_plan_consistency(annulus):
+    # the planner and the diagnostics gate read one cap: a schedule at
+    # the cap passes both, one a relative 1e-9 above it fails both
+    inputs = PlanInputs(q=2, eps=0.2, M=1, C_PI=4, alpha=4.0 / 3.0,
+                        beta=1.0, n=2)
+    p = planner.plan(inputs)
+    cap = planner.step_size_regime(2, 1.0, 4.0 / 3.0, p.S).per_iteration_cap
+    assert p.h <= cap
+    at_cap = dataclasses.replace(p, h=cap)
+    assert planner.check_plan_consistency(at_cap, inputs).ok
+    per_iteration_checks(annulus, at_cap, n_mc=10, rng=make_rng(1), inner_mc=10)
+    above = dataclasses.replace(p, h=cap * (1.0 + 1e-9))
+    assert any("per-iteration cap" in v for v in
+               planner.check_plan_consistency(above, inputs).violations)
+    with pytest.raises(ValueError, match="per-iteration regime"):
+        per_iteration_checks(annulus, above, n_mc=10, rng=make_rng(1), inner_mc=10)
+
+
+def test_per_iteration_checks_share_one_sample(annulus):
+    inputs = PlanInputs(q=2, eps=0.2, M=1, C_PI=4, alpha=4.0 / 3.0,
+                        beta=1.0, n=2)
+    p = planner.plan(inputs)
+    failure, trials = per_iteration_checks(annulus, p, 500, make_rng(21),
+                                           inner_mc=300)
+    assert failure.to_dict() == stationary_failure_check(
+        annulus, p, 500, make_rng(21), inner_mc=300).to_dict()
+    assert trials.to_dict() == expected_trials_check(
+        annulus, p, 500, make_rng(21), inner_mc=300).to_dict()
 
 
 def test_smoothed_conductance_samples_shape(unit_square):

@@ -30,6 +30,14 @@ def test_worked_example_schedule():
     assert p.T_tilde == 621.0479675626847
 
 
+def test_planned_step_size_is_the_regime_helper_value():
+    # plan() takes h from the shared regime, below its per-iteration cap
+    p = planner.plan(BASE)
+    regime = planner.step_size_regime(BASE.n, BASE.beta, BASE.alpha, p.S)
+    assert p.h == regime.planned_h
+    assert regime.planned_h <= regime.per_iteration_cap <= regime.base_cap
+
+
 def test_failure_budget_uses_rounded_iteration_count():
     p = planner.plan(BASE)
     assert p.S == 3.0 * p.T * BASE.M / p.eta

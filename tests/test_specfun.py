@@ -7,13 +7,14 @@ implementation's series/continued-fraction kernel.
 """
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
-from inandout import specfun
+from inandout import planner, specfun
 
 
 def chi_pdf(x: float, m: int) -> float:
@@ -35,6 +36,46 @@ def mp_tail(m: int, r: float) -> float:
     with mpmath.workdps(30):
         return float(mpmath.gammainc(m / 2.0, r * r / 2.0, mpmath.inf,
                                      regularized=True))
+
+
+def _chi_tail_even(m: int, r: float) -> float:
+    # closed form for even m: Q_m(r) = e^-u * sum_{k<m/2} u^k / k!, u = r^2/2.
+    # Evaluated in log space term by term so large u stays accurate.
+    u = r * r / 2.0
+    if u == 0.0:
+        return 1.0
+    logu = math.log(u)
+    total = 0.0
+    for k in range(m // 2):
+        total += math.exp(-u + k * logu - math.lgamma(k + 1))
+    return min(total, 1.0)
+
+
+@dataclass(frozen=True)
+class ChiTail:
+    """Chi upper-tail evaluator for a fixed dimension.
+
+    `method` selects the evaluation route: "gamma" uses the
+    incomplete-gamma kernel (any m), "closed_form_even" uses the finite
+    Poisson sum available when m is even.  Both agree to roundoff; the
+    second is the reference the kernel is cross-checked against.
+    """
+
+    m: int
+    method: str = "gamma"
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"degrees of freedom must be >= 1, got {self.m}")
+        if self.method not in ("gamma", "closed_form_even"):
+            raise ValueError(f"unknown method {self.method!r}")
+        if self.method == "closed_form_even" and self.m % 2 != 0:
+            raise ValueError("closed_form_even requires even degrees of freedom")
+
+    def __call__(self, r: float) -> float:
+        if self.method == "closed_form_even":
+            return _chi_tail_even(self.m, r)
+        return specfun.chi_tail(self.m, r)
 
 
 # ------------------------------------------------------------- chi_tail
@@ -87,7 +128,7 @@ def test_tail_monotone_in_radius_and_dimension():
 
 def test_tail_even_closed_form_agrees():
     for m in (2, 4, 10, 60):
-        ct = specfun.ChiTail(m, method="closed_form_even")
+        ct = ChiTail(m, method="closed_form_even")
         for r in (0.0, 0.3, 1.0, 4.0, 9.0):
             assert ct(r) == pytest.approx(specfun.chi_tail(m, r), rel=1e-12,
                                           abs=1e-15)
@@ -101,7 +142,7 @@ def test_tail_rejects_bad_arguments():
     with pytest.raises(ValueError):
         specfun.chi_tail(2.5, 1.0)
     with pytest.raises(ValueError):
-        specfun.ChiTail(3, method="closed_form_even")
+        ChiTail(3, method="closed_form_even")
 
 
 def test_gamma_kernel_rejects_bad_arguments():
@@ -155,6 +196,16 @@ def test_gamma_ratio_bound_violated_out_of_regime():
     assert not rep.hypothesis_ok
     assert not rep.all_below_one
     assert rep.max_term > 1.0
+
+
+def test_gamma_ratio_bound_hypothesis_at_the_base_cap():
+    # the gate admits exactly the base cap of the shared regime and
+    # refuses a step a relative 1e-9 above it
+    for n, beta in ((2, 1.0), (4, 0.3), (7, 2.5)):
+        cap = planner.step_size_regime(n, beta).base_cap
+        assert specfun.check_gamma_ratio_bound(cap, n, beta).hypothesis_ok
+        assert not specfun.check_gamma_ratio_bound(cap * (1.0 + 1e-9), n,
+                                                   beta).hypothesis_ok
 
 
 def test_gamma_ratio_bound_randomized_in_regime():
