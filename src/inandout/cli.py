@@ -96,7 +96,7 @@ def build_body(node: dict, where: str = "body") -> bodies.Body:
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError(f"{where}: expected an object with a 'kind' key")
     kind = node["kind"]
-    if kind not in _BODY_KINDS:
+    if not isinstance(kind, str) or kind not in _BODY_KINDS:
         raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
     try:
         if kind == "ball":
@@ -132,7 +132,7 @@ def build_body(node: dict, where: str = "body") -> bodies.Body:
         return bodies.star_shaped(parts, node["core_radius"])
     except ConfigError:
         raise
-    except (ValueError, TypeError, KeyError) as e:
+    except (ValueError, TypeError, KeyError, ArithmeticError) as e:
         raise ConfigError(f"{where}: {e}") from e
 
 
@@ -164,9 +164,14 @@ def _integer(value, where: str, least: Optional[int] = None) -> int:
     return value
 
 
+def _real(value) -> bool:
+    """A JSON number that converts to a finite float (so no bool, NaN or inf)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _number(value, where: str, positive: bool = True):
-    if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or not 0 <= value < math.inf or (positive and value == 0)):
+    if not _real(value) or value < 0 or (positive and value == 0):
         need = "a positive" if positive else "a nonnegative"
         raise ConfigError(f"{where}: need {need} number, got {value!r}")
 
@@ -181,12 +186,48 @@ def _settings(node, integers: dict, numbers: dict, where: str) -> dict:
     return out
 
 
+_INPUT_FIELDS = {f.name for f in dataclasses.fields(planner.PlanInputs)}
+_PLAN_FIELDS = {f.name for f in dataclasses.fields(planner.Plan)}
+# least value of each integer field of a Plan; its other fields are numbers
+_PLAN_INTEGERS = {"T": 1, "N": 1, "T0": 0}
+
+
+def _plan_inputs(node, where: str) -> planner.PlanInputs:
+    """PlanInputs from a node of all its fields; PlanInputs checks the ranges."""
+    _require_keys(node, _INPUT_FIELDS, _INPUT_FIELDS, where)
+    for key, value in node.items():
+        if key == "n":
+            _integer(value, f"{where}.n")
+        else:
+            _number(value, f"{where}.{key}")
+    try:
+        return planner.PlanInputs(**node)
+    except (ValueError, ArithmeticError) as e:  # n too large for a float
+        raise ConfigError(f"{where}: {e}") from e
+
+
+def read_plan_document(doc, where: str) -> tuple:
+    """(PlanInputs, Plan) from a document `inandout plan` wrote.
+
+    Keys and types are checked strictly; the schedule is not re-checked
+    for consistency, so hand-made out-of-regime plans still run.
+    """
+    _require_keys(doc, {"inputs", "plan", "consistency"}, {"inputs", "plan"}, where)
+    node = doc["plan"]
+    _require_keys(node, _PLAN_FIELDS, _PLAN_FIELDS, f"{where}.plan")
+    for key, value in node.items():
+        if key in _PLAN_INTEGERS:
+            _integer(value, f"{where}.plan.{key}", _PLAN_INTEGERS[key])
+        else:
+            _number(value, f"{where}.plan.{key}", positive=key in ("h", "S"))
+    return _plan_inputs(doc["inputs"], f"{where}.inputs"), planner.Plan(**node)
+
+
 def parse_config(doc: dict) -> RunConfig:
     _require_keys(doc, {"body", "plan", "run", "diagnose"}, set(), "config")
     plan_node = doc.get("plan")
     if plan_node is not None:
-        _require_keys(plan_node, {"q", "eps", "M", "C_PI", "alpha", "beta", "n"},
-                      {"q", "eps", "M", "C_PI"}, "config.plan")
+        _require_keys(plan_node, _INPUT_FIELDS, {"q", "eps", "M", "C_PI"}, "config.plan")
     run_node = _settings(doc.get("run", {}), _RUN_INTEGERS, {}, "config.run")
     diag = _settings(doc.get("diagnose", {}), _DIAGNOSE_INTEGERS, _DIAGNOSE_NUMBERS,
                      "config.diagnose")
@@ -206,37 +247,39 @@ def resolve_plan_inputs(cfg: RunConfig) -> tuple:
     """Build (PlanInputs, Body-or-None) from the config, resolving 'auto'."""
     if cfg.plan_node is None:
         raise ConfigError("config.plan: required for this command")
-    node = dict(cfg.plan_node)
     body = build_body(cfg.body_node) if cfg.body_node is not None else None
+    node = {"alpha": "auto", "beta": "auto", "n": "auto", **cfg.plan_node}
+    for key in ("alpha", "beta", "n"):
+        if node[key] == "auto":
+            need = "a body" if key == "n" else "a body with a growth certificate"
+            if body is None or (key != "n" and body.growth is None):
+                raise ConfigError(f"config.plan.{key}: 'auto' needs {need}")
+            node[key] = body.dim if key == "n" else getattr(body.growth, key)
+    return _plan_inputs(node, "config.plan"), body
 
-    def resolved(key):
-        val = node.get(key, "auto")
-        if val == "auto":
-            if body is None or body.growth is None:
-                raise ConfigError(
-                    f"config.plan.{key}: 'auto' needs a body with a growth certificate"
-                )
-            return getattr(body.growth, key)
-        return val
 
-    alpha = resolved("alpha")
-    beta = resolved("beta")
-    n = node.get("n", "auto")
-    if n == "auto":
-        if body is None:
-            raise ConfigError("config.plan.n: 'auto' needs a body")
-        n = body.dim
-    try:
-        inputs = planner.PlanInputs(
-            q=node["q"], eps=node["eps"], M=node["M"], C_PI=node["C_PI"],
-            alpha=alpha, beta=beta, n=n,
-        )
-    except ValueError as e:
-        raise ConfigError(f"config.plan: {e}") from e
+def resolve_run(cfg: RunConfig, plan_path: Optional[str] = None,
+                task: Optional[str] = None) -> tuple:
+    """(PlanInputs, Body-or-None, Plan) for a command.
+
+    The schedule is read from the plan document at plan_path when one is
+    given, else planned from the config's plan section.  A task names a
+    command that cannot run without a body.
+    """
+    if task is not None and cfg.body_node is None:
+        raise ConfigError(f"config.body: required to {task}")
+    if plan_path is None:
+        where, p = "config.plan", None
+        inputs, body = resolve_plan_inputs(cfg)
+    else:
+        doc = f"plan document {plan_path}"
+        inputs, p = read_plan_document(_load_json(plan_path, "plan document"), doc)
+        where = f"{doc}.inputs"
+        body = build_body(cfg.body_node)
     if body is not None and inputs.n != body.dim:
         raise ConfigError(
-            f"config.plan.n: {inputs.n} differs from the body dimension {body.dim}")
-    return inputs, body
+            f"{where}.n: {inputs.n} differs from the body dimension {body.dim}")
+    return inputs, body, planner.plan(inputs) if p is None else p
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -245,7 +288,7 @@ def _load_json(path: str, what: str) -> dict:
             return json.load(f)
     except OSError as e:
         raise OSError(f"cannot read {what} {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON or bad UTF-8
         raise ConfigError(f"{what} {path} is not valid JSON: {e}") from e
 
 
@@ -255,19 +298,14 @@ def _load_json(path: str, what: str) -> dict:
 def plan_document(inputs: planner.PlanInputs, p: planner.Plan,
                   report) -> dict:
     return {
-        "inputs": inputs.to_dict(),
-        "plan": p.to_dict(),
+        "inputs": dataclasses.asdict(inputs),
+        "plan": dataclasses.asdict(p),
         "consistency": {"ok": report.ok, "violations": list(report.violations)},
     }
 
 
 def cmd_plan(cfg: RunConfig, out_path: Optional[str]) -> int:
-    inputs, _ = resolve_plan_inputs(cfg)
-    try:
-        p = planner.plan(inputs)
-    except planner.PlanOverflowError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    inputs, _, p = resolve_run(cfg)
     report = planner.check_plan_consistency(p, inputs)
     doc = dumps_canonical(plan_document(inputs, p, report))
     if out_path:
@@ -279,22 +317,7 @@ def cmd_plan(cfg: RunConfig, out_path: Optional[str]) -> int:
 def cmd_sample(cfg: RunConfig, out_dir: str, seed_override: Optional[int],
                chains_override: Optional[int],
                plan_path: Optional[str]) -> int:
-    if plan_path is not None:
-        doc = _load_json(plan_path, "plan document")
-        try:
-            inputs = planner.PlanInputs.from_dict(doc["inputs"])
-            p = planner.Plan.from_dict(doc["plan"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"plan document {plan_path}: {e}") from e
-        if cfg.body_node is None:
-            raise ConfigError("config.body: required to sample")
-        body = build_body(cfg.body_node)
-    else:
-        inputs, body = resolve_plan_inputs(cfg)
-        if body is None:
-            raise ConfigError("config.body: required to sample")
-        p = planner.plan(inputs)
-
+    _, body, p = resolve_run(cfg, plan_path, "sample")
     run = cfg.run_node
     n_chains = (run["n_chains"] if chains_override is None
                 else _integer(chains_override, "--chains", 1))
@@ -328,7 +351,7 @@ def cmd_sample(cfg: RunConfig, out_dir: str, seed_override: Optional[int],
             "failure_fraction": ens.summary["failure_fraction"],
             "mean_total_trials": ens.summary["mean_total_trials"],
             "max_total_trials": ens.summary["max_total_trials"],
-            "plan": p.to_dict(),
+            "plan": dataclasses.asdict(p),
             "seed": seed,
             "all_failed": ens.summary["failure_fraction"] == 1.0,
         }
@@ -356,7 +379,7 @@ def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
     violated = False
 
     def run(names, fn):
-        """Record the checks fn returns, one per name, or why none ran."""
+        """Record the check dicts fn returns, one per name, or why none ran."""
         nonlocal violated
         try:
             checks = fn()
@@ -370,31 +393,13 @@ def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
             violated = True
             return
         for check in checks:
-            rec = check.to_dict()
-            rec["status"] = "ran"
-            records.append(rec)
-            if check.verdict != diagnostics.SATISFIED:
+            records.append({**check, "status": "ran"})
+            if check["verdict"] != diagnostics.SATISFIED:
                 violated = True
 
-    for i, r in enumerate(diag["r_grid"]):
-        rng = sampler.make_rng(sampler.derive_seed(seed, 100 + i))
-        run([f"stationary_escape(r={r})"],
-            lambda r=r, rng=rng: [diagnostics.stationary_escape_check(
-                body, p.h, r, n_mc, rng, oracle=oracle)])
-    rng = sampler.make_rng(sampler.derive_seed(seed, 200))
-    run(["stationary_failure", "expected_trials"],
-        lambda: diagnostics.per_iteration_checks(body, p, min(n_mc, 4000), rng,
-                                                 inner_mc=diag["inner_mc"]))
-    for i, t in enumerate(diag["t_grid"]):
-        rng = sampler.make_rng(sampler.derive_seed(seed, 400 + i))
-        run([f"certificate_soundness(t={t})"],
-            lambda t=t, rng=rng: [diagnostics.certificate_soundness_check(
-                body, t, n_mc, rng, oracle=oracle)])
-
-    if body.dim != 2:
-        records.append({"name": "grid_tv", "status": "skipped",
-                        "reason": "grid oracle is 2-D only"})
-    else:
+    def grid_tv():
+        if oracle is None:
+            raise diagnostics.UnsupportedCheck("grid oracle is 2-D only")
         rng = sampler.make_rng(sampler.derive_seed(seed, 500))
         if samples is None:
             pts = bodies.sample_uniform(body, rng, max(n_mc, 5 * n_cells))
@@ -402,59 +407,80 @@ def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
         else:
             pts = samples
             src = "supplied sample file"
-        try:
-            tv = diagnostics.grid_tv_check(body, pts, n_cells, oracle=oracle)
-            ok = tv.p_value >= 0.01
-            records.append({
-                "name": "grid_tv",
-                "status": "ran",
-                "tv_estimate": tv.tv_estimate,
-                "chi2_statistic": tv.chi2_statistic,
-                "p_value": tv.p_value,
-                "n_cells": tv.n_cells,
-                "n_samples": tv.n_samples,
-                "verdict": diagnostics.SATISFIED if ok else diagnostics.VIOLATED,
-                "note": f"samples: {src}",
-            })
-            if not ok:
-                violated = True
-        except ValueError as e:
-            records.append({"name": "grid_tv", "status": "hypothesis_violation",
-                            "reason": str(e)})
-            violated = True
+        tv = diagnostics.grid_tv_check(body, pts, n_cells, oracle=oracle)
+        # "status" sits second, where run() puts it without moving it
+        return [{
+            "name": "grid_tv",
+            "status": "ran",
+            "tv_estimate": tv.tv_estimate,
+            "chi2_statistic": tv.chi2_statistic,
+            "p_value": tv.p_value,
+            "n_cells": tv.n_cells,
+            "n_samples": tv.n_samples,
+            "verdict": (diagnostics.SATISFIED if tv.p_value >= 0.01
+                        else diagnostics.VIOLATED),
+            "note": f"samples: {src}",
+        }]
+
+    for i, r in enumerate(diag["r_grid"]):
+        rng = sampler.make_rng(sampler.derive_seed(seed, 100 + i))
+        run([f"stationary_escape(r={r})"],
+            lambda r=r, rng=rng: [diagnostics.stationary_escape_check(
+                body, p.h, r, n_mc, rng, oracle=oracle).to_dict()])
+    rng = sampler.make_rng(sampler.derive_seed(seed, 200))
+    run(["stationary_failure", "expected_trials"],
+        lambda: [c.to_dict() for c in diagnostics.per_iteration_checks(
+            body, p, min(n_mc, 4000), rng, inner_mc=diag["inner_mc"])])
+    for i, t in enumerate(diag["t_grid"]):
+        rng = sampler.make_rng(sampler.derive_seed(seed, 400 + i))
+        run([f"certificate_soundness(t={t})"],
+            lambda t=t, rng=rng: [diagnostics.certificate_soundness_check(
+                body, t, n_mc, rng, oracle=oracle).to_dict()])
+    run(["grid_tv"], grid_tv)
     return records, violated
+
+
+def _read_samples(path: str, dim: int) -> np.ndarray:
+    """Points of the successful chains in a samples.jsonl file, checked."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = list(f)
+    except OSError as e:
+        raise OSError(f"cannot read samples {path}: {e}") from e
+    except ValueError as e:  # bad UTF-8
+        raise ConfigError(f"samples file {path}: {e}") from e
+    pts = []
+    for i, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        where = f"samples file {path} line {i}"
+        try:
+            rec = json.loads(line)
+        except ValueError as e:
+            raise ConfigError(f"{where}: not valid JSON: {e}") from e
+        if not isinstance(rec, dict):
+            raise ConfigError(f"{where}: expected an object")
+        if rec.get("outcome") != "success":
+            continue
+        x = rec.get("x")
+        if not (isinstance(x, list) and len(x) == dim and all(map(_real, x))):
+            raise ConfigError(f"{where}: x needs {dim} finite numbers, got {x!r}")
+        pts.append(x)
+    if not pts:
+        raise ConfigError(f"samples file {path} holds no successful chains")
+    return np.asarray(pts, dtype=float)
 
 
 def cmd_diagnose(cfg: RunConfig, out_path: str, seed_override: Optional[int],
                  samples_path: Optional[str]) -> int:
-    inputs, body = resolve_plan_inputs(cfg)
-    if body is None:
-        raise ConfigError("config.body: required to diagnose")
-    p = planner.plan(inputs)
+    _, body, p = resolve_run(cfg, task="diagnose")
     diag = dict(cfg.diagnose_node)
     if seed_override is not None:
         diag["seed"] = seed_override
     if diag["h_override"] is not None:
         p = dataclasses.replace(p, h=float(diag["h_override"]))
 
-    samples = None
-    if samples_path is not None:
-        pts = []
-        try:
-            with open(samples_path, "r", encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    if rec.get("outcome") == "success" and rec.get("x") is not None:
-                        pts.append(rec["x"])
-        except OSError as e:
-            raise OSError(f"cannot read samples {samples_path}: {e}") from e
-        if not pts:
-            raise ConfigError(f"samples file {samples_path} holds no successful chains")
-        samples = np.asarray(pts, dtype=float)
-
+    samples = None if samples_path is None else _read_samples(samples_path, body.dim)
     records, violated = _diagnose_checks(body, p, diag, samples)
     report = {
         "checks": records,

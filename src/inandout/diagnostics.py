@@ -12,7 +12,7 @@ making the estimates independent of accumulation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,15 +48,7 @@ class BoundCheck:
             self.verdict = SATISFIED if ok else VIOLATED
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "empirical": self.empirical,
-            "theoretical_bound": self.theoretical_bound,
-            "mc_std_error": self.mc_std_error,
-            "n_samples": self.n_samples,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _mean_and_se(values: np.ndarray) -> tuple:
@@ -166,12 +158,12 @@ def expected_trials_closed_form(p: float, N: int) -> float:
     return -math.expm1(N * math.log1p(-p)) / p
 
 
-def _require_distance(body: Body, oracle: Optional[GridOracle], resolution: int):
+def _require_distance(body: Body, oracle: Optional[GridOracle]):
     """Pick the distance route: analytic when present, else a 2-D grid."""
     if body.distance is not None:
         return body.distance, ""
     if body.dim == 2:
-        oracle = oracle or GridOracle(body, resolution)
+        oracle = oracle or GridOracle(body)
         diag = math.hypot(*oracle.step)
         return oracle.distance, (
             f"distance from grid oracle (resolution {oracle.resolution}), "
@@ -184,8 +176,7 @@ def _require_distance(body: Body, oracle: Optional[GridOracle], resolution: int)
 
 def stationary_escape_check(body: Body, h: float, r: float, n_mc: int,
                             rng: np.random.Generator,
-                            oracle: Optional[GridOracle] = None,
-                            resolution: int = 400) -> BoundCheck:
+                            oracle: Optional[GridOracle] = None) -> BoundCheck:
     """Check the smoothed-law escape bound at distance r.
 
     Draws X uniform on the body, forms Y = X + sqrt(h) Z, and compares
@@ -201,7 +192,7 @@ def stationary_escape_check(body: Body, h: float, r: float, n_mc: int,
     h_cap = step_size_regime(n, body.growth.beta).base_cap
     if not (0.0 < h <= h_cap * (1.0 + 1e-12)):
         raise ValueError(f"step size {h} violates the base regime cap {h_cap}")
-    dist, note = _require_distance(body, oracle, resolution)
+    dist, note = _require_distance(body, oracle)
     xs = sample_uniform(body, rng, n_mc)
     ys = xs + math.sqrt(h) * rng.standard_normal((n_mc, n))
     escapes = int(np.count_nonzero(np.asarray(dist(ys)) > r))
@@ -219,8 +210,7 @@ def stationary_escape_check(body: Body, h: float, r: float, n_mc: int,
 
 
 def smoothed_conductance_samples(body: Body, h: float, n_outer: int,
-                                 inner_mc: int, rng: np.random.Generator,
-                                 block: int = 64) -> np.ndarray:
+                                 inner_mc: int, rng: np.random.Generator) -> np.ndarray:
     """Estimated local conductance at n_outer points of the smoothed law.
 
     Outer points follow X uniform, Y = X + sqrt(h) Z; each inner
@@ -232,6 +222,7 @@ def smoothed_conductance_samples(body: Body, h: float, n_outer: int,
     xs = sample_uniform(body, rng, n_outer)
     ys = xs + sqrt_h * rng.standard_normal((n_outer, n))
     out = np.empty(n_outer)
+    block = 64  # outer points per membership batch: bounds the proposal array
     for start in range(0, n_outer, block):
         yb = ys[start:start + block]
         m = yb.shape[0]
@@ -334,8 +325,7 @@ class TvCheckResult:
 
 
 def grid_tv_check(body: Body, samples, n_cells: int,
-                  oracle: Optional[GridOracle] = None,
-                  resolution: int = 400) -> TvCheckResult:
+                  oracle: Optional[GridOracle] = None) -> TvCheckResult:
     """Compare samples with exact uniform via equal-mass grid cells.
 
     The oracle bitmap is carved into n_cells angular groups of equal
@@ -351,7 +341,7 @@ def grid_tv_check(body: Body, samples, n_cells: int,
         )
     if n_cells < 2:
         raise ValueError(f"need at least 2 cells, got {n_cells}")
-    oracle = oracle or GridOracle(body, resolution)
+    oracle = oracle or GridOracle(body)
     if n_cells > oracle.n_occupied:
         raise ValueError("more cells requested than occupied grid cells")
 
@@ -398,8 +388,7 @@ def grid_tv_check(body: Body, samples, n_cells: int,
 
 def enlarged_volume_ratio_mc(body: Body, t: float, n_mc: int,
                              rng: np.random.Generator,
-                             oracle: Optional[GridOracle] = None,
-                             resolution: int = 400) -> tuple:
+                             oracle: Optional[GridOracle] = None) -> tuple:
     """MC estimate of Vol(X_t) / Vol(X) with its standard error.
 
     Samples uniformly in the bbox inflated by t, classifies points by
@@ -411,7 +400,7 @@ def enlarged_volume_ratio_mc(body: Body, t: float, n_mc: int,
         raise ValueError(f"dilation must be nonnegative, got {t}")
     if n_mc < 1:
         raise ValueError(f"need at least one sample, got {n_mc}")
-    dist, _ = _require_distance(body, oracle, resolution)
+    dist, _ = _require_distance(body, oracle)
     lo, hi = body.bbox
     pts = rng.uniform(lo - t, hi + t, size=(n_mc, body.dim))
     in_x = np.asarray(body.membership(pts))
@@ -427,12 +416,11 @@ def enlarged_volume_ratio_mc(body: Body, t: float, n_mc: int,
 
 def certificate_soundness_check(body: Body, t: float, n_mc: int,
                                 rng: np.random.Generator,
-                                oracle: Optional[GridOracle] = None,
-                                resolution: int = 400) -> BoundCheck:
+                                oracle: Optional[GridOracle] = None) -> BoundCheck:
     """Falsification check of the growth certificate at dilation t."""
     if body.growth is None:
         raise ValueError("body has no growth certificate")
-    ratio, se = enlarged_volume_ratio_mc(body, t, n_mc, rng, oracle, resolution)
+    ratio, se = enlarged_volume_ratio_mc(body, t, n_mc, rng, oracle)
     return BoundCheck(
         name=f"certificate_soundness(t={t})",
         empirical=ratio,

@@ -64,21 +64,6 @@ class PlanInputs:
         for name in ("q", "eps", "M", "C_PI", "alpha"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "eps": self.eps,
-            "M": self.M,
-            "C_PI": self.C_PI,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "n": self.n,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlanInputs":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class Plan:
@@ -102,31 +87,6 @@ class Plan:
     N: int
     T0: int
     T_tilde: float
-
-    def to_dict(self) -> dict:
-        return {
-            "eps_prime": self.eps_prime,
-            "eta": self.eta,
-            "T": self.T,
-            "S": self.S,
-            "h": self.h,
-            "N": self.N,
-            "T0": self.T0,
-            "T_tilde": self.T_tilde,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Plan":
-        return cls(
-            eps_prime=d["eps_prime"],
-            eta=d["eta"],
-            T=int(d["T"]),
-            S=d["S"],
-            h=d["h"],
-            N=int(d["N"]),
-            T0=int(d["T0"]),
-            T_tilde=d["T_tilde"],
-        )
 
 
 class StepSizeRegime(NamedTuple):
@@ -174,29 +134,35 @@ def plan(inputs: PlanInputs) -> Plan:
     """Compute the full schedule for the given inputs.
 
     Raises PlanOverflowError when the iteration count would exceed 2^31
-    ("desk-scale exceeded"): runs that long are out of scope here.
+    or a quantity of the schedule leaves float range ("desk-scale
+    exceeded"): runs that long are out of scope here.
     """
-    eps_prime = inputs.eps / 2.0
-    eta = inputs.eps / 8.0
+    try:
+        eps_prime = inputs.eps / 2.0
+        eta = inputs.eps / 8.0
 
-    z = _z_value(inputs)
-    t_real = 2.0 * z * math.log(z)
-    if not (t_real <= T_LIMIT):
+        z = _z_value(inputs)
+        t_real = 2.0 * z * math.log(z)
+        if not (t_real <= T_LIMIT):
+            raise PlanOverflowError(
+                f"desk-scale exceeded: iteration count {t_real:.3e} is beyond 2^31"
+            )
+        T = math.ceil(t_real)
+
+        # the failure budget is computed from the *rounded* T so that the
+        # final (T, S, h, N) quadruple is internally consistent
+        S = 3.0 * T * inputs.M / eta
+        h = step_size_regime(inputs.n, inputs.beta, inputs.alpha, S).planned_h
+        N = math.ceil(8.0 * inputs.alpha * S * math.log(S))
+
+        log_rate = math.log1p(h / inputs.C_PI)
+        # warmness enters only through log M; for M < e the burn-in is zero
+        T0 = max(0, math.ceil(inputs.q * (math.log(inputs.M) - 1.0) / (2.0 * log_rate)))
+        T_tilde = T0 + inputs.q * math.log(1.0 / eps_prime) / log_rate
+    except (OverflowError, ZeroDivisionError) as e:
+        # extreme inputs push an intermediate out of float range
         raise PlanOverflowError(
-            f"desk-scale exceeded: iteration count {t_real:.3e} is beyond 2^31"
-        )
-    T = math.ceil(t_real)
-
-    # the failure budget is computed from the *rounded* T so that the
-    # final (T, S, h, N) quadruple is internally consistent
-    S = 3.0 * T * inputs.M / eta
-    h = step_size_regime(inputs.n, inputs.beta, inputs.alpha, S).planned_h
-    N = math.ceil(8.0 * inputs.alpha * S * math.log(S))
-
-    log_rate = math.log1p(h / inputs.C_PI)
-    # warmness enters only through log M; for M < e the burn-in is zero
-    T0 = max(0, math.ceil(inputs.q * (math.log(inputs.M) - 1.0) / (2.0 * log_rate)))
-    T_tilde = T0 + inputs.q * math.log(1.0 / eps_prime) / log_rate
+            f"desk-scale exceeded: the schedule leaves float range ({e})") from e
 
     return Plan(
         eps_prime=eps_prime,

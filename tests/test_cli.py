@@ -88,9 +88,14 @@ def test_parse_config_rejects_unknown_keys():
     ("diagnose", "r_grid", [True]),
     ("diagnose", "t_grid", [-0.1]),
     ("diagnose", "h_override", True),
+    ("plan", "q", "abc"),
+    ("plan", "eps", [1]),
+    ("plan", "M", None),
+    ("plan", "alpha", "x"),
 ])
 def test_bad_settings_exit_2(tmp_path, capsys, section, key, value):
-    doc = {"body": ANNULUS_BODY, "plan": ANNULUS_PLAN, section: {key: value}}
+    doc = {"body": ANNULUS_BODY, "plan": ANNULUS_PLAN}
+    doc[section] = {**doc.get(section, {}), key: value}
     cfg = write_config(tmp_path, doc)
     command = "sample" if section == "run" else "diagnose"
     out = str(tmp_path / ("run" if section == "run" else "report.json"))
@@ -147,6 +152,8 @@ def test_build_body_constructors():
 def test_build_body_error_paths():
     with pytest.raises(ConfigError, match="kind"):
         build_body({"kind": "torus"})
+    with pytest.raises(ConfigError, match="kind"):
+        build_body({"kind": ["ball"]})
     with pytest.raises(ConfigError, match=r"body\.parts\[1\]"):
         build_body({
             "kind": "union",
@@ -280,6 +287,47 @@ def test_sample_command_bad_chain_count(tmp_path):
         == EXIT_BAD_CONFIG
 
 
+# a well-typed, out-of-regime plan document and a 2-D body it runs on
+HAND_PLAN = {
+    "inputs": {"q": 2, "eps": 0.2, "M": 1, "C_PI": 1,
+               "alpha": 1.0, "beta": 1.0, "n": 2},
+    "plan": {"eps_prime": 0.1, "eta": 0.025, "T": 5, "S": 100.0,
+             "h": 100.0, "N": 1, "T0": 0, "T_tilde": 0.0},
+}
+UNIT_SQUARE = {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("plan", "T", 2.9),
+    ("plan", "T", "9"),
+    ("plan", "N", True),
+    ("plan", "N", 0),
+    ("plan", "h", -1),
+    ("plan", "S", 0.0),
+    ("plan", "T0", -1),
+    ("plan", "extra", 1),
+    ("plan", "T_tilde", None),      # None deletes the key
+    ("inputs", "q", "2"),
+    ("inputs", "extra", 1),
+    ("inputs", "n", 5),
+    ("inputs", "n", 2.0),
+    ("inputs", "eps", 0.7),
+])
+def test_bad_plan_document_exit_2(tmp_path, capsys, section, key, value):
+    doc = {**HAND_PLAN, section: {**HAND_PLAN[section], key: value}}
+    if value is None:
+        del doc[section][key]
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = write_config(tmp_path, {"body": UNIT_SQUARE})
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "run"),
+                 "--plan", str(plan_file)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert f"{plan_file}.{section}" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_sample_command_all_failed_flag(tmp_path):
     # a handcrafted schedule with a hopeless step size and a single
     # allowed trial: every chain fails, which is reported, not an error
@@ -368,6 +416,32 @@ def test_diagnose_command_uses_sample_file(tmp_path):
     n_success = round(200 * (1.0 - summary["failure_fraction"]))
     assert tv["n_samples"] == n_success
     assert "supplied sample file" in tv["note"]
+
+
+GOOD_LINE = '{"chain": 0, "outcome": "success", "x": [0.75, 0.0]}'
+
+
+@pytest.mark.parametrize("bad_line,message", [
+    ('{"chain": 1, "outcome": "success", "x": [0.7', "line 2: not valid JSON"),
+    ('[0.75, 0.0]', "line 2: expected an object"),
+    ('{"outcome": "success", "x": [0.75]}', "line 2: x needs 2 finite numbers"),
+    ('{"outcome": "success", "x": [0.75, [0.0]]}', "line 2: x needs 2"),
+    ('{"outcome": "success", "x": [0.75, "0"]}', "line 2: x needs 2"),
+    ('{"outcome": "success", "x": [0.75, NaN]}', "line 2: x needs 2"),
+    ('{"outcome": "success", "x": [0.75, true]}', "line 2: x needs 2"),
+    ('{"outcome": "success", "x": null}', "line 2: x needs 2"),
+])
+def test_diagnose_rejects_malformed_sample_file(tmp_path, capsys, bad_line, message):
+    samples = tmp_path / "samples.jsonl"
+    samples.write_text(f"{GOOD_LINE}\n{bad_line}\n", encoding="utf-8")
+    cfg = write_config(tmp_path, diagnose_config())
+    report = tmp_path / "report.json"
+    assert main(["diagnose", "--config", cfg, "--out", str(report),
+                 "--samples", str(samples)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert f"samples file {samples} {message}" in err
+    assert not report.exists()
 
 
 def test_diagnose_command_flags_hypothesis_violation(tmp_path):

@@ -1,12 +1,14 @@
 """Planner tests: frozen worked example, consistency, bound algebra."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from inandout import planner
+from inandout.cli import dumps_canonical
 from inandout.planner import Plan, PlanInputs, PlanOverflowError
 
 
@@ -165,9 +167,10 @@ def test_input_validation():
 
 
 def test_serialization_round_trip():
+    # a plan document holds dataclasses.asdict of each, as canonical JSON
     p = planner.plan(BASE)
-    assert Plan.from_dict(p.to_dict()) == p
-    assert PlanInputs.from_dict(BASE.to_dict()) == BASE
+    assert Plan(**json.loads(dumps_canonical(dataclasses.asdict(p)))) == p
+    assert PlanInputs(**json.loads(dumps_canonical(dataclasses.asdict(BASE)))) == BASE
 
 
 def test_expected_total_trials_bound_value():
