@@ -10,7 +10,9 @@ The package couples four pieces:
 * `specfun`     -- chi tails and the closed-form inequalities behind them
 """
 
-from . import bodies, cli, diagnostics, planner, sampler, specfun
+import importlib
+
+from . import bodies, diagnostics, planner, sampler, specfun
 from .bodies import (
     Body,
     CertificateError,
@@ -48,3 +50,11 @@ from .sampler import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # `cli` loads on first use: importing it here would make
+    # `python -m inandout.cli` find it in sys.modules before running it
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

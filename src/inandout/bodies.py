@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -260,45 +261,20 @@ def _common_dim(parts: Sequence[Body]) -> int:
     return dims.pop()
 
 
-def _or_membership(parts: Sequence[Body]) -> Callable:
-    fns = [p.membership for p in parts]
-
-    def membership(pts):
-        out = fns[0](pts)
-        for f in fns[1:]:
-            out = out | f(pts)
-        return out
-
-    return membership
-
-
-def _or_interior(parts: Sequence[Body]) -> Optional[Callable]:
-    if any(p.interior is None for p in parts):
+def _fold(fns: list, op: Callable) -> Optional[Callable]:
+    # the union's oracle: the parts' results combined left to right with
+    # op (distance to a union is the minimum of the part distances,
+    # exactly); None when a part lacks the oracle
+    if any(f is None for f in fns):
         return None
-    fns = [p.interior for p in parts]
 
-    def interior(pts):
+    def folded(pts):
         out = fns[0](pts)
         for f in fns[1:]:
-            out = out | f(pts)
+            out = op(out, f(pts))
         return out
 
-    return interior
-
-
-def _min_distance(parts: Sequence[Body]) -> Optional[Callable]:
-    # distance to a union is the minimum of the part distances, exactly
-    if any(p.distance is None for p in parts):
-        return None
-    fns = [p.distance for p in parts]
-
-    def distance(pts):
-        out = fns[0](pts)
-        for f in fns[1:]:
-            out = np.minimum(out, f(pts))
-        return out
-
-    return distance
+    return folded
 
 
 def union(parts: Sequence[Body], union_volume: float) -> Body:
@@ -339,13 +315,13 @@ def union(parts: Sequence[Body], union_volume: float) -> Body:
 
     return Body(
         dim=n,
-        membership=_or_membership(parts),
+        membership=_fold([p.membership for p in parts], operator.or_),
         bbox=_hull_bbox(parts),
         exact_volume=float(union_volume),
         growth=GrowthCertificate(alpha, beta, GrowthSource.UNION),
         inner_ball=None,
-        interior=_or_interior(parts),
-        distance=_min_distance(parts),
+        interior=_fold([p.interior for p in parts], operator.or_),
+        distance=_fold([p.distance for p in parts], np.minimum),
     )
 
 
@@ -461,13 +437,13 @@ def star_shaped(parts: Sequence[Body], core_inner_radius: float) -> Body:
 
     return Body(
         dim=n,
-        membership=_or_membership(parts),
+        membership=_fold([p.membership for p in parts], operator.or_),
         bbox=_hull_bbox(parts),
         exact_volume=None,
         growth=GrowthCertificate(1.0, 1.0 / r, GrowthSource.STAR_SHAPED),
         inner_ball=(np.zeros(n), r),
-        interior=_or_interior(parts),
-        distance=_min_distance(parts),
+        interior=_fold([p.interior for p in parts], operator.or_),
+        distance=_fold([p.distance for p in parts], np.minimum),
     )
 
 

@@ -346,15 +346,8 @@ def cmd_sample(cfg: RunConfig, out_dir: str, seed_override: Optional[int],
                     "failed_at": res.failed_at,
                 }
                 f.write(dumps_canonical(rec) + "\n")
-        summary = {
-            "n_chains": ens.summary["n_chains"],
-            "failure_fraction": ens.summary["failure_fraction"],
-            "mean_total_trials": ens.summary["mean_total_trials"],
-            "max_total_trials": ens.summary["max_total_trials"],
-            "plan": dataclasses.asdict(p),
-            "seed": seed,
-            "all_failed": ens.summary["failure_fraction"] == 1.0,
-        }
+        summary = {**ens.summary, "plan": dataclasses.asdict(p), "seed": seed,
+                   "all_failed": ens.summary["failure_fraction"] == 1.0}
         (out / "summary.json").write_text(
             dumps_canonical(summary) + "\n", encoding="utf-8"
         )

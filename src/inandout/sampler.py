@@ -21,7 +21,7 @@ this transform is part of the frozen contract for regression tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,18 +63,18 @@ class RunResult:
     (the in-step exhausted its N attempts at iteration failed_at;
     y_at_failure is the out-step point that could not be re-entered),
     or "cap_exceeded" (ideal variant hit its practical cap).
-    trials_per_iteration has one entry per executed iteration, the
-    failing iteration included; total_trials is their sum and equals
-    the number of membership-oracle calls made by in-steps.
+    iterations counts the executed iterations, the failing one
+    included: T on success, failed_at + 1 otherwise.  total_trials is
+    the number of in-step proposals over them and equals the number of
+    membership-oracle calls made by in-steps.
     """
 
     status: str
     point: Optional[np.ndarray]
     failed_at: Optional[int]
     y_at_failure: Optional[np.ndarray]
-    trials_per_iteration: list = field(default_factory=list)
-    total_trials: int = 0
-    seed: Optional[int] = None
+    iterations: int
+    total_trials: int
 
 
 def forward_step(x: np.ndarray, h: float, rng: np.random.Generator) -> np.ndarray:
@@ -107,8 +107,7 @@ def backward_step(y: np.ndarray, h: float, N: int, body: Body,
 
 
 def _run_chain(body: Body, x0, h: float, T: int, N: int,
-               rng: np.random.Generator, cap_semantics: bool,
-               seed: Optional[int]) -> RunResult:
+               rng: np.random.Generator) -> RunResult:
     x = np.asarray(x0, dtype=float)
     if x.shape != (body.dim,):
         raise ValueError(f"start point has shape {x.shape}, body dimension is {body.dim}")
@@ -116,33 +115,17 @@ def _run_chain(body: Body, x0, h: float, T: int, N: int,
         raise ValueError("start point is outside the body")
     if T < 0:
         raise ValueError(f"iteration count must be >= 0, got {T}")
-    trials = []
     total = 0
     for i in range(T):
         y = forward_step(x, h, rng)
         xn, k = backward_step(y, h, N, body, rng)
-        trials.append(k)
         total += k
         if xn is None:
-            return RunResult(
-                status=CAP_EXCEEDED if cap_semantics else FAILURE,
-                point=None,
-                failed_at=i,
-                y_at_failure=y,
-                trials_per_iteration=trials,
-                total_trials=total,
-                seed=seed,
-            )
+            return RunResult(status=FAILURE, point=None, failed_at=i, y_at_failure=y,
+                             iterations=i + 1, total_trials=total)
         x = xn
-    return RunResult(
-        status=SUCCESS,
-        point=x,
-        failed_at=None,
-        y_at_failure=None,
-        trials_per_iteration=trials,
-        total_trials=total,
-        seed=seed,
-    )
+    return RunResult(status=SUCCESS, point=x, failed_at=None, y_at_failure=None,
+                     iterations=T, total_trials=total)
 
 
 def run_in_and_out(body: Body, x0, plan: Plan, seed: Optional[int] = None,
@@ -157,7 +140,7 @@ def run_in_and_out(body: Body, x0, plan: Plan, seed: Optional[int] = None,
         raise ValueError("pass exactly one of seed or rng")
     if rng is None:
         rng = make_rng(seed)
-    return _run_chain(body, x0, plan.h, plan.T, plan.N, rng, False, seed)
+    return _run_chain(body, x0, plan.h, plan.T, plan.N, rng)
 
 
 def run_proximal_ideal(body: Body, x0, h: float, T: int,
@@ -176,7 +159,10 @@ def run_proximal_ideal(body: Body, x0, h: float, T: int,
         raise ValueError(f"attempt cap must be >= 1, got {attempt_cap}")
     if rng is None:
         rng = make_rng(seed)
-    return _run_chain(body, x0, h, T, attempt_cap, rng, True, seed)
+    res = _run_chain(body, x0, h, T, attempt_cap, rng)
+    if res.status == FAILURE:
+        res.status = CAP_EXCEEDED
+    return res
 
 
 @dataclass
@@ -197,12 +183,9 @@ def run_ensemble(body: Body, warm_start: Callable[[np.random.Generator], np.ndar
         raise ValueError(f"need at least one chain, got {n_chains}")
     results = []
     for c in range(n_chains):
-        chain_seed = derive_seed(seed, c)
-        rng = make_rng(chain_seed)
+        rng = make_rng(derive_seed(seed, c))
         x0 = warm_start(rng)
-        results.append(
-            _run_chain(body, x0, plan.h, plan.T, plan.N, rng, False, chain_seed)
-        )
+        results.append(_run_chain(body, x0, plan.h, plan.T, plan.N, rng))
     failures = sum(1 for r in results if r.status != SUCCESS)
     totals = [r.total_trials for r in results]
     summary = {
@@ -210,7 +193,6 @@ def run_ensemble(body: Body, warm_start: Callable[[np.random.Generator], np.ndar
         "failure_fraction": failures / n_chains,
         "mean_total_trials": math.fsum(totals) / n_chains,
         "max_total_trials": max(totals),
-        "seed": seed,
     }
     return EnsembleResult(results=results, summary=summary)
 
@@ -219,15 +201,14 @@ def failure_rate_by_iteration(results) -> np.ndarray:
     """Conditional per-iteration failure rate across an ensemble.
 
     Entry i is (#chains failing at iteration i) / (#chains reaching
-    iteration i).  Chains reach iteration i when they neither failed
-    earlier nor stopped before it.
+    iteration i).  Chains reach iteration i when they ran more than i
+    iterations; the array has max(iterations) entries.
     """
     if not results:
         raise ValueError("no results")
-    T = max(len(r.trials_per_iteration) for r in results)
-    rates = np.zeros(T)
-    for i in range(T):
-        reached = sum(1 for r in results if len(r.trials_per_iteration) > i)
-        failed = sum(1 for r in results if r.failed_at == i)
-        rates[i] = failed / reached if reached else 0.0
-    return rates
+    iterations = np.array([r.iterations for r in results], dtype=np.intp)
+    T = int(iterations.max())
+    reached = len(results) - np.cumsum(np.bincount(iterations))[:T]
+    failed_at = np.array([r.failed_at for r in results if r.failed_at is not None],
+                         dtype=np.intp)
+    return np.bincount(failed_at, minlength=T) / reached

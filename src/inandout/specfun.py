@@ -23,19 +23,6 @@ _TINY = 1e-300
 _MAX_ITER = 100_000
 
 
-def gamma_p(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s)."""
-    if s <= 0.0:
-        raise ValueError(f"shape must be positive, got {s}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return _gamma_p_series(s, x)
-    return 1.0 - _gamma_q_contfrac(s, x)
-
-
 def gamma_q(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s)."""
     if s <= 0.0:
@@ -117,24 +104,6 @@ def log_chi_norm_const(n: int) -> float:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     return (n / 2.0 - 1.0) * math.log(2.0) + math.lgamma(n / 2.0)
-
-
-def chi_norm_const(n: int) -> float:
-    """Normalizing constant of the chi density in n dimensions.
-
-    For n > 300 the value is assembled in log space before
-    exponentiating; it still overflows to inf once the true value
-    exceeds the float64 range (n around 305), so ratio work at large n
-    should go through log_chi_norm_const.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if n > 300:
-        try:
-            return math.exp(log_chi_norm_const(n))
-        except OverflowError:
-            return math.inf
-    return 2.0 ** (n / 2.0 - 1.0) * math.gamma(n / 2.0)
 
 
 @dataclass(frozen=True)

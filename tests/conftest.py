@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from inandout import bodies
+from inandout import bodies, sampler
 
 
 @pytest.fixture
@@ -42,5 +41,20 @@ def thin_box():
     return bodies.make_box([0.0, 0.0], [1.0, 1e-3])
 
 
-def rng_of(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
+@pytest.fixture
+def attempts(monkeypatch):
+    """In-step attempt counts, one per `sampler.backward_step` call, in order.
+
+    Chains call the in-step through the module name, so the spy sees
+    every iteration of every chain run while the fixture is active.
+    """
+    seen = []
+    step = sampler.backward_step
+
+    def spy(*args, **kwargs):
+        out = step(*args, **kwargs)
+        seen.append(out[1])
+        return out
+
+    monkeypatch.setattr(sampler, "backward_step", spy)
+    return seen

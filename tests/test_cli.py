@@ -513,4 +513,5 @@ def test_console_script_plan_roundtrip(tmp_path):
         [sys.executable, "-m", "inandout.cli", "plan", "--config", cfg],
         capture_output=True, text=True)
     assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr
     assert json.loads(proc.stdout)["plan"]["T"] == 37519

@@ -1,8 +1,10 @@
-"""Property tests: a malformed input document is an exit code, never a crash.
+"""Property tests of the input documents and of the chain record.
 
-Each example replaces one leaf of a valid document with an arbitrary
-JSON value.  Only parsing and planning run: a mutated N can make one
-in-step loop for up to 1e9 attempts, so no example runs the sampler.
+A malformed input document is an exit code, never a crash: each example
+replaces one leaf of a valid document with an arbitrary JSON value.
+Only parsing and planning run there, because a mutated N can make one
+in-step loop for up to 1e9 attempts.  The chain-record examples run the
+sampler itself with T and N of at most 50.
 """
 
 import copy
@@ -14,7 +16,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inandout import cli, planner
+from inandout import bodies, cli, planner, sampler
 from inandout.cli import ConfigError, main, read_plan_document
 
 # the annulus config of the README
@@ -97,3 +99,55 @@ def test_any_one_plan_document_leaf_reads_or_is_a_config_error(path, value):
     # what is read is what the document holds
     assert dataclasses.asdict(p) == doc["plan"]
     assert inputs.n == doc["inputs"]["n"]
+
+
+def _annulus():
+    disk = bodies.make_ball([0.0, 0.0], 1.0)
+    hole = bodies.make_ball([0.0, 0.0], 0.5)
+    return bodies.exclusion(disk, hole, disk.exact_volume - hole.exact_volume)
+
+
+# (body, start point); the thin box fails most runs, the disk few
+KERNEL_BODIES = {
+    "disk": (bodies.make_ball([0.0, 0.0], 1.0), [0.5, 0.0]),
+    "thin box": (bodies.make_box([0.0, 0.0], [1.0, 1e-3]), [0.5, 5e-4]),
+    "annulus": (_annulus(), [0.75, 0.0]),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(KERNEL_BODIES)), st.integers(0, 50),
+       st.integers(1, 50), st.floats(1e-6, 1.0), st.integers(0, 2**64 - 1),
+       st.booleans())
+def test_chain_record_invariants(name, T, N, h, seed, ideal):
+    body, x0 = KERNEL_BODIES[name]
+    calls = 0
+
+    def counting(pts):
+        nonlocal calls
+        calls += 1
+        return body.membership(pts)
+
+    counted = dataclasses.replace(body, membership=counting)
+    if ideal:
+        res = sampler.run_proximal_ideal(counted, x0, h, T, seed=seed,
+                                         attempt_cap=N)
+    else:
+        plan = planner.Plan(eps_prime=0.1, eta=0.025, T=T, S=100.0, h=h, N=N,
+                            T0=0, T_tilde=0.0)
+        res = sampler.run_in_and_out(counted, x0, plan, seed=seed)
+    # one call checks the start point; every other one is an in-step trial
+    assert calls - 1 == res.total_trials
+    succeeded = res.status == sampler.SUCCESS
+    assert succeeded == (res.point is not None) == (res.failed_at is None)
+    if succeeded:
+        assert res.iterations == T
+        assert res.y_at_failure is None
+    else:
+        # a chain that fails at its last iteration has run T iterations too
+        assert res.status == (sampler.CAP_EXCEEDED if ideal else sampler.FAILURE)
+        assert res.iterations == res.failed_at + 1 <= T
+        # the out-step point whose N in-step proposals all missed; it may
+        # itself lie inside the body
+        assert res.y_at_failure.shape == (2,)
+    assert res.iterations <= res.total_trials <= res.iterations * N

@@ -116,37 +116,38 @@ def test_backward_step_validation(unit_disk):
 # -------------------------------------------------------------- chains
 
 
-def test_zero_iterations_returns_start(unit_disk):
+def test_zero_iterations_returns_start(unit_disk, attempts):
     res = run_in_and_out(unit_disk, [0.25, 0.0], small_plan(0, 0.04, 10), seed=1)
     assert res.status == SUCCESS
     assert res.point.tolist() == [0.25, 0.0]
-    assert res.trials_per_iteration == []
+    assert attempts == []
+    assert res.iterations == 0
     assert res.total_trials == 0
 
 
-def test_frozen_trajectory(unit_disk):
+def test_frozen_trajectory(unit_disk, attempts):
     res = run_in_and_out(unit_disk, [0.5, 0.0], small_plan(5, 0.04, 50), seed=42)
     assert res.status == SUCCESS
-    assert res.trials_per_iteration == [1, 1, 1, 2, 2]
+    assert attempts == [1, 1, 1, 2, 2]
+    assert res.iterations == 5
     assert res.total_trials == 7
     assert res.point.tolist() == [0.3734700347515981, 0.1773882209160056]
     # byte-for-byte reproducible
     rerun = run_in_and_out(unit_disk, [0.5, 0.0], small_plan(5, 0.04, 50), seed=42)
     assert rerun.point.tolist() == res.point.tolist()
-    assert rerun.trials_per_iteration == res.trials_per_iteration
+    assert attempts[5:] == attempts[:5]
 
 
-def test_failure_records_iteration_and_outside_point(thin_box):
+def test_failure_records_iteration_and_outside_point(thin_box, attempts):
     # a huge step on a sliver body exhausts a threshold of one quickly
     res = run_in_and_out(thin_box, [0.5, 5e-4], small_plan(100, 0.25, 1), seed=3)
     assert res.status == FAILURE
     assert res.point is None
     assert res.failed_at is not None
-    assert len(res.trials_per_iteration) == res.failed_at + 1
-    assert res.trials_per_iteration[-1] == 1
-    assert all(1 <= k <= 1 for k in res.trials_per_iteration)
+    assert res.iterations == res.failed_at + 1
+    assert attempts == [1] * res.iterations
     assert not bool(thin_box.membership(res.y_at_failure))
-    assert res.total_trials == sum(res.trials_per_iteration)
+    assert res.total_trials == sum(attempts)
 
 
 def test_validation_of_start_and_seed(unit_disk):
@@ -175,36 +176,39 @@ def test_trial_accounting_matches_oracle_calls(annulus):
     assert calls - 1 == res.total_trials
 
 
-def test_proximal_matches_thresholded_run(unit_disk):
+def test_proximal_matches_thresholded_run(unit_disk, attempts):
     p = small_plan(40, 0.04, 500)
     res_a = run_in_and_out(unit_disk, [0.1, 0.2], p, seed=77)
     res_b = run_proximal_ideal(unit_disk, [0.1, 0.2], 0.04, 40, seed=77,
                                attempt_cap=500)
     assert res_a.status == SUCCESS and res_b.status == SUCCESS
     assert res_a.point.tolist() == res_b.point.tolist()
-    assert res_a.trials_per_iteration == res_b.trials_per_iteration
+    assert attempts[:40] == attempts[40:]
+    assert res_a.total_trials == res_b.total_trials
 
 
-def test_proximal_long_run_stays_inside(unit_square):
+def test_proximal_long_run_stays_inside(unit_square, attempts):
     res = run_proximal_ideal(unit_square, [0.5, 0.5], 0.01, 10_000, seed=13)
     assert res.status == SUCCESS
     assert bool(unit_square.membership(res.point))
-    assert all(k >= 1 for k in res.trials_per_iteration)
+    assert len(attempts) == res.iterations == 10_000
+    assert all(k >= 1 for k in attempts)
 
 
-def test_proximal_cap_exceeded(unit_square):
+def test_proximal_cap_exceeded(unit_square, attempts):
     # a hopeless step size: proposals almost never return to the square
     res = run_proximal_ideal(unit_square, [0.5, 0.5], 100.0, 50, seed=2,
                              attempt_cap=5)
     assert res.status == CAP_EXCEEDED
     assert res.failed_at is not None
-    assert res.trials_per_iteration[-1] == 5
+    assert res.iterations == res.failed_at + 1 == len(attempts)
+    assert attempts[-1] == 5
 
 
 # ------------------------------------------------------------ ensembles
 
 
-def test_single_chain_ensemble_reduces_to_plain_run(annulus):
+def test_single_chain_ensemble_reduces_to_plain_run(annulus, attempts):
     p = small_plan(25, 0.01, 50)
     master = 1234
     ens = run_ensemble(annulus, lambda g: bodies.sample_uniform(annulus, g),
@@ -213,18 +217,23 @@ def test_single_chain_ensemble_reduces_to_plain_run(annulus):
     x0 = bodies.sample_uniform(annulus, rng)
     direct = run_in_and_out(annulus, x0, p, rng=rng)
     assert ens.results[0].point.tolist() == direct.point.tolist()
-    assert ens.results[0].trials_per_iteration == direct.trials_per_iteration
-    assert ens.summary["n_chains"] == 1
+    assert attempts[:25] == attempts[25:]
+    assert ens.results[0].total_trials == direct.total_trials
+    assert ens.summary == {"n_chains": 1, "failure_fraction": 0.0,
+                           "mean_total_trials": float(direct.total_trials),
+                           "max_total_trials": direct.total_trials}
 
 
-def test_ensemble_reproducible_and_summary_consistent(annulus):
+def test_ensemble_reproducible_and_summary_consistent(annulus, attempts):
     p = small_plan(10, 0.01, 50)
     ws = lambda g: bodies.sample_uniform(annulus, g)
     e1 = run_ensemble(annulus, ws, p, 30, 55)
+    first = len(attempts)
     e2 = run_ensemble(annulus, ws, p, 30, 55)
+    assert attempts[first:] == attempts[:first]
     for a, b in zip(e1.results, e2.results):
         assert a.status == b.status
-        assert a.trials_per_iteration == b.trials_per_iteration
+        assert (a.iterations, a.total_trials) == (b.iterations, b.total_trials)
         if a.status == SUCCESS:
             assert a.point.tolist() == b.point.tolist()
     totals = [r.total_trials for r in e1.results]
@@ -253,8 +262,35 @@ def test_failure_rate_does_not_trend_upward(unit_disk):
                        p, 2000, 333)
     rates = failure_rate_by_iteration(ens.results)
     assert rates.shape == (30,)
+    # the direct count over chains is the reference, to the bit
+    reference = [sum(r.failed_at == i for r in ens.results)
+                 / sum(r.iterations > i for r in ens.results) for i in range(30)]
+    assert rates.tolist() == reference
     slope, se = diagnostics.failure_rate_slope(rates)
     assert slope <= 1.645 * se or slope <= 0.0
+
+
+def _record(status, iterations, failed_at=None):
+    done = status == SUCCESS
+    return sampler.RunResult(status=status, point=np.zeros(2) if done else None,
+                             failed_at=failed_at,
+                             y_at_failure=None if done else np.full(2, 9.0),
+                             iterations=iterations, total_trials=iterations)
+
+
+def test_failure_rate_by_iteration_exact_values():
+    results = [
+        _record(SUCCESS, 4),
+        _record(FAILURE, 1, failed_at=0),
+        _record(CAP_EXCEEDED, 3, failed_at=2),
+        _record(SUCCESS, 0),             # a zero-iteration chain reaches nothing
+    ]
+    # reached per iteration: 3, 2, 2, 1
+    assert failure_rate_by_iteration(results).tolist() == [1 / 3, 0.0, 0.5, 0.0]
+    empty = failure_rate_by_iteration([_record(SUCCESS, 0), _record(SUCCESS, 0)])
+    assert empty.shape == (0,)
+    with pytest.raises(ValueError):
+        failure_rate_by_iteration([])
 
 
 def test_mean_trials_within_planned_budget(annulus):
