@@ -6,7 +6,8 @@ The package couples four pieces:
 * `planner`     -- the full run schedule (T, S, h, N, ...) for a target
                    accuracy, plus consistency and error-bound helpers
 * `sampler`     -- the In-and-Out chain and its idealized variant
-* `diagnostics` -- Monte Carlo falsification checks of every bound
+* `diagnostics` -- falsification checks of every bound (Monte Carlo, and
+                   grid quadrature for the per-iteration bounds in 2-D)
 * `specfun`     -- chi tails and the closed-form inequalities behind them
 """
 
@@ -16,6 +17,7 @@ from . import bodies, diagnostics, planner, sampler, specfun
 from .bodies import (
     Body,
     CertificateError,
+    EmptyBodyError,
     GrowthCertificate,
     GrowthSource,
     exclusion,

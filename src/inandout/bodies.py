@@ -35,6 +35,10 @@ class CertificateError(ValueError):
     """A supplied geometric certificate fails its feasibility check."""
 
 
+class EmptyBodyError(RuntimeError):
+    """Rejection sampling found no point where the body's volume expects many."""
+
+
 class GrowthSource(enum.Enum):
     CONVEX = "convex"
     STAR_SHAPED = "star_shaped"
@@ -305,7 +309,11 @@ def union(parts: Sequence[Body], union_volume: float) -> Body:
             f"union volume {union_volume} must lie in (0, {total}] (sum of part volumes)"
         )
 
-    alpha = max(p.growth.alpha for p in parts) * total / union_volume
+    alpha = max(p.growth.alpha for p in parts)
+    # a union volume above the total is rounding (the allowance above),
+    # and the volume ratio it would give is below 1
+    if union_volume <= total:
+        alpha = alpha * total / union_volume
     betas = np.array([p.growth.beta for p in parts])
     beta_max = float(betas.max())
     # factor out the largest rate so the n-th powers stay tame
@@ -462,19 +470,28 @@ def with_growth(body: Body, alpha: float, beta: float,
     return dataclasses.replace(body, growth=GrowthCertificate(alpha, beta, source))
 
 
+# hits a body's claimed volume must expect before zero hits refute it
+_EXPECTED_HITS = 64
+
+
 def sample_uniform(body: Body, rng: np.random.Generator, size: Optional[int] = None):
     """Exact uniform samples from the body by rejection from its bbox.
 
     Returns one point of shape (dim,) when size is None, else an array
     (size, dim).  Draws are sequential on the supplied generator, so
     results are reproducible for a fixed generator state.
+
+    Raises EmptyBodyError when no draw has hit after enough draws that
+    the body's claimed volume (its exact volume, else its inner ball's)
+    expects 64 hits: under a true claim that happens with probability
+    e^-64.  A body with neither claim is sampled without this check.
     """
     lo, hi = body.bbox
     want = 1 if size is None else int(size)
     if want < 1:
         raise ValueError(f"size must be positive, got {size}")
     out = np.empty((want, body.dim))
-    got = 0
+    got = drawn = 0
     # modest batches keep single-sample calls cheap while amortizing
     # vectorized membership for bulk requests
     batch = max(64, min(4 * want, 65536))
@@ -484,4 +501,23 @@ def sample_uniform(body: Body, rng: np.random.Generator, size: Optional[int] = N
         take = min(want - got, keep.shape[0])
         out[got:got + take] = keep[:take]
         got += take
+        drawn += batch
+        if got == 0:
+            _refute_volume_claim(body, drawn)
     return out[0] if size is None else out
+
+
+def _refute_volume_claim(body: Body, drawn: int):
+    """Raise EmptyBodyError if drawn hitless bbox draws refute the body's volume."""
+    claimed = body.exact_volume
+    if claimed is None and body.inner_ball is not None:
+        claimed = unit_ball_volume(body.dim) * body.inner_ball[1] ** body.dim
+    if claimed is None:
+        return
+    lo, hi = body.bbox
+    expected = drawn * claimed / float(np.prod(hi - lo))
+    if expected >= _EXPECTED_HITS:
+        raise EmptyBodyError(
+            f"no point of the body in {drawn} uniform draws from its bounding "
+            f"box, where its claimed volume {claimed:.6g} expects {expected:.0f} "
+            f"hits: the body is empty or much smaller than claimed")

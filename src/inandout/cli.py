@@ -9,7 +9,7 @@ Three subcommands share one JSON config format:
                       [--samples samples.jsonl]
 
 Exit codes: 0 success / all bounds satisfied, 1 a bound or consistency
-check failed, 2 invalid config, 3 I/O failure.
+check failed, 2 invalid config (an empty body included), 3 I/O failure.
 
 Floats in every emitted document are formatted with 17 significant
 digits, which round-trips 64-bit values exactly and keeps reruns
@@ -366,7 +366,11 @@ def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
     seed, n_mc, n_cells = diag["seed"], diag["n_mc"], diag["n_cells"]
     oracle = None
     if body.dim == 2:
-        oracle = diagnostics.GridOracle(body, diag["resolution"])
+        try:
+            oracle = diagnostics.GridOracle(body, diag["resolution"])
+        except ValueError as e:  # the bitmap is empty
+            raise ConfigError(f"config.body: {e} at resolution "
+                              f"{diag['resolution']}") from e
 
     records = []
     violated = False
@@ -423,7 +427,7 @@ def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
     rng = sampler.make_rng(sampler.derive_seed(seed, 200))
     run(["stationary_failure", "expected_trials"],
         lambda: [c.to_dict() for c in diagnostics.per_iteration_checks(
-            body, p, min(n_mc, 4000), rng, inner_mc=diag["inner_mc"])])
+            body, p, n_mc, rng, inner_mc=diag["inner_mc"], oracle=oracle)])
     for i, t in enumerate(diag["t_grid"]):
         rng = sampler.make_rng(sampler.derive_seed(seed, 400 + i))
         run([f"certificate_soundness(t={t})"],
@@ -528,7 +532,7 @@ def main(argv=None) -> int:
         if args.command == "sample":
             return cmd_sample(cfg, args.out, args.seed, args.chains, args.plan_file)
         return cmd_diagnose(cfg, args.out, args.seed, args.samples)
-    except ConfigError as e:
+    except (ConfigError, bodies.EmptyBodyError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except planner.PlanOverflowError as e:

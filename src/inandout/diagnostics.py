@@ -1,12 +1,19 @@
-"""Monte Carlo falsification checks for the chain's guarantees.
+"""Falsification checks for the chain's guarantees.
 
 Each check estimates an observable quantity of the stationary smoothed
 law and compares it against its certified bound.  Verdicts are
 deliberately one-sided: a check is Satisfied when the empirical value
-does not exceed the bound by more than three Monte Carlo standard
-errors, so a true bound essentially never fails and a wrong one
-reliably does.  All reductions over samples use compensated summation,
-making the estimates independent of accumulation order.
+does not exceed the bound by more than three standard errors, so a true
+bound essentially never fails and a wrong one reliably does.
+
+Most estimates are Monte Carlo means, and their reductions over samples
+use compensated summation, making them independent of accumulation
+order.  The per-iteration failure and trial checks of a 2-D body are
+computed instead by grid quadrature of the local conductance on the
+`GridOracle` bitmap; their error is the change from a grid of half the
+resolution, which resolves failure mass far below the 3/S bound (about
+3e-14 against 6.7e-7 on the annulus plan).  Other dimensions keep a
+nested Monte Carlo, which resolves failure mass only down to 1/n_mc.
 """
 
 from __future__ import annotations
@@ -16,7 +23,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
+from scipy.special import erfc
 
 from . import specfun
 from .bodies import Body, sample_uniform
@@ -233,23 +242,84 @@ def smoothed_conductance_samples(body: Body, h: float, n_outer: int,
     return out
 
 
+def _gaussian_band(n_cells: int, pad: int, step: float, h: float) -> np.ndarray:
+    """Cell masses of N(0, h) seen from the padded grid's cell centers.
+
+    Row k, column i holds the mass of bitmap cell i around the center of
+    padded cell k, which depends only on k - pad - i: the rows are
+    windows of one weight vector (a Toeplitz matrix of shape
+    (n_cells + 2 pad, n_cells)).
+    """
+    c = step / math.sqrt(2.0 * h)
+    d = np.abs(np.arange(-(n_cells + pad - 1), n_cells + pad))
+    w = 0.5 * (erfc((d - 0.5) * c) - erfc((d + 0.5) * c))
+    # a contiguous copy keeps the products on BLAS
+    return np.ascontiguousarray(sliding_window_view(w, n_cells)[:, ::-1])
+
+
+def _grid_failure_and_trials(oracle: GridOracle, h: float, N: int) -> tuple:
+    """(failure mass, expected trials, quadrature nodes) on the oracle's grid.
+
+    With X uniform on the body and Y = X + sqrt(h) Z, Y has density
+    ell / vol, where ell = 1_K * phi_h is the local conductance.  So the
+    failure mass is sum ell (1 - ell)^N / sum ell, and the expected
+    trials E[min(G, N)] are sum (1 - (1 - ell)^N) / sum ell, both over
+    the cell centers of the bitmap padded by z sqrt(h) per side.  Every
+    point of the body lies at least z sqrt(h) inside the padded box, so
+    the mass of Y outside it is at most 4 Q(z) <= 2 exp(-z^2 / 2) with
+    Q the normal tail; z = max(8, sqrt(2 log(1e6 N))) keeps the trials
+    left out below 2e-6 in relative terms and the failure mass left
+    out below 2e-6 / N, far under the 3/S bound.  ell is reduced in
+    blocks of rows, so the padded grid is never held whole.
+    """
+    r = oracle.resolution
+    z = max(8.0, math.sqrt(2.0 * math.log(1e6 * N)))
+    pads = [math.ceil(z * math.sqrt(h) / s) for s in oracle.step]
+    rows = _gaussian_band(r, pads[0], oracle.step[0], h)
+    cols = _gaussian_band(r, pads[1], oracle.step[1], h)
+    # ell = rows @ bitmap @ cols.T, the bitmap blurred along y first
+    blurred = oracle.bitmap.astype(float) @ cols.T
+    mass, failure, trials = [], [], []
+    for k in range(0, rows.shape[0], 64):
+        ell = np.minimum(rows[k:k + 64] @ blurred, 1.0)
+        # (1 - ell)^N in log space; ell == 1 gives exactly 0
+        with np.errstate(divide="ignore"):
+            t = N * np.log1p(-ell)
+        mass.append(ell.sum())
+        failure.append((ell * np.exp(t)).sum())
+        trials.append(-np.expm1(t).sum())
+    total = math.fsum(mass)
+    return (math.fsum(failure) / total, math.fsum(trials) / total,
+            rows.shape[0] * cols.shape[0])
+
+
 def per_iteration_checks(body: Body, p: Plan, n_mc: int,
                          rng: np.random.Generator,
-                         inner_mc: int = 10_000) -> tuple:
-    """The (stationary_failure, expected_trials) checks on one shared sample.
+                         inner_mc: int = 10_000,
+                         oracle: Optional[GridOracle] = None) -> tuple:
+    """The (stationary_failure, expected_trials) checks of the per-iteration bounds.
 
-    After checking the shared step-size and threshold hypotheses, estimates
-    the local conductance at n_mc smoothed-law points, inner_mc proposals
-    each.  Failure: E[(1 - conductance)^N] against 3/S; the nested
-    estimate is biased upward (convexity), i.e. toward a stricter test,
-    and a point with zero inner hits counts as a certain failure.
+    Both first check the shared step-size and threshold hypotheses.
+    Failure: the chance that all N in-step proposals miss, against 3/S.
+    Trials: E[min(G, N)] with G geometric in the local conductance,
+    against 16 alpha log S.
 
-    Trials: E[min(G, N)] against 16 alpha log S, with the geometric
-    success probability replaced by its inner estimate.  Estimates
-    below the inner resolution 1/inner_mc are clamped to it: a zero-hit
-    point would otherwise contribute min(G, N) ~ N on its own and both
-    the mean and its std error would be dominated by a region whose
-    (exponentially small) mass the escape check bounds separately.
+    A 2-D body is integrated on a grid (the oracle's, else one of
+    resolution 400): the local conductance ell = 1_K * phi_h is exact up
+    to the bitmap's discretisation, each record's mc_std_error is the
+    change from a grid of half the resolution, and n_mc, inner_mc and
+    rng are not used.  A resolution below 4 has no such grid and is a
+    ValueError.
+
+    Other bodies estimate the local conductance at n_mc smoothed-law
+    points, inner_mc proposals each, on one shared sample.  The nested
+    failure estimate is biased upward (convexity), i.e. toward a
+    stricter test, and a point with zero inner hits counts as a certain
+    failure.  For the trials, estimates below the inner resolution
+    1/inner_mc are clamped to it: a zero-hit point would otherwise
+    contribute min(G, N) ~ N on its own and both the mean and its std
+    error would be dominated by a region whose (exponentially small)
+    mass the escape check bounds separately.
     """
     if body.growth is None:
         raise ValueError("body has no growth certificate")
@@ -262,6 +332,24 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
         raise ValueError(
             f"trial threshold {p.N} below the required 8 alpha S log S = {n_floor}"
         )
+    bounds = (3.0 / p.S, 16.0 * alpha * math.log(p.S))
+    if body.dim == 2:
+        oracle = oracle or GridOracle(body)
+        r = oracle.resolution
+        if r < 4:
+            raise ValueError(
+                f"grid quadrature needs resolution >= 4 to measure its error on a "
+                f"grid of half the resolution, got {r}")
+        *fine, nodes = _grid_failure_and_trials(oracle, p.h, p.N)
+        *coarse, _ = _grid_failure_and_trials(GridOracle(body, r // 2), p.h, p.N)
+        note = (f"grid quadrature of the local conductance on {nodes} padded "
+                f"cells (resolution {r}); the error is the change from "
+                f"resolution {r // 2}")
+        return tuple(BoundCheck(name=name, empirical=value, theoretical_bound=bound,
+                                mc_std_error=abs(value - other), n_samples=nodes,
+                                note=note)
+                     for name, value, other, bound in zip(
+                         ("stationary_failure", "expected_trials"), fine, coarse, bounds))
 
     ell = smoothed_conductance_samples(body, p.h, n_mc, inner_mc, rng)
     # estimates are multiples of 1/inner_mc: the zero-hit points are
@@ -277,7 +365,7 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
     failure = BoundCheck(
         name="stationary_failure",
         empirical=mean,
-        theoretical_bound=3.0 / p.S,
+        theoretical_bound=bounds[0],
         mc_std_error=se,
         n_samples=n_mc,
         note=(f"{source}; nested estimate is biased upward (conservative) and "
@@ -289,7 +377,7 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
     trials = BoundCheck(
         name="expected_trials",
         empirical=mean,
-        theoretical_bound=16.0 * alpha * math.log(p.S),
+        theoretical_bound=bounds[1],
         mc_std_error=se,
         n_samples=n_mc,
         note=f"{source}; these were clamped to the 1/{inner_mc} resolution floor",

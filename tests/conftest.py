@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from inandout import bodies, sampler
@@ -58,3 +61,23 @@ def attempts(monkeypatch):
 
     monkeypatch.setattr(sampler, "backward_step", spy)
     return seen
+
+
+@pytest.fixture
+def time_limit():
+    """Context manager that turns a call running past `seconds` into a failure."""
+
+    @contextlib.contextmanager
+    def limit(seconds: int):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

@@ -1,5 +1,6 @@
 """Bodies: constructors, certificate algebra, set semantics, immutability."""
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,6 +10,7 @@ import pytest
 from inandout import bodies
 from inandout.bodies import (
     CertificateError,
+    EmptyBodyError,
     GrowthCertificate,
     GrowthSource,
     exclusion,
@@ -324,3 +326,26 @@ def test_sample_uniform_stays_inside_and_reproduces(annulus):
     assert np.linalg.norm(pts1.mean(axis=0)) < 0.05
     single = sample_uniform(annulus, np.random.default_rng(1))
     assert single.shape == (2,)
+
+
+@pytest.mark.parametrize("size,draws", [(None, 2560), (1, 2560), (1000, 4000)])
+def test_sample_uniform_refutes_an_empty_body(time_limit, size, draws):
+    # a hole that covers the outer ball leaves nothing, yet the claimed
+    # volume 0.1 is admissible; no bbox draw can ever hit.  At a claimed
+    # hit rate of 0.1 / 4, 64 hits take 2560 draws, counted in batches.
+    empty = exclusion(make_ball([0.0, 0.0], 1.0), make_ball([0.0, 0.0], 2.0), 0.1)
+    with time_limit(30), pytest.raises(EmptyBodyError,
+                                       match=f"in {draws} uniform draws"):
+        sample_uniform(empty, np.random.default_rng(3), size)
+
+
+def test_sample_uniform_refutes_a_body_smaller_than_its_inner_ball(time_limit):
+    # without an exact volume the inner ball's volume is the claim
+    square = make_halfspace_polytope(
+        np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+        np.array([1.0, 1.0, 1.0, 1.0]), [0.0, 0.0], 1.0)
+    assert square.exact_volume is None
+    hollow = dataclasses.replace(
+        square, membership=lambda pts: np.zeros(len(pts), dtype=bool))
+    with time_limit(30), pytest.raises(EmptyBodyError, match="claimed volume 3.14159"):
+        sample_uniform(hollow, np.random.default_rng(4), 10)

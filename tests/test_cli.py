@@ -2,7 +2,6 @@
 
 import json
 import math
-import re
 import subprocess
 import sys
 
@@ -354,6 +353,34 @@ def test_sample_command_all_failed_flag(tmp_path):
     assert all(r["outcome"] == "failure" and r["x"] is None for r in recs)
 
 
+def empty_exclusion(dim: int) -> dict:
+    """A unit ball minus a hole that covers it, claiming volume 0.1."""
+    return {"kind": "exclusion",
+            "outer": {"kind": "ball", "center": [0.0] * dim, "radius": 1.0},
+            "hole": {"kind": "ball", "center": [0.0] * dim, "radius": 2.0},
+            "volume": 0.1}
+
+
+@pytest.mark.parametrize("command,dim", [("sample", 2), ("diagnose", 2),
+                                         ("diagnose", 3)])
+def test_empty_body_is_exit_2(tmp_path, capsys, time_limit, command, dim):
+    # the body constructs, and its bbox rejection used to loop forever
+    cfg = write_config(tmp_path, {
+        "body": empty_exclusion(dim),
+        "plan": {"q": 2, "eps": 0.2, "M": 1, "C_PI": 4},
+        "run": {"n_chains": 2, "t_cap": 5, "n_cap": 10},
+        "diagnose": {"n_mc": 100, "inner_mc": 10, "r_grid": [0.5], "t_grid": [0.5]},
+    })
+    out = tmp_path / "out"
+    with time_limit(30):
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert ("no grid cell center lies inside the body" in err if dim == 2
+            and command == "diagnose" else "the body is empty" in err)
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- diagnose
 
 
@@ -380,25 +407,65 @@ def test_diagnose_command_all_checks_pass(tmp_path, capsys):
     assert report["environment"]["seed"] == 7
 
 
-def test_diagnose_failure_estimate_is_the_zero_hit_share(tmp_path):
-    # on the annulus every point with an inner hit has (1 - ell)^N = 0 at
-    # the planned N, so the failure estimate is the zero-hit share that
-    # both per-iteration notes report, and it cannot go below 1/n_mc
+# failure mass and expected trials on the annulus plan from the exact
+# radial integral (tests/test_diagnostics.py::exact_per_iteration_values)
+ANNULUS_EXACT = {"stationary_failure": 7.141308901383221e-11,
+                 "expected_trials": 2.963996167863696}
+
+
+def test_diagnose_per_iteration_records_are_grid_quadrature(tmp_path):
+    # a 2-D body's failure and trial records integrate the local
+    # conductance on the diagnose grid; n_mc and inner_mc play no part
     cfg = write_config(tmp_path, diagnose_config())
     out = tmp_path / "report.json"
     assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_OK
     checks = {c["name"]: c for c in
               json.loads(out.read_text(encoding="utf-8"))["checks"]}
-    failure, trials = checks["stationary_failure"], checks["expected_trials"]
-    shares = []
-    for rec in (failure, trials):
-        m = re.search(r"(\d+)/(\d+) outer points had zero inner hits", rec["note"])
-        assert int(m.group(2)) == rec["n_samples"] == 2000
-        shares.append(int(m.group(1)) / int(m.group(2)))
-    assert shares[0] == shares[1] > 0.0
-    assert failure["empirical"] == shares[0]
-    assert "conservative" in failure["note"]
-    assert "1/2000 = 0.0005" in failure["note"]
+    for name, exact in ANNULUS_EXACT.items():
+        rec = checks[name]
+        assert rec["verdict"] == "satisfied"
+        assert rec["note"].startswith("grid quadrature")
+        assert "resolution 400" in rec["note"] and "resolution 200" in rec["note"]
+        assert rec["empirical"] == pytest.approx(exact, rel=1e-3)
+        assert rec["n_samples"] == checks["stationary_failure"]["n_samples"]
+    # the failure check now resolves its 3/S bound (6.7e-7 here)
+    assert checks["stationary_failure"]["mc_std_error"] <= 1e-12
+
+
+@pytest.mark.parametrize("resolution", [2, 3])
+def test_diagnose_without_a_coarser_grid_is_a_hypothesis_violation(tmp_path,
+                                                                  resolution):
+    cfg = write_config(tmp_path, diagnose_config(resolution=resolution))
+    out = tmp_path / "report.json"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) \
+        == EXIT_CHECK_FAILED
+    checks = {c["name"]: c for c in
+              json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    for name in ("stationary_failure", "expected_trials"):
+        assert checks[name]["status"] == "hypothesis_violation"
+        assert "resolution >= 4" in checks[name]["reason"]
+        assert f"got {resolution}" in checks[name]["reason"]
+
+
+def test_diagnose_uses_n_mc_as_given_above_2d(tmp_path):
+    # the nested Monte Carlo of a 3-D body takes every one of the n_mc
+    # outer points (it was capped at 4000 before)
+    cfg = write_config(tmp_path, {
+        "body": {"kind": "ball", "center": [0, 0, 0], "radius": 1.0},
+        "plan": {"q": 2, "eps": 0.2, "M": 1, "C_PI": 1},
+        "diagnose": {"seed": 1, "n_mc": 4500, "inner_mc": 1,
+                     "r_grid": [0.5], "t_grid": [0.5]},
+    })
+    out = tmp_path / "report.json"
+    # one inner proposal cannot resolve the failure bound, so the exit
+    # code is not asserted
+    main(["diagnose", "--config", cfg, "--out", str(out)])
+    checks = {c["name"]: c for c in
+              json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    for name in ("stationary_failure", "expected_trials"):
+        assert checks[name]["status"] == "ran"
+        assert checks[name]["n_samples"] == 4500
+        assert "/4500 outer points had zero inner hits" in checks[name]["note"]
 
 
 def test_diagnose_command_uses_sample_file(tmp_path):

@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from inandout import bodies, planner
 from inandout.diagnostics import (
@@ -46,6 +47,50 @@ def simplex_3d():
     return bodies.make_halfspace_polytope(
         [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1]],
         [0.0, 0.0, 0.0, 1.0], [r, r, r], r)
+
+
+def shell_3d():
+    """Unit ball minus the ball of radius 1/2: certificate (8/7, 1)."""
+    outer = bodies.make_ball([0.0, 0.0, 0.0], 1.0)
+    hole = bodies.make_ball([0.0, 0.0, 0.0], 0.5)
+    return bodies.exclusion(outer, hole, outer.exact_volume - hole.exact_volume)
+
+
+SHELL_PLAN_INPUTS = PlanInputs(q=2, eps=0.2, M=1, C_PI=4, alpha=8.0 / 7.0,
+                               beta=1.0, n=3)
+
+
+def exact_per_iteration_values(r_lo: float, r_hi: float, h: float, N: int) -> tuple:
+    """(failure mass, expected trials) on the 2-D ring r_lo <= |x| <= r_hi.
+
+    The local conductance at |y| = rho is Pr(r_lo^2 <= |y + sqrt(h) Z|^2
+    <= r_hi^2), a difference of noncentral chi-square laws with 2
+    degrees of freedom and noncentrality rho^2 / h; Y has density
+    ell / vol, so both values are radial integrals of ell.
+    """
+    def ell(rho):
+        nc = rho * rho / h
+        lo, hi = r_lo * r_lo / h, r_hi * r_hi / h
+        # take the difference on the side where both terms are small
+        if rho < r_lo:
+            return stats.ncx2.sf(lo, 2, nc) - stats.ncx2.sf(hi, 2, nc)
+        below = stats.ncx2.cdf(lo, 2, nc) if r_lo > 0.0 else 0.0
+        return stats.ncx2.cdf(hi, 2, nc) - below
+
+    def log_miss(rho):   # N log(1 - ell), -inf at ell == 1
+        e = min(ell(rho), 1.0)
+        return -math.inf if e == 1.0 else N * math.log1p(-e)
+
+    vol = math.pi * (r_hi**2 - r_lo**2)
+    top = r_hi + 12.0 * math.sqrt(h)
+    breaks = [r for r in (r_lo, r_hi) if r > 0.0]
+    failure = integrate.quad(lambda rho: 2 * math.pi * rho * ell(rho)
+                             * math.exp(log_miss(rho)), 0.0, top, points=breaks,
+                             limit=500, epsabs=0.0, epsrel=1e-10)[0]
+    trials = integrate.quad(lambda rho: -2 * math.pi * rho * math.expm1(log_miss(rho)),
+                            0.0, top, points=breaks, limit=500, epsabs=0.0,
+                            epsrel=1e-10)[0]
+    return failure / vol, trials / vol
 
 
 # ----------------------------------------------------------- BoundCheck
@@ -234,6 +279,10 @@ def test_escape_check_unsupported_in_3d():
 DISK_PLAN_INPUTS = PlanInputs(q=2, eps=0.2, M=1, C_PI=1, alpha=1.0, beta=1.0, n=2)
 
 
+ANNULUS_PLAN_INPUTS = PlanInputs(q=2, eps=0.2, M=1, C_PI=4, alpha=4.0 / 3.0,
+                                 beta=1.0, n=2)
+
+
 def test_failure_check_on_disk(unit_disk):
     p = planner.plan(DISK_PLAN_INPUTS)
     chk = stationary_failure_check(unit_disk, p, n_mc=400, rng=make_rng(10),
@@ -241,7 +290,10 @@ def test_failure_check_on_disk(unit_disk):
     assert chk.verdict == SATISFIED
     assert chk.theoretical_bound == 3.0 / p.S
     assert chk.empirical <= chk.theoretical_bound
-    assert "conservative" in chk.note
+    assert "grid quadrature" in chk.note and "resolution 400" in chk.note
+    # the grid resolves failure mass far below the bound, unlike 1/n_mc
+    assert 0.0 < chk.empirical < 1e-3 * chk.theoretical_bound
+    assert chk.mc_std_error < 1e-3 * chk.empirical
 
 
 def test_trials_check_on_disk(unit_disk):
@@ -253,18 +305,60 @@ def test_trials_check_on_disk(unit_disk):
     assert 1.0 <= chk.empirical <= chk.theoretical_bound
 
 
-def test_trials_check_clamps_unresolvable_conductance(annulus):
+@pytest.mark.parametrize("fixture,inputs,r_lo", [
+    ("unit_disk", DISK_PLAN_INPUTS, 0.0),
+    ("annulus", ANNULUS_PLAN_INPUTS, 0.5),
+], ids=["disk", "annulus"])
+def test_grid_quadrature_matches_the_exact_radial_integral(request, fixture,
+                                                           inputs, r_lo):
+    # grids of 200 to 800 cells per axis are within 7e-4 (relative) of
+    # the exact values on these two plans; 400 is within 2.3e-4
+    body = request.getfixturevalue(fixture)
+    p = planner.plan(inputs)
+    exact = exact_per_iteration_values(r_lo, 1.0, p.h, p.N)
+    records = per_iteration_checks(body, p, 10, make_rng(1))
+    for chk, value in zip(records, exact):
+        assert chk.empirical == pytest.approx(value, rel=1e-3)
+        # the change from half the resolution covers the actual error
+        assert abs(chk.empirical - value) <= chk.mc_std_error
+        assert chk.n_samples == records[0].n_samples > 400**2
+
+
+def test_grid_quadrature_reuses_the_given_oracle_and_no_randomness(annulus):
+    p = planner.plan(ANNULUS_PLAN_INPUTS)
+    rng = make_rng(2)
+    oracle = GridOracle(annulus, resolution=100)
+    failure, trials = per_iteration_checks(annulus, p, 10, rng, oracle=oracle)
+    assert rng.random() == make_rng(2).random()    # no draw was taken
+    assert "resolution 100" in failure.note and "resolution 50" in trials.note
+    # a coarser grid, a larger error, the same value to its error
+    fine = per_iteration_checks(annulus, p, 10, rng)
+    for coarse, ref in zip((failure, trials), fine):
+        assert coarse.mc_std_error > ref.mc_std_error
+        assert abs(coarse.empirical - ref.empirical) <= 3.0 * coarse.mc_std_error
+
+
+@pytest.mark.parametrize("resolution", [2, 3])
+def test_grid_quadrature_needs_a_coarser_grid(annulus, resolution):
+    p = planner.plan(ANNULUS_PLAN_INPUTS)
+    oracle = GridOracle(annulus, resolution=resolution)
+    with pytest.raises(ValueError, match="resolution >= 4"):
+        per_iteration_checks(annulus, p, 10, make_rng(1), oracle=oracle)
+
+
+def test_trials_check_clamps_unresolvable_conductance():
     # with a coarse inner estimate some smoothed-law points record zero
     # hits; they must not each contribute ~N to the average
-    inputs = PlanInputs(q=2, eps=0.2, M=1, C_PI=4, alpha=4.0 / 3.0,
-                        beta=1.0, n=2)
-    p = planner.plan(inputs)
-    chk = expected_trials_check(annulus, p, n_mc=2000, rng=make_rng(30),
+    body = shell_3d()
+    p = planner.plan(SHELL_PLAN_INPUTS)
+    chk = expected_trials_check(body, p, n_mc=2000, rng=make_rng(30),
                                 inner_mc=300)
+    assert chk.n_samples == 2000
+    zero = re.search(r"(\d+)/2000 outer points had zero inner hits", chk.note)
+    assert int(zero.group(1)) > 0 and "clamped" in chk.note
     assert chk.empirical <= 300.0
     assert chk.verdict == SATISFIED
-    if "clamped" in chk.note:
-        assert chk.empirical < chk.theoretical_bound  # not saved by the SE
+    assert chk.empirical < chk.theoretical_bound  # not saved by the SE
 
 
 def test_per_iteration_regime_gate(unit_disk):
@@ -295,16 +389,16 @@ def test_per_iteration_gate_agrees_with_plan_consistency(annulus):
         per_iteration_checks(annulus, above, n_mc=10, rng=make_rng(1), inner_mc=10)
 
 
-def test_per_iteration_checks_share_one_sample(annulus):
-    inputs = PlanInputs(q=2, eps=0.2, M=1, C_PI=4, alpha=4.0 / 3.0,
-                        beta=1.0, n=2)
-    p = planner.plan(inputs)
-    failure, trials = per_iteration_checks(annulus, p, 500, make_rng(21),
+def test_per_iteration_checks_share_one_sample():
+    body = shell_3d()
+    p = planner.plan(SHELL_PLAN_INPUTS)
+    failure, trials = per_iteration_checks(body, p, 500, make_rng(21),
                                            inner_mc=300)
+    assert "zero inner hits" in failure.note and failure.n_samples == 500
     assert failure.to_dict() == stationary_failure_check(
-        annulus, p, 500, make_rng(21), inner_mc=300).to_dict()
+        body, p, 500, make_rng(21), inner_mc=300).to_dict()
     assert trials.to_dict() == expected_trials_check(
-        annulus, p, 500, make_rng(21), inner_mc=300).to_dict()
+        body, p, 500, make_rng(21), inner_mc=300).to_dict()
 
 
 def test_smoothed_conductance_samples_shape(unit_square):

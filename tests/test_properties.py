@@ -1,10 +1,12 @@
-"""Property tests of the input documents and of the chain record.
+"""Property tests of the input documents, the chain record and the certificates.
 
 A malformed input document is an exit code, never a crash: each example
 replaces one leaf of a valid document with an arbitrary JSON value.
 Only parsing and planning run there, because a mutated N can make one
 in-step loop for up to 1e9 attempts.  The chain-record examples run the
-sampler itself with T and N of at most 50.
+sampler itself with T and N of at most 50.  The certificate examples
+build unions, exclusions and star-shaped bodies from random convex
+parts and check the combined (alpha, beta) against the parts'.
 """
 
 import copy
@@ -151,3 +153,66 @@ def test_chain_record_invariants(name, T, N, h, seed, ideal):
         # itself lie inside the body
         assert res.y_at_failure.shape == (2,)
     assert res.iterations <= res.total_trials <= res.iterations * N
+
+
+# ------------------------------------------------ combinator certificates
+
+
+@st.composite
+def convex_parts(draw, n: int, certified: bool = True):
+    """A ball or a box in n dimensions, sometimes with a hand-set certificate."""
+    coords = st.floats(-5.0, 5.0)
+    sizes = st.floats(1e-3, 10.0)
+    center = draw(st.lists(coords, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        part = bodies.make_ball(center, draw(sizes))
+    else:
+        sides = draw(st.lists(sizes, min_size=n, max_size=n))
+        part = bodies.make_box(center, [c + s for c, s in zip(center, sides)])
+    if certified and draw(st.booleans()):
+        part = bodies.with_growth(part, draw(st.floats(1.0, 1e3)),
+                                  draw(st.floats(1e-3, 1e3)))
+    return part
+
+
+@st.composite
+def star_parts(draw, n: int, r: float):
+    """A box around the core ball B(0, r)."""
+    reach = st.floats(0.0, 5.0)
+    lo = [-r - draw(reach) for _ in range(n)]
+    hi = [r + draw(reach) for _ in range(n)]
+    return bodies.make_box(lo, hi)
+
+
+dims = st.integers(1, 4)
+# the union and exclusion volumes their validators accept: any fraction
+# of the parts' total, and the total up to its 1e-12 rounding allowance
+volume_fractions = st.one_of(st.floats(1e-6, 1.0), st.just(1.0 + 1e-12))
+
+
+@PROPERTY
+@given(st.data(), dims, volume_fractions)
+def test_union_certificate(data, n, fraction):
+    parts = data.draw(st.lists(convex_parts(n), min_size=1, max_size=4))
+    total = sum(p.exact_volume for p in parts)
+    u = bodies.union(parts, total * fraction)
+    assert u.growth.alpha >= 1.0
+    assert u.growth.alpha >= max(p.growth.alpha for p in parts)
+    assert u.growth.beta <= max(p.growth.beta for p in parts)
+
+
+@PROPERTY
+@given(convex_parts(2), convex_parts(2, certified=False), st.floats(1e-6, 1.0))
+def test_exclusion_certificate(outer, hole, fraction):
+    carved = bodies.exclusion(outer, hole, outer.exact_volume * fraction)
+    assert carved.growth.alpha >= max(1.0, outer.growth.alpha)
+    assert carved.growth.beta == outer.growth.beta
+
+
+@PROPERTY
+@given(st.data(), dims, st.floats(1e-3, 2.0))
+def test_star_shaped_certificate(data, n, r):
+    parts = data.draw(st.lists(star_parts(n, r), min_size=1, max_size=4))
+    star = bodies.star_shaped(parts, r)
+    assert star.growth.alpha >= 1.0
+    assert star.growth.beta == 1.0 / r
