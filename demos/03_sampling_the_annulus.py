@@ -40,7 +40,7 @@ ens = sampler.run_ensemble(
 )
 s = ens.summary
 print(f"chains: {s['n_chains']}   failures: {s['failure_fraction']:.3f}")
-print(f"oracle calls per chain: mean {s['mean_total_trials']:.1f}, "
+print(f"in-step trials per chain: mean {s['mean_total_trials']:.1f}, "
       f"max {s['max_total_trials']}")
 
 pts = np.array([r.point for r in ens.results if r.status == sampler.SUCCESS])
@@ -68,4 +68,4 @@ else:
 # idealized variant; at this step size the two runs rarely differ
 ideal = sampler.run_proximal_ideal(annulus, pts[0], plan.h, 200, seed=5)
 print(f"\nidealized variant from a sampled start: status={ideal.status}, "
-      f"{ideal.total_trials} oracle calls over 200 iterations")
+      f"{ideal.total_trials} in-step trials over 200 iterations")

@@ -20,7 +20,8 @@ from pathlib import Path
 
 from inandout import cli
 
-workdir = Path(tempfile.mkdtemp(prefix="inandout-demo-"))
+tmp = tempfile.TemporaryDirectory(prefix="inandout-demo-")
+workdir = Path(tmp.name)
 
 config = {
     "body": {
@@ -81,4 +82,5 @@ cli.main(["sample", "--config", str(cfg_path), "--out", str(workdir / "run2"),
 same = ((workdir / "run1" / "samples.jsonl").read_bytes()
         == (workdir / "run2" / "samples.jsonl").read_bytes())
 print(f"\nrerun byte-identical: {same}")
-print(f"artifacts kept under {workdir}")
+tmp.cleanup()
+print(f"removed the work directory {workdir}")

@@ -112,6 +112,13 @@ class Body:
             raise ValueError(f"exact volume must be positive, got {self.exact_volume}")
 
 
+def _radius(pts, center) -> np.ndarray:
+    # Euclidean distance to center: the operations of
+    # np.linalg.norm(..., axis=-1), without its dispatch
+    d = np.asarray(pts, dtype=float) - center
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
+
+
 def unit_ball_volume(n: int) -> float:
     """Lebesgue volume of the unit ball in n dimensions."""
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
@@ -128,16 +135,16 @@ def make_ball(center, radius: float) -> Body:
     r = float(radius)
 
     def membership(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.linalg.norm(pts - center, axis=-1) <= r
+        return _radius(pts, center) <= r
 
     def interior(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.linalg.norm(pts - center, axis=-1) < r
+        return _radius(pts, center) < r
 
     def distance(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.maximum(np.linalg.norm(pts - center, axis=-1) - r, 0.0)
+        return np.maximum(_radius(pts, center) - r, 0.0)
+
+    # the tag by which `exclusion` knows these tests are exactly a ball's
+    membership.ball = interior.ball = (center, r)
 
     return Body(
         dim=n,
@@ -373,9 +380,18 @@ def exclusion(outer: Body, hole: Body, remaining_volume: float) -> Body:
         )
 
     outer_mem, hole_int = outer.membership, hole.interior
+    balls = getattr(outer_mem, "ball", None), getattr(hole_int, "ball", None)
+    if None not in balls and np.array_equal(balls[0][0], balls[1][0]):
+        # two make_ball tests around one center: one radius serves both,
+        # with the same bits as the two tests
+        (c, r_out), (_, r_in) = balls
 
-    def membership(pts):
-        return outer_mem(pts) & ~hole_int(pts)
+        def membership(pts):
+            rho = _radius(pts, c)
+            return (rho <= r_out) & ~(rho < r_in)
+    else:
+        def membership(pts):
+            return outer_mem(pts) & ~hole_int(pts)
 
     interior = None
     if outer.interior is not None:
@@ -390,8 +406,7 @@ def exclusion(outer: Body, hole: Body, remaining_volume: float) -> Body:
         c0, r_in, r_out = pair
 
         def distance(pts):
-            pts = np.asarray(pts, dtype=float)
-            rho = np.linalg.norm(pts - c0, axis=-1)
+            rho = _radius(pts, c0)
             return np.maximum(np.maximum(rho - r_out, r_in - rho), 0.0)
 
     g = outer.growth

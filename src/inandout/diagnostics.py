@@ -18,6 +18,7 @@ nested Monte Carlo, which resolves failure mass only down to 1/n_mc.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
@@ -101,7 +102,11 @@ class GridOracle:
             raise ValueError("no grid cell center lies inside the body")
         self.occupied_ij = occ
         self.occupied_centers = self.lo + (occ + 0.5) * self.step
-        self._tree = cKDTree(self.occupied_centers)
+
+    @functools.cached_property
+    def _tree(self) -> cKDTree:
+        # built on first query: most uses read only the bitmap
+        return cKDTree(self.occupied_centers)
 
     @property
     def n_occupied(self) -> int:

@@ -16,6 +16,8 @@ by a 64-bit seed.  Per-chain seeds come from `derive_seed`, a frozen
 SplitMix64 construction, so ensembles are reproducible and order
 independent.  Gaussian variates use numpy's standard_normal (ziggurat);
 this transform is part of the frozen contract for regression tests.
+A chain draws its normals ahead in blocks and hands them out in the
+order of one draw per proposal, so buffering changes no output.
 """
 
 from __future__ import annotations
@@ -65,8 +67,11 @@ class RunResult:
     or "cap_exceeded" (ideal variant hit its practical cap).
     iterations counts the executed iterations, the failing one
     included: T on success, failed_at + 1 otherwise.  total_trials is
-    the number of in-step proposals over them and equals the number of
-    membership-oracle calls made by in-steps.
+    the number of in-step proposals up to each first hit (the paper's
+    trial count).  In-steps test proposals in blocks, so the oracle
+    traffic is counted apart: membership_calls and membership_points
+    are the in-steps' calls and the points those calls evaluated, at
+    least total_trials of them.
     """
 
     status: str
@@ -75,6 +80,68 @@ class RunResult:
     y_at_failure: Optional[np.ndarray]
     iterations: int
     total_trials: int
+    membership_calls: int
+    membership_points: int
+
+
+# Rows of a chain's normal buffer: 4096 vectors are 320 KB in 10-D.
+_BUFFER_ROWS = 4096
+# The in-step's first block after a missed proposal, and its largest,
+# which fits the buffer.  One call costs about as much as testing a
+# hundred points in a batch, so stragglers save calls and waste little.
+_FIRST_BLOCK = 4
+_BLOCK_CAP = 1024
+
+
+class _Normals:
+    """A generator's standard normal vectors, drawn ahead in blocks.
+
+    Vectors come out in the order that sequential
+    `rng.standard_normal(n)` calls give them, because filling an array
+    makes the same draws.  `standard_normal(n)` consumes one vector (so
+    `forward_step` takes a stream like a generator), `peek(k)` returns
+    the next k without consuming them and `skip(j)`, j <= k, consumes
+    the first j of them.  Returned arrays are views of the buffer, valid
+    until the next draw.  The buffer holds `rows` vectors, or the
+    largest peek if that is more.  The in-steps that draw from the
+    stream tally their membership calls and points on it.
+    """
+
+    __slots__ = ("rng", "buf", "pos", "end", "membership_calls", "membership_points")
+
+    def __init__(self, rng: np.random.Generator, n: int, rows: int = _BUFFER_ROWS):
+        self.rng = rng
+        self.buf = np.empty((rows, n))
+        self.pos = self.end = 0  # rows pos..end-1 are drawn and not consumed
+        self.membership_calls = self.membership_points = 0
+
+    def standard_normal(self, n: int) -> np.ndarray:
+        if n != self.buf.shape[1]:
+            raise ValueError(f"stream draws {self.buf.shape[1]}-vectors, asked for {n}")
+        if self.pos == self.end:
+            self._refill(1)
+        self.pos += 1
+        return self.buf[self.pos - 1]
+
+    def peek(self, k: int) -> np.ndarray:
+        if self.end - self.pos < k:
+            self._refill(k)
+        return self.buf[self.pos:self.pos + k]
+
+    def skip(self, k: int):
+        self.pos += k
+
+    def _refill(self, k: int):
+        # keep the undrawn rest in front and fill the buffer behind it
+        rest = self.end - self.pos
+        if k > self.buf.shape[0]:
+            grown = np.empty((k, self.buf.shape[1]))
+            grown[:rest] = self.buf[self.pos:self.end]
+            self.buf = grown
+        else:
+            self.buf[:rest] = self.buf[self.pos:self.end]
+        self.rng.standard_normal(out=self.buf[rest:])
+        self.pos, self.end = 0, self.buf.shape[0]
 
 
 def forward_step(x: np.ndarray, h: float, rng: np.random.Generator) -> np.ndarray:
@@ -90,19 +157,41 @@ def backward_step(y: np.ndarray, h: float, N: int, body: Body,
     """The in-step: rejection-sample N(y, h I) restricted to the body.
 
     Returns (point, attempts) on success and (None, N) when all N
-    attempts landed outside.  Proposals are drawn and tested one at a
-    time, so `attempts` equals the number of membership calls made.
+    attempts landed outside.  The first proposal is tested alone; after
+    a miss the next ones are tested in blocks of 4, 8, ... up to 1024,
+    one membership call per block.  Only the proposals up to the first
+    hit are consumed, so the point, `attempts` and the stream position
+    are those of testing one proposal at a time, while the body sees up
+    to a block of points past the hit.  A chain passes its normal
+    stream; a bare Generator is wrapped in one and read ahead by up to
+    one block.
     """
     if not (h > 0.0):
         raise ValueError(f"step size must be positive, got {h}")
     if N < 1:
         raise ValueError(f"attempt threshold must be >= 1, got {N}")
     y = np.asarray(y, dtype=float)
+    normals = rng if isinstance(rng, _Normals) else _Normals(rng, y.shape[0], rows=1)
     sqrt_h = math.sqrt(h)
-    for k in range(1, N + 1):
-        x = y + sqrt_h * rng.standard_normal(y.shape[0])
-        if body.membership(x):
-            return x, k
+    x = y + sqrt_h * normals.standard_normal(y.shape[0])
+    normals.membership_calls += 1
+    normals.membership_points += 1
+    if body.membership(x):
+        return x, 1
+    k, block = 1, _FIRST_BLOCK
+    while k < N:
+        m = min(block, N - k)
+        xs = y + sqrt_h * normals.peek(m)
+        normals.membership_calls += 1
+        normals.membership_points += m
+        hit = body.membership(xs)
+        j = int(np.argmax(hit))
+        if hit[j]:
+            normals.skip(j + 1)
+            return xs[j], k + j + 1
+        normals.skip(m)
+        k += m
+        block = min(2 * block, _BLOCK_CAP)
     return None, N
 
 
@@ -115,17 +204,22 @@ def _run_chain(body: Body, x0, h: float, T: int, N: int,
         raise ValueError("start point is outside the body")
     if T < 0:
         raise ValueError(f"iteration count must be >= 0, got {T}")
+    normals = _Normals(rng, body.dim)
     total = 0
     for i in range(T):
-        y = forward_step(x, h, rng)
-        xn, k = backward_step(y, h, N, body, rng)
+        y = forward_step(x, h, normals)
+        xn, k = backward_step(y, h, N, body, normals)
         total += k
         if xn is None:
             return RunResult(status=FAILURE, point=None, failed_at=i, y_at_failure=y,
-                             iterations=i + 1, total_trials=total)
+                             iterations=i + 1, total_trials=total,
+                             membership_calls=normals.membership_calls,
+                             membership_points=normals.membership_points)
         x = xn
     return RunResult(status=SUCCESS, point=x, failed_at=None, y_at_failure=None,
-                     iterations=T, total_trials=total)
+                     iterations=T, total_trials=total,
+                     membership_calls=normals.membership_calls,
+                     membership_points=normals.membership_points)
 
 
 def run_in_and_out(body: Body, x0, plan: Plan, seed: Optional[int] = None,
@@ -134,7 +228,9 @@ def run_in_and_out(body: Body, x0, plan: Plan, seed: Optional[int] = None,
 
     Exactly one of seed / rng must be given; a seed constructs the
     frozen Philox generator, an explicit generator continues its
-    stream (used by ensembles after warm-start draws).
+    stream (used by ensembles after warm-start draws).  The chain reads
+    a passed generator ahead by up to 4096 normal vectors, so do not
+    draw from it after the run.
     """
     if (seed is None) == (rng is None):
         raise ValueError("pass exactly one of seed or rng")
@@ -151,7 +247,8 @@ def run_proximal_ideal(body: Body, x0, h: float, T: int,
 
     Identical trajectory to run_in_and_out for the same generator when
     no in-step ever exhausts the smaller of the two limits; hitting
-    attempt_cap reports status "cap_exceeded".
+    attempt_cap reports status "cap_exceeded".  As in run_in_and_out,
+    a passed generator is read ahead: do not draw from it after the run.
     """
     if (seed is None) == (rng is None):
         raise ValueError("pass exactly one of seed or rng")

@@ -258,6 +258,34 @@ def test_exclusion_membership_equals_brute_force(annulus, unit_disk):
         unit_disk.membership(pts) & ~hole.interior(pts))
 
 
+def test_concentric_exclusion_membership_is_bitwise_the_parts():
+    # the annulus tests one radius for both balls; its bits must be those
+    # of the two tests, also on both circles and one ulp either side
+    outer, hole = make_ball([0.0, 0.0], 1.0), make_ball([0.0, 0.0], 0.5)
+    annulus = exclusion(outer, hole, 0.75 * math.pi)
+    rng = np.random.default_rng(23)
+    on = [[0.5, 0.0], [0.0, -0.5], [0.3, 0.4], [1.0, 0.0], [0.0, -1.0],
+          [0.6, 0.8], [-0.8, 0.6]]
+    ulps = [[np.nextafter(r, r + s), 0.0] for r in (0.5, 1.0) for s in (-1, 1)]
+    pts = np.concatenate([on, ulps, rng.uniform(-1.1, 1.1, size=(20_000, 2))])
+    want = outer.membership(pts) & ~hole.interior(pts)
+    assert annulus.membership(pts).tolist() == want.tolist()
+    assert [bool(annulus.membership(p)) for p in pts[:11]] == want[:11].tolist()
+    assert want[:11].tolist() == [True] * 7 + [False, True, True, False]
+
+
+def test_exclusion_of_nearly_concentric_balls_tests_each_ball():
+    # centers 1e-13 apart: a shared radius would misplace points that
+    # lie between the two hole circles
+    outer = make_ball([0.0, 0.0], 1.0)
+    hole = make_ball([1e-13, 0.0], 0.5)
+    carved = exclusion(outer, hole, 0.75 * math.pi)
+    pts = np.array([[-0.5 + 5e-14, 0.0], [0.5 + 5e-14, 0.0], [0.5, 0.0], [-0.5, 0.0]])
+    want = outer.membership(pts) & ~hole.interior(pts)
+    assert want.tolist() == [True, False, False, True]
+    assert carved.membership(pts).tolist() == want.tolist()
+
+
 def test_union_distance_is_min_of_parts():
     d1 = make_ball([-2.0, 0.0], 1.0)
     d2 = make_ball([2.0, 0.0], 1.0)

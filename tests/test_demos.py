@@ -26,3 +26,5 @@ def test_demo_runs(tmp_path, demo):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert "Traceback" not in proc.stderr
+    # and removes it
+    assert not list(tmp_path.glob("inandout-demo-*"))

@@ -3,18 +3,22 @@
 A malformed input document is an exit code, never a crash: each example
 replaces one leaf of a valid document with an arbitrary JSON value.
 Only parsing and planning run there, because a mutated N can make one
-in-step loop for up to 1e9 attempts.  The chain-record examples run the
-sampler itself with T and N of at most 50.  The certificate examples
-build unions, exclusions and star-shaped bodies from random convex
-parts and check the combined (alpha, beta) against the parts'.
+in-step loop for up to 1e9 attempts.  The chain examples run the
+sampler itself with T and N of at most 50, and check it bit for bit
+against a reference chain that tests one proposal at a time.  The
+certificate examples build unions, exclusions and star-shaped bodies
+from random convex parts and check the combined (alpha, beta) against
+the parts'.
 """
 
 import copy
 import dataclasses
 import json
+import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +118,7 @@ KERNEL_BODIES = {
     "disk": (bodies.make_ball([0.0, 0.0], 1.0), [0.5, 0.0]),
     "thin box": (bodies.make_box([0.0, 0.0], [1.0, 1e-3]), [0.5, 5e-4]),
     "annulus": (_annulus(), [0.75, 0.0]),
+    "3-D ball": (bodies.make_ball([0.0, 0.0, 0.0], 1.0), [0.0, 0.5, 0.0]),
 }
 
 
@@ -123,11 +128,12 @@ KERNEL_BODIES = {
        st.booleans())
 def test_chain_record_invariants(name, T, N, h, seed, ideal):
     body, x0 = KERNEL_BODIES[name]
-    calls = 0
+    calls = points = 0
 
     def counting(pts):
-        nonlocal calls
+        nonlocal calls, points
         calls += 1
+        points += 1 if pts.ndim == 1 else pts.shape[0]
         return body.membership(pts)
 
     counted = dataclasses.replace(body, membership=counting)
@@ -138,8 +144,11 @@ def test_chain_record_invariants(name, T, N, h, seed, ideal):
         plan = planner.Plan(eps_prime=0.1, eta=0.025, T=T, S=100.0, h=h, N=N,
                             T0=0, T_tilde=0.0)
         res = sampler.run_in_and_out(counted, x0, plan, seed=seed)
-    # one call checks the start point; every other one is an in-step trial
-    assert calls - 1 == res.total_trials
+    # one call checks the start point; every other one is an in-step's,
+    # which tests its trials and, in its last block, points past the hit
+    assert calls - 1 == res.membership_calls
+    assert points - 1 == res.membership_points
+    assert res.membership_calls <= res.total_trials <= res.membership_points
     succeeded = res.status == sampler.SUCCESS
     assert succeeded == (res.point is not None) == (res.failed_at is None)
     if succeeded:
@@ -151,8 +160,50 @@ def test_chain_record_invariants(name, T, N, h, seed, ideal):
         assert res.iterations == res.failed_at + 1 <= T
         # the out-step point whose N in-step proposals all missed; it may
         # itself lie inside the body
-        assert res.y_at_failure.shape == (2,)
+        assert res.y_at_failure.shape == (body.dim,)
     assert res.iterations <= res.total_trials <= res.iterations * N
+
+
+def reference_chain(body, x0, h, T, N, rng):
+    """The chain as the paper states it: one proposal at a time, each on
+    its own `standard_normal(n)` call.  Returns (failed, failed_at,
+    iterations, total_trials, point, y_at_failure)."""
+    x = np.asarray(x0, dtype=float)
+    sqrt_h = math.sqrt(h)
+    total = 0
+    for i in range(T):
+        y = x + sqrt_h * rng.standard_normal(x.shape[0])
+        for k in range(1, N + 1):
+            x = y + sqrt_h * rng.standard_normal(y.shape[0])
+            if body.membership(x):
+                break
+        else:
+            return True, i, i + 1, total + N, None, y
+        total += k
+    return False, None, T, total, x, None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(KERNEL_BODIES)), st.integers(0, 50),
+       st.integers(1, 50), st.floats(1e-6, 4.0), st.integers(0, 2**64 - 1),
+       st.booleans())
+def test_blocked_chain_equals_the_one_at_a_time_chain(name, T, N, h, seed, ideal):
+    body, x0 = KERNEL_BODIES[name]
+    if ideal:
+        res = sampler.run_proximal_ideal(body, x0, h, T, seed=seed, attempt_cap=N)
+    else:
+        plan = planner.Plan(eps_prime=0.1, eta=0.025, T=T, S=100.0, h=h, N=N,
+                            T0=0, T_tilde=0.0)
+        res = sampler.run_in_and_out(body, x0, plan, seed=seed)
+    failed, failed_at, iterations, total, point, y = reference_chain(
+        body, x0, h, T, N, sampler.make_rng(seed))
+    stopped = sampler.CAP_EXCEEDED if ideal else sampler.FAILURE
+    assert res.status == (stopped if failed else sampler.SUCCESS)
+    assert (res.failed_at, res.iterations, res.total_trials) == (failed_at, iterations, total)
+    for got, want in ((res.point, point), (res.y_at_failure, y)):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------ combinator certificates

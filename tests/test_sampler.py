@@ -105,6 +105,46 @@ def test_backward_step_exhaustion_frequency():
     assert abs(fails / 10_000 - 0.5) <= 0.02
 
 
+def test_normal_stream_hands_out_the_sequential_draws():
+    # a 5-row buffer: single draws cross refills, and a peek of 12 rows
+    # is larger than the buffer
+    n = 3
+    reference = make_rng(11)
+    want = np.array([reference.standard_normal(n) for _ in range(60)])
+    stream = sampler._Normals(make_rng(11), n, rows=5)
+    got = [stream.standard_normal(n).copy() for _ in range(7)]
+    ahead = stream.peek(12).copy()
+    assert ahead.tobytes() == want[7:19].tobytes()
+    assert stream.peek(3).tobytes() == want[7:10].tobytes()
+    stream.skip(2)
+    got += list(ahead[:2])
+    got += [stream.standard_normal(n).copy() for _ in range(20)]
+    got += list(stream.peek(4).copy())
+    stream.skip(4)
+    got += [stream.standard_normal(n).copy() for _ in range(27)]
+    assert np.array(got).tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        stream.standard_normal(2)
+
+
+def test_backward_step_consumes_only_up_to_the_first_hit(annulus):
+    # y deep in the hole: the first hit comes several blocks in, and the
+    # stream then stands where one draw per proposal would stand
+    y, h = np.array([0.3, 0.0]), 0.01
+    reference = make_rng(4)
+    k = 0
+    while True:
+        k += 1
+        x = y + math.sqrt(h) * reference.standard_normal(2)
+        if annulus.membership(x):
+            break
+    stream = sampler._Normals(make_rng(4), 2)
+    point, attempts = backward_step(y, h, 10_000, annulus, stream)
+    assert attempts == k > 13
+    assert point.tobytes() == x.tobytes()
+    assert stream.standard_normal(2).tobytes() == reference.standard_normal(2).tobytes()
+
+
 def test_backward_step_validation(unit_disk):
     rng = make_rng(1)
     with pytest.raises(ValueError):
@@ -161,19 +201,23 @@ def test_validation_of_start_and_seed(unit_disk):
 
 
 def test_trial_accounting_matches_oracle_calls(annulus):
-    calls = 0
+    calls = points = 0
 
     def counting(pts):
-        nonlocal calls
+        nonlocal calls, points
         pts = np.asarray(pts)
-        calls += 1 if pts.ndim == 1 else pts.shape[0]
+        calls += 1
+        points += 1 if pts.ndim == 1 else pts.shape[0]
         return annulus.membership(pts)
 
     counted = dataclasses.replace(annulus, membership=counting)
     res = run_in_and_out(counted, [0.75, 0.0], small_plan(50, 0.01, 100), seed=9)
     assert res.status == SUCCESS
     # one call validates the start point; the rest happen in in-steps
-    assert calls - 1 == res.total_trials
+    assert calls - 1 == res.membership_calls
+    assert points - 1 == res.membership_points
+    # blocks test points past the first hit, so some were never trials
+    assert res.membership_calls < res.total_trials < res.membership_points
 
 
 def test_proximal_matches_thresholded_run(unit_disk, attempts):
@@ -275,7 +319,9 @@ def _record(status, iterations, failed_at=None):
     return sampler.RunResult(status=status, point=np.zeros(2) if done else None,
                              failed_at=failed_at,
                              y_at_failure=None if done else np.full(2, 9.0),
-                             iterations=iterations, total_trials=iterations)
+                             iterations=iterations, total_trials=iterations,
+                             membership_calls=iterations,
+                             membership_points=iterations)
 
 
 def test_failure_rate_by_iteration_exact_values():
