@@ -54,12 +54,6 @@ print(f"trials:       grid {trials.empirical:.4f} +- {trials.mc_std_error:.1e}  
       f"bound {trials.theoretical_bound:8.2f}  -> {trials.verdict}")
 print(f"              ({fail.note})")
 
-# local conductance at a single point: the per-attempt hit probability
-for y in ([0.0, 0.0], [0.9, 0.0], [1.1, 0.0]):
-    p, se = diagnostics.local_conductance_mc(disk, y, plan.h, 50_000,
-                                             sampler.make_rng(9))
-    print(f"conductance at {y}: {p:.4f} +- {se:.4f}")
-
 # the closed form for E[min(geometric, N)] used by the trials check
 print(f"\nE[min(G(0.5), 3)] = "
       f"{diagnostics.expected_trials_closed_form(0.5, 3)} (exactly 1.75)")

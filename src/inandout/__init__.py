@@ -1,6 +1,6 @@
 """Uniform sampling from compact membership-oracle bodies.
 
-The package couples four pieces:
+The package couples five pieces, which `cli` runs from a JSON config:
 
 * `bodies`      -- membership oracles with volume-growth certificates
 * `planner`     -- the full run schedule (T, S, h, N, ...) for a target

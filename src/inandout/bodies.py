@@ -239,13 +239,18 @@ def make_halfspace_polytope(A, b, inner_center, inner_radius: float) -> Body:
                 )
             dest[i] = sign * res.fun
 
-    def membership(pts):
+    def products(pts):
+        # pts @ A.T by the same float operations for a point and a batch:
+        # BLAS takes gemv for one and gemm for the other, which differ in
+        # the last bit
         pts = np.asarray(pts, dtype=float)
-        return np.all(pts @ A.T <= b, axis=-1)
+        return np.add.reduce(pts[..., None, :] * A, axis=-1)
+
+    def membership(pts):
+        return np.all(products(pts) <= b, axis=-1)
 
     def interior(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.all(pts @ A.T < b, axis=-1)
+        return np.all(products(pts) < b, axis=-1)
 
     return Body(
         dim=n,
@@ -340,22 +345,6 @@ def union(parts: Sequence[Body], union_volume: float) -> Body:
     )
 
 
-def _concentric_ball_pair(outer: Body, hole: Body) -> Optional[tuple]:
-    # recognize an annulus: both inner balls are full descriptions only
-    # when the bodies actually are balls, so check via exact volume too
-    for bod in (outer, hole):
-        if bod.inner_ball is None or bod.exact_volume is None:
-            return None
-        c, r = bod.inner_ball
-        if not math.isclose(bod.exact_volume, unit_ball_volume(bod.dim) * r**bod.dim,
-                            rel_tol=1e-9):
-            return None
-    (c_out, r_out), (c_in, r_in) = outer.inner_ball, hole.inner_ball
-    if not np.allclose(c_out, c_in, atol=1e-12) or not (r_in < r_out):
-        return None
-    return np.array(c_out), float(r_in), float(r_out)
-
-
 def exclusion(outer: Body, hole: Body, remaining_volume: float) -> Body:
     """Set difference outer minus the interior of hole (a closed set).
 
@@ -380,14 +369,15 @@ def exclusion(outer: Body, hole: Body, remaining_volume: float) -> Body:
         )
 
     outer_mem, hole_int = outer.membership, hole.interior
-    balls = getattr(outer_mem, "ball", None), getattr(hole_int, "ball", None)
-    if None not in balls and np.array_equal(balls[0][0], balls[1][0]):
+    # make_ball's tag: (center, radius) of each ball, or None
+    (c_out, r_out), (c_in, r_in) = (getattr(f, "ball", (None, None))
+                                    for f in (outer_mem, hole_int))
+    balls = c_out is not None and c_in is not None
+    if balls and np.array_equal(c_out, c_in):
         # two make_ball tests around one center: one radius serves both,
         # with the same bits as the two tests
-        (c, r_out), (_, r_in) = balls
-
         def membership(pts):
-            rho = _radius(pts, c)
+            rho = _radius(pts, c_out)
             return (rho <= r_out) & ~(rho < r_in)
     else:
         def membership(pts):
@@ -401,12 +391,10 @@ def exclusion(outer: Body, hole: Body, remaining_volume: float) -> Body:
             return outer_int(pts) & ~hole_mem(pts)
 
     distance = None
-    pair = _concentric_ball_pair(outer, hole)
-    if pair is not None:
-        c0, r_in, r_out = pair
-
+    if balls and np.allclose(c_out, c_in, rtol=0.0, atol=1e-12) and r_in < r_out:
+        # an annulus, up to rounding of the centers
         def distance(pts):
-            rho = _radius(pts, c0)
+            rho = _radius(pts, c_out)
             return np.maximum(np.maximum(rho - r_out, r_in - rho), 0.0)
 
     g = outer.growth

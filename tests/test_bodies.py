@@ -107,6 +107,35 @@ def test_polytope_triangle_certificate():
         make_halfspace_polytope(A, b, [0.9, 0.9], 0.5)
 
 
+def _hexagon_rows():
+    angles = np.arange(6) * math.pi / 3
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def _rotated_cube_rows():
+    q, _ = np.linalg.qr(np.random.default_rng(31).standard_normal((10, 10)))
+    return np.concatenate([q, -q])
+
+
+@pytest.mark.parametrize("rows", [_hexagon_rows, _rotated_cube_rows])
+def test_polytope_gives_one_point_the_bits_of_a_batch(rows):
+    # points on the facets (unit rows, b = 1), where the last bit of A x
+    # decides membership: the blocked in-step tests proposals in batches
+    # and must see what testing them one at a time sees
+    A = rows()
+    k, n = A.shape
+    poly = make_halfspace_polytope(A, np.ones(k), np.zeros(n), 1.0)
+    rng = np.random.default_rng(29)
+    y = rng.uniform(-1.0, 1.0, size=(5_000, n))
+    a = A[rng.integers(0, k, size=5_000)]
+    pts = y + (1.0 - np.sum(a * y, axis=1))[:, None] * a
+    for test in (poly.membership, poly.interior):
+        batch = test(pts)
+        assert 0 < np.count_nonzero(batch) < len(pts)
+        assert [bool(test(p)) for p in pts] == batch.tolist()
+        assert test(pts[:777]).tolist() == batch[:777].tolist()
+
+
 def test_polytope_rejects_unbounded():
     A = np.array([[1.0, 0.0], [0.0, 1.0]])     # no lower bounds: a quadrant
     b = np.array([1.0, 1.0])
@@ -284,6 +313,14 @@ def test_exclusion_of_nearly_concentric_balls_tests_each_ball():
     want = outer.membership(pts) & ~hole.interior(pts)
     assert want.tolist() == [True, False, False, True]
     assert carved.membership(pts).tolist() == want.tolist()
+    # the distance is the annulus's up to rounding; holes 1e-6 off center
+    # (also far from the origin), or as large as the outer ball, get none
+    far = np.array([[0.75, 0.0], [0.0, 0.25], [2.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_allclose(carved.distance(far), [0.0, 0.25, 1.0, 0.5])
+    assert exclusion(outer, make_ball([1e-6, 0.0], 0.5), 2.0).distance is None
+    assert exclusion(make_ball([1e3, 0.0], 1.0), make_ball([1e3 + 1e-6, 0.0], 0.5),
+                     2.0).distance is None
+    assert exclusion(outer, make_ball([0.0, 0.0], 1.0), 1.0).distance is None
 
 
 def test_union_distance_is_min_of_parts():

@@ -582,3 +582,14 @@ def test_console_script_plan_roundtrip(tmp_path):
     assert proc.returncode == 0
     assert "RuntimeWarning" not in proc.stderr
     assert json.loads(proc.stdout)["plan"]["T"] == 37519
+
+
+def test_import_loads_no_scipy_stats():
+    # importing scipy.stats costs about 0.6 s, most of a command's
+    # start-up again; the package uses scipy.special, .spatial and .optimize
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, inandout.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

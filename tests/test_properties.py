@@ -113,9 +113,16 @@ def _annulus():
     return bodies.exclusion(disk, hole, disk.exact_volume - hole.exact_volume)
 
 
+def _hexagon():
+    angles = np.arange(6) * math.pi / 3
+    A = np.column_stack([np.cos(angles), np.sin(angles)])
+    return bodies.make_halfspace_polytope(A, np.ones(6), [0.0, 0.0], 1.0)
+
+
 # (body, start point); the thin box fails most runs, the disk few
 KERNEL_BODIES = {
     "disk": (bodies.make_ball([0.0, 0.0], 1.0), [0.5, 0.0]),
+    "hexagon": (_hexagon(), [0.5, 0.0]),
     "thin box": (bodies.make_box([0.0, 0.0], [1.0, 1e-3]), [0.5, 5e-4]),
     "annulus": (_annulus(), [0.75, 0.0]),
     "3-D ball": (bodies.make_ball([0.0, 0.0, 0.0], 1.0), [0.0, 0.5, 0.0]),

@@ -1,9 +1,9 @@
-"""Tests for the chi-tail kernel and the closed-form inequalities.
+"""Tests for the chi tails and the closed-form inequalities.
 
 The tail values are checked two independent ways: against direct
 numerical quadrature of the chi density (scipy.integrate) and against
-a 30-digit reference (mpmath).  Neither route shares code with the
-implementation's series/continued-fraction kernel.
+a 30-digit reference (mpmath).  Neither route shares code with SciPy's
+`gammaincc`, which computes the tails.
 """
 
 import math
@@ -56,9 +56,9 @@ class ChiTail:
     """Chi upper-tail evaluator for a fixed dimension.
 
     `method` selects the evaluation route: "gamma" uses the
-    incomplete-gamma kernel (any m), "closed_form_even" uses the finite
+    incomplete gamma function (any m), "closed_form_even" uses the finite
     Poisson sum available when m is even.  Both agree to roundoff; the
-    second is the reference the kernel is cross-checked against.
+    second is the reference the first is cross-checked against.
     """
 
     m: int
