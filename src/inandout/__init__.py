@@ -14,42 +14,6 @@ The package couples five pieces, which `cli` runs from a JSON config:
 import importlib
 
 from . import bodies, diagnostics, planner, sampler, specfun
-from .bodies import (
-    Body,
-    CertificateError,
-    EmptyBodyError,
-    GrowthCertificate,
-    GrowthSource,
-    exclusion,
-    make_ball,
-    make_box,
-    make_halfspace_polytope,
-    naive_sandwich_certificate,
-    sample_uniform,
-    star_shaped,
-    union,
-    with_growth,
-)
-from .planner import (
-    Plan,
-    PlanInputs,
-    PlanOverflowError,
-    check_plan_consistency,
-    expected_total_trials_bound,
-    plan,
-    renyi_error_bound,
-)
-from .sampler import (
-    EnsembleResult,
-    RunResult,
-    backward_step,
-    derive_seed,
-    forward_step,
-    make_rng,
-    run_ensemble,
-    run_in_and_out,
-    run_proximal_ideal,
-)
 
 __version__ = "0.1.0"
 

@@ -45,7 +45,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------- JSON
 
 
-def _render(obj) -> str:
+def dumps_canonical(obj) -> str:
+    """Deterministic JSON with 17-significant-digit floats."""
     if obj is None:
         return "null"
     if obj is True:
@@ -62,16 +63,11 @@ def _render(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
+        return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items())
+        items = (f"{json.dumps(str(k))}: {dumps_canonical(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def dumps_canonical(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
-    return _render(obj)
 
 
 # ------------------------------------------------------------- config
@@ -150,8 +146,9 @@ class RunConfig:
 # the setting optional, a least value of None admits any integer
 _RUN_INTEGERS = {"n_chains": (1, 1), "seed": (0, None),
                  "t_cap": (None, 1), "n_cap": (None, 1)}
-_DIAGNOSE_INTEGERS = {"seed": (0, None), "n_mc": (20_000, 1), "inner_mc": (2_000, 1),
-                      "resolution": (400, 2), "n_cells": (16, 2)}
+_DIAGNOSE_INTEGERS = {"seed": (0, None), "n_mc": (20_000, 1),
+                      "inner_mc": (diagnostics.INNER_MC, 1),
+                      "resolution": (diagnostics.RESOLUTION, 2), "n_cells": (16, 2)}
 _DIAGNOSE_NUMBERS = {"r_grid": [0.25, 0.5, 1.0], "t_grid": [0.1, 0.5, 1.0],
                      "h_override": None}
 
@@ -406,18 +403,8 @@ def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
             src = "supplied sample file"
         tv = diagnostics.grid_tv_check(body, pts, n_cells, oracle=oracle)
         # "status" sits second, where run() puts it without moving it
-        return [{
-            "name": "grid_tv",
-            "status": "ran",
-            "tv_estimate": tv.tv_estimate,
-            "chi2_statistic": tv.chi2_statistic,
-            "p_value": tv.p_value,
-            "n_cells": tv.n_cells,
-            "n_samples": tv.n_samples,
-            "verdict": (diagnostics.SATISFIED if tv.p_value >= 0.01
-                        else diagnostics.VIOLATED),
-            "note": f"samples: {src}",
-        }]
+        return [{"name": "grid_tv", "status": "ran", **dataclasses.asdict(tv),
+                 "note": f"samples: {src}"}]
 
     for i, r in enumerate(diag["r_grid"]):
         rng = sampler.make_rng(sampler.derive_seed(seed, 100 + i))

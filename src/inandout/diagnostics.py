@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,6 +34,9 @@ from .planner import Plan, step_size_regime
 
 SATISFIED = "satisfied"
 VIOLATED = "violated_beyond_3se"
+RESOLUTION = 400   # GridOracle cells per axis
+INNER_MC = 2_000   # proposals per outer point of the nested Monte Carlo
+TV_LEVEL = 0.01    # grid_tv is violated when its p-value falls below this
 
 
 class UnsupportedCheck(RuntimeError):
@@ -73,13 +76,14 @@ def _mean_and_se(values: np.ndarray) -> tuple:
 class GridOracle:
     """Dense 2-D reference model of a body on a regular grid.
 
-    The bitmap marks cells whose center lies inside the body.  It
-    supports a distance proxy (distance to the nearest occupied cell
-    center, exact up to one cell diagonal), cell indexing for histogram
-    tests, and the grid quadrature of the per-iteration checks.
+    The bitmap marks cells whose center lies inside the body; `xs` and
+    `ys` are the cell centers' coordinates along each axis.  It supports
+    a distance proxy (distance to the nearest occupied cell center,
+    exact up to one cell diagonal), cell indexing for histogram tests,
+    and the grid quadrature of the per-iteration checks.
     """
 
-    def __init__(self, body: Body, resolution: int = 400):
+    def __init__(self, body: Body, resolution: int = RESOLUTION):
         if body.dim != 2:
             raise UnsupportedCheck(f"grid oracle is 2-D only, body has dim {body.dim}")
         if resolution < 2:
@@ -90,26 +94,21 @@ class GridOracle:
         self.lo = lo.copy()
         self.hi = hi.copy()
         self.step = (hi - lo) / resolution
-        xs = lo[0] + (np.arange(resolution) + 0.5) * self.step[0]
-        ys = lo[1] + (np.arange(resolution) + 0.5) * self.step[1]
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        self.xs = lo[0] + (np.arange(resolution) + 0.5) * self.step[0]
+        self.ys = lo[1] + (np.arange(resolution) + 0.5) * self.step[1]
+        gx, gy = np.meshgrid(self.xs, self.ys, indexing="ij")
         centers = np.column_stack([gx.ravel(), gy.ravel()])
         self.bitmap = np.asarray(body.membership(centers)).reshape(resolution, resolution)
         self.cell_volume = float(self.step[0] * self.step[1])
-        occ = np.argwhere(self.bitmap)
-        if occ.shape[0] == 0:
+        self.n_occupied = int(np.count_nonzero(self.bitmap))
+        if self.n_occupied == 0:
             raise ValueError("no grid cell center lies inside the body")
-        self.occupied_ij = occ
-        self.occupied_centers = self.lo + (occ + 0.5) * self.step
 
     @functools.cached_property
     def _tree(self) -> cKDTree:
-        # built on first query: most uses read only the bitmap
-        return cKDTree(self.occupied_centers)
-
-    @property
-    def n_occupied(self) -> int:
-        return self.occupied_ij.shape[0]
+        # built on the first distance query, which only a body without
+        # an analytic distance makes
+        return cKDTree(self.lo + (np.argwhere(self.bitmap) + 0.5) * self.step)
 
     def cell_index(self, pts: np.ndarray) -> np.ndarray:
         """Fine-grid (i, j) index of each point, clipped to the grid."""
@@ -276,7 +275,7 @@ def _grid_failure_and_trials(oracle: GridOracle, h: float, N: int) -> tuple:
 
 def per_iteration_checks(body: Body, p: Plan, n_mc: int,
                          rng: np.random.Generator,
-                         inner_mc: int = 10_000,
+                         inner_mc: int = INNER_MC,
                          oracle: Optional[GridOracle] = None) -> tuple:
     """The (stationary_failure, expected_trials) checks of the per-iteration bounds.
 
@@ -286,10 +285,10 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
     against 16 alpha log S.
 
     A 2-D body is integrated on a grid (the oracle's, else one of
-    resolution 400): the local conductance ell = 1_K * phi_h is exact up
-    to the bitmap's discretisation, each record's mc_std_error is the
-    change from a grid of half the resolution, and n_mc, inner_mc and
-    rng are not used.  A resolution below 4 has no such grid and is a
+    resolution RESOLUTION): the local conductance ell = 1_K * phi_h is
+    exact up to the bitmap's discretisation, each record's mc_std_error
+    is the change from a grid of half the resolution, and n_mc, inner_mc
+    and rng are not used.  A resolution below 4 has no such grid and is a
     ValueError.
 
     Other bodies estimate the local conductance at n_mc smoothed-law
@@ -371,37 +370,49 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
 
 def stationary_failure_check(body: Body, p: Plan, n_mc: int,
                              rng: np.random.Generator,
-                             inner_mc: int = 10_000) -> BoundCheck:
+                             inner_mc: int = INNER_MC) -> BoundCheck:
     """Failure mass <= 3/S: the first record of per_iteration_checks."""
     return per_iteration_checks(body, p, n_mc, rng, inner_mc)[0]
 
 
 def expected_trials_check(body: Body, p: Plan, n_mc: int,
                           rng: np.random.Generator,
-                          inner_mc: int = 10_000) -> BoundCheck:
+                          inner_mc: int = INNER_MC) -> BoundCheck:
     """Mean in-step trials <= 16 alpha log S: the second record of per_iteration_checks."""
     return per_iteration_checks(body, p, n_mc, rng, inner_mc)[1]
 
 
 @dataclass
 class TvCheckResult:
-    """Uniformity test of samples against the grid oracle's cell law."""
+    """Uniformity test of samples against the grid oracle's cell law.
+
+    The verdict is violated when the p-value falls below TV_LEVEL, so a
+    correct sampler fails on about that share of seeds.
+    """
 
     tv_estimate: float
     chi2_statistic: float
     p_value: float
     n_cells: int
     n_samples: int
+    verdict: str = field(init=False)
+
+    def __post_init__(self):
+        self.verdict = SATISFIED if self.p_value >= TV_LEVEL else VIOLATED
 
 
 def grid_tv_check(body: Body, samples, n_cells: int,
                   oracle: Optional[GridOracle] = None) -> TvCheckResult:
     """Compare samples with exact uniform via equal-mass grid cells.
 
-    The oracle bitmap is carved into n_cells angular groups of equal
-    occupied-cell count around the bbox center (for round bodies these
-    are sectors).  Reports the half-L1 distance between empirical and
-    exact cell histograms and a chi-square goodness-of-fit p-value.
+    The grid cells are sorted by (angle, radius) around the bbox center,
+    and the occupied ones in that order are split into n_cells runs of
+    equal count, up to one cell (for round bodies these are sectors).
+    A free cell takes the run of the occupied cell before it, the first
+    free cells that of the last, so every cell has a label and a sample
+    counts in the run of its own (clipped) cell.  Reports the half-L1
+    distance between empirical and exact run histograms and a
+    chi-square goodness-of-fit p-value.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] < 5 * n_cells:
@@ -417,27 +428,21 @@ def grid_tv_check(body: Body, samples, n_cells: int,
 
     lo, hi = body.bbox
     center = (lo + hi) / 2.0
-    rel = oracle.occupied_centers - center
-    order = np.lexsort((np.hypot(rel[:, 0], rel[:, 1]),
-                        np.arctan2(rel[:, 1], rel[:, 0])))
-    group_of_occupied = np.empty(oracle.n_occupied, dtype=int)
-    for g, chunk in enumerate(np.array_split(order, n_cells)):
-        group_of_occupied[chunk] = g
-    sizes = np.bincount(group_of_occupied, minlength=n_cells)
+    rx = (oracle.xs - center[0])[:, None]
+    ry = (oracle.ys - center[1])[None, :]
+    order = np.lexsort((np.hypot(rx, ry).ravel(), np.arctan2(ry, rx).ravel()))
+    # the run sizes np.array_split gives
+    q, extra = divmod(oracle.n_occupied, n_cells)
+    sizes = np.full(n_cells, q)
+    sizes[:extra] += 1
     exact = sizes / oracle.n_occupied
-
-    # map samples to groups via their fine cell; samples whose cell
-    # center fell outside the bitmap go to the nearest occupied cell
-    flat_to_occ = -np.ones(oracle.resolution**2, dtype=int)
-    occ_flat = oracle.occupied_ij[:, 0] * oracle.resolution + oracle.occupied_ij[:, 1]
-    flat_to_occ[occ_flat] = np.arange(oracle.n_occupied)
+    # rank of the last occupied cell at or before each cell; -1 before
+    # the first one picks the last run
+    rank = np.cumsum(oracle.bitmap.ravel()[order]) - 1
+    label = np.empty(oracle.resolution**2, dtype=int)
+    label[order] = np.repeat(np.arange(n_cells), sizes)[rank]
     ij = oracle.cell_index(samples)
-    occ_idx = flat_to_occ[ij[:, 0] * oracle.resolution + ij[:, 1]]
-    missing = occ_idx < 0
-    if np.any(missing):
-        _, nearest = oracle._tree.query(samples[missing])
-        occ_idx[missing] = nearest
-    groups = group_of_occupied[occ_idx]
+    groups = label[ij[:, 0] * oracle.resolution + ij[:, 1]]
 
     n = samples.shape[0]
     counts = np.bincount(groups, minlength=n_cells)

@@ -222,41 +222,25 @@ def _run_chain(body: Body, x0, h: float, T: int, N: int,
                      membership_points=normals.membership_points)
 
 
-def run_in_and_out(body: Body, x0, plan: Plan, seed: Optional[int] = None,
-                   rng: Optional[np.random.Generator] = None) -> RunResult:
+def run_in_and_out(body: Body, x0, plan: Plan, seed: int) -> RunResult:
     """Run one chain for plan.T iterations with threshold plan.N.
 
-    Exactly one of seed / rng must be given; a seed constructs the
-    frozen Philox generator, an explicit generator continues its
-    stream (used by ensembles after warm-start draws).  The chain reads
-    a passed generator ahead by up to 4096 normal vectors, so do not
-    draw from it after the run.
+    The chain draws from the frozen Philox generator keyed by seed.
     """
-    if (seed is None) == (rng is None):
-        raise ValueError("pass exactly one of seed or rng")
-    if rng is None:
-        rng = make_rng(seed)
-    return _run_chain(body, x0, plan.h, plan.T, plan.N, rng)
+    return _run_chain(body, x0, plan.h, plan.T, plan.N, make_rng(seed))
 
 
-def run_proximal_ideal(body: Body, x0, h: float, T: int,
-                       seed: Optional[int] = None,
-                       rng: Optional[np.random.Generator] = None,
+def run_proximal_ideal(body: Body, x0, h: float, T: int, seed: int,
                        attempt_cap: int = 10**9) -> RunResult:
     """The idealized chain: no failure threshold, only a practical cap.
 
-    Identical trajectory to run_in_and_out for the same generator when
-    no in-step ever exhausts the smaller of the two limits; hitting
-    attempt_cap reports status "cap_exceeded".  As in run_in_and_out,
-    a passed generator is read ahead: do not draw from it after the run.
+    Identical trajectory to run_in_and_out for the same seed when no
+    in-step ever exhausts the smaller of the two limits; hitting
+    attempt_cap reports status "cap_exceeded".
     """
-    if (seed is None) == (rng is None):
-        raise ValueError("pass exactly one of seed or rng")
     if attempt_cap < 1:
         raise ValueError(f"attempt cap must be >= 1, got {attempt_cap}")
-    if rng is None:
-        rng = make_rng(seed)
-    res = _run_chain(body, x0, h, T, attempt_cap, rng)
+    res = _run_chain(body, x0, h, T, attempt_cap, make_rng(seed))
     if res.status == FAILURE:
         res.status = CAP_EXCEEDED
     return res

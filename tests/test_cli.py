@@ -407,6 +407,14 @@ def test_diagnose_command_all_checks_pass(tmp_path, capsys):
     assert report["environment"]["seed"] == 7
 
 
+def test_diagnose_command_reruns_byte_identical(tmp_path, capsys):
+    cfg = write_config(tmp_path, diagnose_config(n_mc=20_000))
+    reports = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in reports:
+        assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
 # failure mass and expected trials on the annulus plan from the exact
 # radial integral (tests/test_diagnostics.py::exact_per_iteration_values)
 ANNULUS_EXACT = {"stationary_failure": 7.141308901383221e-11,

@@ -7,13 +7,15 @@ import re
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.spatial import cKDTree
 
-from inandout import bodies, planner
+from inandout import bodies, diagnostics, planner, specfun
 from inandout.diagnostics import (
     SATISFIED,
     VIOLATED,
     BoundCheck,
     GridOracle,
+    TvCheckResult,
     UnsupportedCheck,
     certificate_soundness_check,
     enlarged_volume_ratio_mc,
@@ -149,7 +151,7 @@ def test_grid_oracle_volume(request, fixture, volume):
 def bitmap_uniform(oracle, rng, size):
     """Exact uniform draws from the union of the oracle's occupied cells."""
     idx = rng.integers(0, oracle.n_occupied, size=size)
-    corner = oracle.lo + oracle.occupied_ij[idx] * oracle.step
+    corner = oracle.lo + np.argwhere(oracle.bitmap)[idx] * oracle.step
     return corner + rng.random((size, 2)) * oracle.step
 
 
@@ -414,6 +416,125 @@ def test_grid_tv_validation(unit_disk):
         grid_tv_check(unit_disk, np.zeros((100, 2)), 1)
     with pytest.raises(UnsupportedCheck):
         grid_tv_check(simplex_3d(), np.zeros((100, 3)), 4)
+
+
+def nearest_occupied_tv(body, oracle, samples, n_cells):
+    """grid_tv_check as it grouped points before every grid cell had a label.
+
+    Only occupied cells are sorted and split; a point in a free cell
+    goes to the group of the nearest occupied cell center.
+    """
+    occ = np.argwhere(oracle.bitmap)
+    centers = oracle.lo + (occ + 0.5) * oracle.step
+    lo, hi = body.bbox
+    rel = centers - (lo + hi) / 2.0
+    order = np.lexsort((np.hypot(rel[:, 0], rel[:, 1]),
+                        np.arctan2(rel[:, 1], rel[:, 0])))
+    group = np.empty(len(occ), dtype=int)
+    for g, chunk in enumerate(np.array_split(order, n_cells)):
+        group[chunk] = g
+    exact = np.bincount(group, minlength=n_cells) / len(occ)
+    r = oracle.resolution
+    flat_to_occ = -np.ones(r * r, dtype=int)
+    flat_to_occ[occ[:, 0] * r + occ[:, 1]] = np.arange(len(occ))
+    ij = oracle.cell_index(samples)
+    idx = flat_to_occ[ij[:, 0] * r + ij[:, 1]]
+    missing = idx < 0
+    if np.any(missing):
+        idx[missing] = cKDTree(centers).query(samples[missing])[1]
+    n = len(samples)
+    counts = np.bincount(group[idx], minlength=n_cells)
+    chi2 = math.fsum((counts - n * exact) ** 2 / (n * exact))
+    return dict(tv_estimate=0.5 * math.fsum(np.abs(counts / n - exact)),
+                chi2_statistic=chi2,
+                p_value=specfun.gamma_q((n_cells - 1) / 2.0, chi2 / 2.0))
+
+
+@pytest.mark.parametrize("fixture,resolution,n_cells", [
+    ("annulus", 400, 16),
+    ("unit_disk", 400, 7),
+    ("l_shape", 101, 13),
+    ("cross", 64, 10),
+])
+def test_grid_tv_counts_occupied_cells_as_the_nearest_occupied_grouping(
+        request, fixture, resolution, n_cells):
+    # every point lies in an occupied cell, where the cell labels must
+    # reproduce the occupied-only grouping bit for bit
+    body = request.getfixturevalue(fixture)
+    oracle = GridOracle(body, resolution=resolution)
+    pts = bitmap_uniform(oracle, make_rng(41), 20_000)
+    got = dataclasses.asdict(grid_tv_check(body, pts, n_cells, oracle=oracle))
+    ref = nearest_occupied_tv(body, oracle, pts, n_cells)
+    assert {k: got[k] for k in ref} == ref
+
+
+def two_strips():
+    # two boxes with a free strip between them across the bbox center,
+    # so the cells first in (angle, radius) order are free
+    a = bodies.make_box([0.0, 0.0], [3.0, 1.0])
+    b = bodies.make_box([0.0, 2.0], [3.0, 3.0])
+    return bodies.union([a, b], 6.0)
+
+
+@pytest.mark.parametrize("make_body", [two_strips, None])
+def test_grid_tv_counts_a_free_cell_with_the_occupied_cell_before_it(
+        annulus, make_body):
+    body = make_body() if make_body else annulus
+    oracle = GridOracle(body, resolution=30)
+    lo, hi = body.bbox
+    gx, gy = np.meshgrid(oracle.xs, oracle.ys, indexing="ij")
+    centers = np.column_stack([gx.ravel(), gy.ravel()])
+    rel = centers - (lo + hi) / 2.0
+    order = np.lexsort((np.hypot(rel[:, 0], rel[:, 1]),
+                        np.arctan2(rel[:, 1], rel[:, 0])))
+    occupied = oracle.bitmap.ravel()[order]
+    assert occupied[0] == (make_body is None)
+    runs = np.array_split(order[occupied], 8)
+    # 2 (g + 1) points in run g make the chi-square tell the runs apart
+    base = np.repeat(centers[[run[0] for run in runs]], 2 * np.arange(1, 9), axis=0)
+
+    def check(cell):
+        return grid_tv_check(body, np.vstack([base, centers[cell]]), 8, oracle=oracle)
+
+    by_run = [check(run[0]) for run in runs]
+    assert len({res.chi2_statistic for res in by_run}) == 8
+    run_of = {cell: g for g, run in enumerate(runs) for cell in run}
+    for k in np.flatnonzero(~occupied):
+        before = np.flatnonzero(occupied[:k])
+        # free cells ahead of every occupied one go with the last run
+        g = run_of[order[before[-1]]] if before.size else 7
+        assert check(order[k]) == by_run[g]
+
+
+def test_only_a_body_without_a_distance_builds_the_kd_tree(annulus, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("KD-tree built")
+
+    monkeypatch.setattr(diagnostics, "cKDTree", refuse)
+    p = planner.plan(ANNULUS_PLAN_INPUTS)
+    oracle = GridOracle(annulus, resolution=100)
+    # exact-uniform points, some of them in free cells of the grid
+    pts = bodies.sample_uniform(annulus, make_rng(3), 20_000)
+    ij = oracle.cell_index(pts)
+    assert not oracle.bitmap[ij[:, 0], ij[:, 1]].all()
+    stationary_escape_check(annulus, p.h, 0.5, 2000, make_rng(4), oracle=oracle)
+    per_iteration_checks(annulus, p, 10, make_rng(5), oracle=oracle)
+    certificate_soundness_check(annulus, 0.5, 2000, make_rng(6), oracle=oracle)
+    grid_tv_check(annulus, pts, 16, oracle=oracle)
+    with pytest.raises(AssertionError, match="KD-tree built"):
+        GridOracle(triangle(), resolution=50).distance(np.array([[2.0, 2.0]]))
+
+
+def test_tv_verdict_is_violated_below_the_one_percent_level():
+    def result(p):
+        return TvCheckResult(tv_estimate=0.1, chi2_statistic=20.0, p_value=p,
+                             n_cells=16, n_samples=1000)
+
+    assert diagnostics.TV_LEVEL == 0.01
+    assert result(0.01).verdict == SATISFIED
+    assert result(np.nextafter(0.01, 0.0)).verdict == VIOLATED
+    assert list(dataclasses.asdict(result(0.5))) == [
+        "tv_estimate", "chi2_statistic", "p_value", "n_cells", "n_samples", "verdict"]
 
 
 # ------------------------------------------------------ enlarged volume

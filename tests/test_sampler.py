@@ -194,10 +194,6 @@ def test_validation_of_start_and_seed(unit_disk):
     p = small_plan(5, 0.04, 10)
     with pytest.raises(ValueError):
         run_in_and_out(unit_disk, [2.0, 0.0], p, seed=1)        # outside
-    with pytest.raises(ValueError):
-        run_in_and_out(unit_disk, [0.0, 0.0], p)                # no seed, no rng
-    with pytest.raises(ValueError):
-        run_in_and_out(unit_disk, [0.0, 0.0], p, seed=1, rng=make_rng(1))
 
 
 def test_trial_accounting_matches_oracle_calls(annulus):
@@ -259,7 +255,7 @@ def test_single_chain_ensemble_reduces_to_plain_run(annulus, attempts):
                        p, 1, master)
     rng = make_rng(derive_seed(master, 0))
     x0 = bodies.sample_uniform(annulus, rng)
-    direct = run_in_and_out(annulus, x0, p, rng=rng)
+    direct = sampler._run_chain(annulus, x0, p.h, p.T, p.N, rng)
     assert ens.results[0].point.tolist() == direct.point.tolist()
     assert attempts[:25] == attempts[25:]
     assert ens.results[0].total_trials == direct.total_trials
