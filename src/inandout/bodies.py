@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy
 
 
 class CertificateError(ValueError):
@@ -231,8 +231,8 @@ def make_halfspace_polytope(A, b, inner_center, inner_radius: float) -> Body:
         e = np.zeros(n)
         e[i] = 1.0
         for sign, dest in ((1.0, lo), (-1.0, hi)):
-            res = linprog(sign * e, A_ub=A, b_ub=b, bounds=[(None, None)] * n,
-                          method="highs")
+            res = scipy.optimize.linprog(sign * e, A_ub=A, b_ub=b,
+                                         bounds=[(None, None)] * n, method="highs")
             if not res.success:
                 raise ValueError(
                     f"polytope is unbounded or infeasible along axis {i}: {res.message}"

@@ -24,9 +24,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.spatial import cKDTree
-from scipy.special import erfc
 
 from . import specfun
 from .bodies import Body, sample_uniform
@@ -105,10 +104,10 @@ class GridOracle:
             raise ValueError("no grid cell center lies inside the body")
 
     @functools.cached_property
-    def _tree(self) -> cKDTree:
+    def _tree(self) -> scipy.spatial.cKDTree:
         # built on the first distance query, which only a body without
-        # an analytic distance makes
-        return cKDTree(self.lo + (np.argwhere(self.bitmap) + 0.5) * self.step)
+        # an analytic distance makes; scipy.spatial loads here
+        return scipy.spatial.cKDTree(self.lo + (np.argwhere(self.bitmap) + 0.5) * self.step)
 
     def cell_index(self, pts: np.ndarray) -> np.ndarray:
         """Fine-grid (i, j) index of each point, clipped to the grid."""
@@ -232,6 +231,7 @@ def _gaussian_band(n_cells: int, pad: int, step: float, h: float) -> np.ndarray:
     """
     c = step / math.sqrt(2.0 * h)
     d = np.abs(np.arange(-(n_cells + pad - 1), n_cells + pad))
+    erfc = scipy.special.erfc
     w = 0.5 * (erfc((d - 0.5) * c) - erfc((d + 0.5) * c))
     # a contiguous copy keeps the products on BLAS
     return np.ascontiguousarray(sliding_window_view(w, n_cells)[:, ::-1])

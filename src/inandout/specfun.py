@@ -6,9 +6,10 @@ chi distribution with m degrees of freedom,
     Q_m(r) = Pr(||Z|| >= r),   Z ~ N(0, I_m),
 
 is the regularized upper incomplete gamma function evaluated at
-(m/2, r^2/2), here SciPy's `scipy.special.gammaincc`.  Only
-`scipy.special` is imported: `scipy.stats` would add about 0.6 s to
-every command's start-up.
+(m/2, r^2/2), here SciPy's `scipy.special.gammaincc`.  The module
+imports the bare `scipy` package, which loads no submodule;
+`scipy.special` loads on the first tail evaluated, so commands that
+never evaluate one start on NumPy alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.special import gammaincc
+import scipy
 
 from .planner import step_size_regime
 
@@ -27,7 +28,7 @@ def gamma_q(s: float, x: float) -> float:
         raise ValueError(f"shape must be positive, got {s}")
     if x < 0.0:
         raise ValueError(f"argument must be nonnegative, got {x}")
-    return float(gammaincc(s, x))
+    return float(scipy.special.gammaincc(s, x))
 
 
 def chi_tail(m: int, r: float) -> float:

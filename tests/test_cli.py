@@ -592,12 +592,51 @@ def test_console_script_plan_roundtrip(tmp_path):
     assert json.loads(proc.stdout)["plan"]["T"] == 37519
 
 
-def test_import_loads_no_scipy_stats():
-    # importing scipy.stats costs about 0.6 s, most of a command's
-    # start-up again; the package uses scipy.special, .spatial and .optimize
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, inandout.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True)
+# Importing scipy.special, .spatial and .optimize takes about 0.5 s, twice
+# NumPy's start-up, and scipy.stats about 0.6 s more.  The package imports
+# the bare `scipy`, and each call that needs a submodule loads it.
+SCIPY_SUBMODULES = ("scipy.special", "scipy.spatial", "scipy.optimize", "scipy.stats")
+
+BALL10_BODY = {"kind": "ball", "center": [0.0] * 10, "radius": 1.0}
+
+
+def scipy_loaded(code):
+    """The SCIPY_SUBMODULES that `code` loads in a fresh interpreter."""
+    probe = (f"{code}\nimport json, sys\n"
+             f"print(json.dumps([m for m in {SCIPY_SUBMODULES!r} if m in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("run,loads", [
+    ("import inandout", set()),
+    ("import inandout.cli", set()),
+    (("plan", ANNULUS_BODY), set()),
+    (("sample", ANNULUS_BODY), set()),
+    (("plan", BALL10_BODY), set()),
+    (("sample", BALL10_BODY), set()),
+    (("diagnose", ANNULUS_BODY), {"scipy.special"}),
+], ids=["import", "import-cli", "plan-annulus", "sample-annulus",
+        "plan-ball10", "sample-ball10", "diagnose-annulus"])
+def test_start_up_loads_only_the_scipy_a_command_calls(tmp_path, run, loads):
+    if isinstance(run, tuple):
+        command, body = run
+        cfg = write_config(tmp_path, {
+            "body": body, "plan": ANNULUS_PLAN,
+            "run": {"n_chains": 2, "seed": 42, "t_cap": 50, "n_cap": 100000},
+            "diagnose": {"seed": 7, "n_mc": 20000, "r_grid": [0.25, 0.5],
+                         "t_grid": [0.5]}})
+        argv = [command, "--config", cfg]
+        if command != "plan":
+            argv += ["--out", str(tmp_path / "out")]
+        run = f"from inandout import cli\nassert cli.main({argv!r}) == 0"
+    assert scipy_loaded(run) == loads
+
+
+def test_building_a_polytope_loads_scipy_optimize():
+    # linprog finds the polytope's bounding box
+    square = {"kind": "polytope", "A": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+              "b": [1, 1, 1, 1], "inner_center": [0, 0], "inner_radius": 1}
+    run = f"from inandout import cli\ncli.build_body({square!r})"
+    assert "scipy.optimize" in scipy_loaded(run)

@@ -510,7 +510,8 @@ def test_only_a_body_without_a_distance_builds_the_kd_tree(annulus, monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("KD-tree built")
 
-    monkeypatch.setattr(diagnostics, "cKDTree", refuse)
+    # GridOracle looks the class up on scipy.spatial when it builds a tree
+    monkeypatch.setattr("scipy.spatial.cKDTree", refuse)
     p = planner.plan(ANNULUS_PLAN_INPUTS)
     oracle = GridOracle(annulus, resolution=100)
     # exact-uniform points, some of them in free cells of the grid
