@@ -63,9 +63,3 @@ if np.any(rates > 0):
     print(f"failure-rate slope: {slope:.2e} +- {se:.2e}")
 else:
     print("no chain failed at any iteration")
-
-# the same machinery with an effectively unbounded threshold is the
-# idealized variant; at this step size the two runs rarely differ
-ideal = sampler.run_proximal_ideal(annulus, pts[0], plan.h, 200, seed=5)
-print(f"\nidealized variant from a sampled start: status={ideal.status}, "
-      f"{ideal.total_trials} in-step trials over 200 iterations")

@@ -65,9 +65,9 @@ try:
 except ValueError as e:
     print(f"\nrefused out-of-regime check: {e}")
 
-# the same refusal protects the failure bound when N is too small
+# the same refusal protects the per-iteration bounds when N is too small
 try:
-    diagnostics.stationary_failure_check(disk, dataclasses.replace(plan, N=10),
-                                         100, sampler.make_rng(1))
+    diagnostics.per_iteration_checks(disk, dataclasses.replace(plan, N=10),
+                                     100, sampler.make_rng(1))
 except ValueError as e:
     print(f"refused under-provisioned check: {e}")

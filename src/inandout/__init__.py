@@ -5,7 +5,7 @@ The package couples five pieces, which `cli` runs from a JSON config:
 * `bodies`      -- membership oracles with volume-growth certificates
 * `planner`     -- the full run schedule (T, S, h, N, ...) for a target
                    accuracy, plus consistency and error-bound helpers
-* `sampler`     -- the In-and-Out chain and its idealized variant
+* `sampler`     -- the In-and-Out chain, with its failures recorded
 * `diagnostics` -- falsification checks of every bound (Monte Carlo, and
                    grid quadrature for the per-iteration bounds in 2-D)
 * `specfun`     -- chi tails and the closed-form inequalities behind them

@@ -11,8 +11,8 @@ A certificate (alpha, beta) asserts Vol(X_t) / Vol(X) <= alpha (1 + t
 beta)^n for every t > 0, where X_t is the t-enlargement of X.  The
 constructors below derive certificates for balls, boxes, polytopes with
 a known inscribed ball, finite unions, set differences, and
-star-shaped unions of convex pieces; `naive_sandwich_certificate` is
-the fallback when only an inscribed/circumscribed ball pair is known.
+star-shaped unions of convex pieces; `with_growth` attaches a pair the
+caller certifies by other means.
 
 All membership/interior/distance callables accept a single point of
 shape (n,) or a batch of shape (m, n) and vectorize over the batch.
@@ -45,7 +45,6 @@ class GrowthSource(enum.Enum):
     UNION = "union"
     EXCLUSION = "exclusion"
     MANUAL = "manual"
-    NAIVE_BALL_SANDWICH = "naive_ball_sandwich"
 
 
 @dataclass(frozen=True)
@@ -458,19 +457,9 @@ def star_shaped(parts: Sequence[Body], core_inner_radius: float) -> Body:
     )
 
 
-def naive_sandwich_certificate(r: float, R: float, n: int) -> GrowthCertificate:
-    """Certificate from an inscribed/circumscribed ball pair: ((R/r)^n, 1/R)."""
-    if not (0.0 < r <= R):
-        raise ValueError(f"need 0 < r <= R, got r={r}, R={R}")
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return GrowthCertificate((R / r) ** n, 1.0 / R, GrowthSource.NAIVE_BALL_SANDWICH)
-
-
-def with_growth(body: Body, alpha: float, beta: float,
-                source: GrowthSource = GrowthSource.MANUAL) -> Body:
+def with_growth(body: Body, alpha: float, beta: float) -> Body:
     """Copy of the body carrying a caller-asserted growth certificate."""
-    return dataclasses.replace(body, growth=GrowthCertificate(alpha, beta, source))
+    return dataclasses.replace(body, growth=GrowthCertificate(alpha, beta))
 
 
 # hits a body's claimed volume must expect before zero hits refute it

@@ -143,20 +143,28 @@ class RunConfig:
 
 
 # default and least value of each integer setting; a default of None makes
-# the setting optional, a least value of None admits any integer
-_RUN_INTEGERS = {"n_chains": (1, 1), "seed": (0, None),
+# the setting optional
+_RUN_INTEGERS = {"n_chains": (1, 1), "seed": (0, 0),
                  "t_cap": (None, 1), "n_cap": (None, 1)}
-_DIAGNOSE_INTEGERS = {"seed": (0, None), "n_mc": (20_000, 1),
+_DIAGNOSE_INTEGERS = {"seed": (0, 0), "n_mc": (20_000, 1),
                       "inner_mc": (diagnostics.INNER_MC, 1),
                       "resolution": (diagnostics.RESOLUTION, 2), "n_cells": (16, 2)}
 _DIAGNOSE_NUMBERS = {"r_grid": [0.25, 0.5, 1.0], "t_grid": [0.1, 0.5, 1.0],
                      "h_override": None}
 
 
-def _integer(value, where: str, least: Optional[int] = None) -> int:
+# a seed keys 64-bit generators, so seeds lie in [0, 2^64) and none alias
+_SEED_END = 1 << 64
+
+
+def _integer(value, where: str, least: Optional[int] = None,
+             end: Optional[int] = None) -> int:
     if (not isinstance(value, int) or isinstance(value, bool)
-            or (least is not None and value < least)):
+            or (least is not None and value < least)
+            or (end is not None and value >= end)):
         need = "an integer" if least is None else f"an integer >= {least}"
+        if end is not None:
+            need += f" and < {end}"
         raise ConfigError(f"{where}: need {need}, got {value!r}")
     return value
 
@@ -179,7 +187,8 @@ def _settings(node, integers: dict, numbers: dict, where: str) -> dict:
     out = {**{k: default for k, (default, _) in integers.items()}, **numbers, **node}
     for key, (default, least) in integers.items():
         if out[key] is not None or default is not None:
-            _integer(out[key], f"{where}.{key}", least)
+            _integer(out[key], f"{where}.{key}", least,
+                     _SEED_END if key == "seed" else None)
     return out
 
 
@@ -318,7 +327,8 @@ def cmd_sample(cfg: RunConfig, out_dir: str, seed_override: Optional[int],
     run = cfg.run_node
     n_chains = (run["n_chains"] if chains_override is None
                 else _integer(chains_override, "--chains", 1))
-    seed = run["seed"] if seed_override is None else seed_override
+    seed = (run["seed"] if seed_override is None
+            else _integer(seed_override, "--seed", 0, _SEED_END))
     if run["t_cap"] is not None:
         p = dataclasses.replace(p, T=min(p.T, run["t_cap"]))
     if run["n_cap"] is not None:
@@ -460,7 +470,7 @@ def cmd_diagnose(cfg: RunConfig, out_path: str, seed_override: Optional[int],
     _, body, p = resolve_run(cfg, task="diagnose")
     diag = dict(cfg.diagnose_node)
     if seed_override is not None:
-        diag["seed"] = seed_override
+        diag["seed"] = _integer(seed_override, "--seed", 0, _SEED_END)
     if diag["h_override"] is not None:
         p = dataclasses.replace(p, h=float(diag["h_override"]))
 

@@ -1,4 +1,4 @@
-"""The In-and-Out chain and its ideal (uncapped) variant.
+"""The In-and-Out chain.
 
 One iteration from x does two things:
 
@@ -7,9 +7,7 @@ One iteration from x does two things:
              keeping the first proposal that lands inside the body.
 
 The in-step retries at most N times; running out of attempts ends the
-whole run (Failure).  The ideal variant is the same loop with the
-threshold replaced by a practical cap, reported as a distinct outcome
-because in exact arithmetic it would keep trying forever.
+whole run (Failure).
 
 Randomness: each chain runs on a counter-based Philox generator keyed
 by a 64-bit seed.  Per-chain seeds come from `derive_seed`, a frozen
@@ -35,7 +33,6 @@ _M64 = (1 << 64) - 1
 
 SUCCESS = "success"
 FAILURE = "failure"
-CAP_EXCEEDED = "cap_exceeded"
 
 
 def splitmix64(x: int) -> int:
@@ -61,10 +58,9 @@ def make_rng(seed: int) -> np.random.Generator:
 class RunResult:
     """Outcome of one chain.
 
-    status is "success" (point holds the final iterate), "failure"
+    status is "success" (point holds the final iterate) or "failure"
     (the in-step exhausted its N attempts at iteration failed_at;
-    y_at_failure is the out-step point that could not be re-entered),
-    or "cap_exceeded" (ideal variant hit its practical cap).
+    y_at_failure is the out-step point that could not be re-entered).
     iterations counts the executed iterations, the failing one
     included: T on success, failed_at + 1 otherwise.  total_trials is
     the number of in-step proposals up to each first hit (the paper's
@@ -228,22 +224,6 @@ def run_in_and_out(body: Body, x0, plan: Plan, seed: int) -> RunResult:
     The chain draws from the frozen Philox generator keyed by seed.
     """
     return _run_chain(body, x0, plan.h, plan.T, plan.N, make_rng(seed))
-
-
-def run_proximal_ideal(body: Body, x0, h: float, T: int, seed: int,
-                       attempt_cap: int = 10**9) -> RunResult:
-    """The idealized chain: no failure threshold, only a practical cap.
-
-    Identical trajectory to run_in_and_out for the same seed when no
-    in-step ever exhausts the smaller of the two limits; hitting
-    attempt_cap reports status "cap_exceeded".
-    """
-    if attempt_cap < 1:
-        raise ValueError(f"attempt cap must be >= 1, got {attempt_cap}")
-    res = _run_chain(body, x0, h, T, attempt_cap, make_rng(seed))
-    if res.status == FAILURE:
-        res.status = CAP_EXCEEDED
-    return res
 
 
 @dataclass

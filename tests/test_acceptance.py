@@ -223,11 +223,10 @@ def test_criterion_4_bound_suite(capsys):
                 rng = sampler.make_rng(sampler.derive_seed(41, i))
                 chk = diagnostics.stationary_escape_check(body, p.h, r, 100_000, rng)
                 assert chk.verdict == diagnostics.SATISFIED, chk.to_dict()
+            # both records from one grid quadrature, which takes no draws
             rng = sampler.make_rng(sampler.derive_seed(42, 0))
-            fail = diagnostics.stationary_failure_check(body, p, 10_000, rng)
+            fail, trials = diagnostics.per_iteration_checks(body, p, 10_000, rng)
             assert fail.verdict == diagnostics.SATISFIED, fail.to_dict()
-            rng = sampler.make_rng(sampler.derive_seed(43, 0))
-            trials = diagnostics.expected_trials_check(body, p, 10_000, rng)
             assert trials.verdict == diagnostics.SATISFIED, trials.to_dict()
             lines.append(f"{name}: escape ok, failure {fail.empirical:.2e} <= "
                          f"{fail.theoretical_bound:.2e}, trials "

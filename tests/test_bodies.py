@@ -17,7 +17,6 @@ from inandout.bodies import (
     make_ball,
     make_box,
     make_halfspace_polytope,
-    naive_sandwich_certificate,
     sample_uniform,
     star_shaped,
     union,
@@ -251,15 +250,6 @@ def test_star_shaped_rejects_uncovered_core():
 def test_star_shaped_rejects_nonconvex_parts(annulus, unit_square):
     with pytest.raises(ValueError):
         star_shaped([annulus, unit_square], 0.1)
-
-
-def test_naive_sandwich():
-    cert = naive_sandwich_certificate(0.5, math.sqrt(0.5), 2)
-    assert cert.alpha == pytest.approx(2.0, rel=1e-14)
-    assert cert.beta == pytest.approx(1.0 / math.sqrt(0.5), rel=1e-14)
-    assert cert.source is GrowthSource.NAIVE_BALL_SANDWICH
-    with pytest.raises(ValueError):
-        naive_sandwich_certificate(2.0, 1.0, 2)
 
 
 def test_with_growth_validates():

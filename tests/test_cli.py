@@ -91,6 +91,10 @@ def test_parse_config_rejects_unknown_keys():
     ("plan", "eps", [1]),
     ("plan", "M", None),
     ("plan", "alpha", "x"),
+    # seeds key 64-bit generators: outside [0, 2^64) they would alias
+    ("run", "seed", -1),
+    ("run", "seed", 2**64),
+    ("diagnose", "seed", -1),
 ])
 def test_bad_settings_exit_2(tmp_path, capsys, section, key, value):
     doc = {"body": ANNULUS_BODY, "plan": ANNULUS_PLAN}
@@ -100,6 +104,15 @@ def test_bad_settings_exit_2(tmp_path, capsys, section, key, value):
     out = str(tmp_path / ("run" if section == "run" else "report.json"))
     assert main([command, "--config", cfg, "--out", out]) == EXIT_BAD_CONFIG
     assert f"config.{section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sample", "diagnose"])
+def test_bad_seed_flag_exit_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"body": ANNULUS_BODY, "plan": ANNULUS_PLAN})
+    out = str(tmp_path / ("run" if command == "sample" else "report.json"))
+    assert main([command, "--config", cfg, "--out", out, "--seed", "-1"]) \
+        == EXIT_BAD_CONFIG
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_settings_defaults_filled_once():

@@ -18,7 +18,6 @@ from inandout.diagnostics import (
     TvCheckResult,
     UnsupportedCheck,
     certificate_soundness_check,
-    enlarged_volume_ratio_mc,
     expected_trials_check,
     expected_trials_closed_form,
     failure_rate_slope,
@@ -39,8 +38,8 @@ def triangle():
         [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0],
         [r, r], r)
     R = math.hypot(1.0 - r, r)
-    cert = bodies.naive_sandwich_certificate(r, R, 2)
-    return bodies.with_growth(body, cert.alpha, cert.beta, cert.source)
+    # the inscribed and circumscribed balls give ((R/r)^n, 1/R)
+    return bodies.with_growth(body, (R / r) ** 2, 1.0 / R)
 
 
 def simplex_3d():
@@ -145,7 +144,7 @@ def test_expected_trials_closed_form_matches_simulation():
 def test_grid_oracle_volume(request, fixture, volume):
     body = request.getfixturevalue(fixture)
     oracle = GridOracle(body, resolution=400)
-    assert abs(oracle.bitmap.sum() * oracle.cell_volume - volume) <= 0.01 * volume
+    assert abs(oracle.bitmap.sum() * np.prod(oracle.step) - volume) <= 0.01 * volume
 
 
 def bitmap_uniform(oracle, rng, size):
@@ -326,6 +325,11 @@ def test_trials_check_clamps_unresolvable_conductance():
     assert chk.n_samples == 2000
     zero = re.search(r"(\d+)/2000 outer points had zero inner hits", chk.note)
     assert int(zero.group(1)) > 0 and "clamped" in chk.note
+    # the clamp leaves the trials of the unresolved region out, a bias
+    # toward fewer trials that the SE does not cover, and the note says so
+    assert ("leaves out the trials of the region where the local conductance "
+            "is below 1/300" in chk.note)
+    assert "biased low by an amount its SE does not include" in chk.note
     assert chk.empirical <= 300.0
     assert chk.verdict == SATISFIED
     assert chk.empirical < chk.theoretical_bound  # not saved by the SE
@@ -542,26 +546,26 @@ def test_tv_verdict_is_violated_below_the_one_percent_level():
 
 
 def test_enlarged_ratio_degenerate_t(unit_disk):
-    ratio, se = enlarged_volume_ratio_mc(unit_disk, 0.0, 10_000, make_rng(14))
-    assert ratio == 1.0
-    assert se == 0.0
+    chk = certificate_soundness_check(unit_disk, 0.0, 10_000, make_rng(14))
+    assert chk.empirical == 1.0
+    assert chk.mc_std_error == 0.0
 
 
 def test_enlarged_ratio_disk_unit_dilation(unit_disk):
     # Vol(disk + 1) / Vol(disk) = (2/1)^2 = 4
-    ratio, se = enlarged_volume_ratio_mc(unit_disk, 1.0, 200_000, make_rng(15))
-    assert abs(ratio - 4.0) <= 4.0 * se
+    chk = certificate_soundness_check(unit_disk, 1.0, 200_000, make_rng(15))
+    assert abs(chk.empirical - 4.0) <= 4.0 * chk.mc_std_error
 
 
 def test_enlarged_ratio_annulus_fills_hole(annulus):
     # dilating by the hole radius recovers the full 1.5-disk: ratio 3
-    ratio, se = enlarged_volume_ratio_mc(annulus, 0.5, 200_000, make_rng(16))
-    assert abs(ratio - 3.0) <= 4.0 * se
+    chk = certificate_soundness_check(annulus, 0.5, 200_000, make_rng(16))
+    assert abs(chk.empirical - 3.0) <= 4.0 * chk.mc_std_error
 
 
 def test_enlarged_ratio_validation(unit_disk):
     with pytest.raises(ValueError):
-        enlarged_volume_ratio_mc(unit_disk, -0.1, 100, make_rng(1))
+        certificate_soundness_check(unit_disk, -0.1, 100, make_rng(1))
 
 
 @pytest.mark.parametrize("fixture", ["unit_disk", "unit_square", "annulus",

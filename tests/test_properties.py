@@ -131,9 +131,8 @@ KERNEL_BODIES = {
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(KERNEL_BODIES)), st.integers(0, 50),
-       st.integers(1, 50), st.floats(1e-6, 1.0), st.integers(0, 2**64 - 1),
-       st.booleans())
-def test_chain_record_invariants(name, T, N, h, seed, ideal):
+       st.integers(1, 50), st.floats(1e-6, 1.0), st.integers(0, 2**64 - 1))
+def test_chain_record_invariants(name, T, N, h, seed):
     body, x0 = KERNEL_BODIES[name]
     calls = points = 0
 
@@ -144,13 +143,9 @@ def test_chain_record_invariants(name, T, N, h, seed, ideal):
         return body.membership(pts)
 
     counted = dataclasses.replace(body, membership=counting)
-    if ideal:
-        res = sampler.run_proximal_ideal(counted, x0, h, T, seed=seed,
-                                         attempt_cap=N)
-    else:
-        plan = planner.Plan(eps_prime=0.1, eta=0.025, T=T, S=100.0, h=h, N=N,
-                            T0=0, T_tilde=0.0)
-        res = sampler.run_in_and_out(counted, x0, plan, seed=seed)
+    plan = planner.Plan(eps_prime=0.1, eta=0.025, T=T, S=100.0, h=h, N=N,
+                        T0=0, T_tilde=0.0)
+    res = sampler.run_in_and_out(counted, x0, plan, seed=seed)
     # one call checks the start point; every other one is an in-step's,
     # which tests its trials and, in its last block, points past the hit
     assert calls - 1 == res.membership_calls
@@ -163,7 +158,7 @@ def test_chain_record_invariants(name, T, N, h, seed, ideal):
         assert res.y_at_failure is None
     else:
         # a chain that fails at its last iteration has run T iterations too
-        assert res.status == (sampler.CAP_EXCEEDED if ideal else sampler.FAILURE)
+        assert res.status == sampler.FAILURE
         assert res.iterations == res.failed_at + 1 <= T
         # the out-step point whose N in-step proposals all missed; it may
         # itself lie inside the body
@@ -192,20 +187,15 @@ def reference_chain(body, x0, h, T, N, rng):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(KERNEL_BODIES)), st.integers(0, 50),
-       st.integers(1, 50), st.floats(1e-6, 4.0), st.integers(0, 2**64 - 1),
-       st.booleans())
-def test_blocked_chain_equals_the_one_at_a_time_chain(name, T, N, h, seed, ideal):
+       st.integers(1, 50), st.floats(1e-6, 4.0), st.integers(0, 2**64 - 1))
+def test_blocked_chain_equals_the_one_at_a_time_chain(name, T, N, h, seed):
     body, x0 = KERNEL_BODIES[name]
-    if ideal:
-        res = sampler.run_proximal_ideal(body, x0, h, T, seed=seed, attempt_cap=N)
-    else:
-        plan = planner.Plan(eps_prime=0.1, eta=0.025, T=T, S=100.0, h=h, N=N,
-                            T0=0, T_tilde=0.0)
-        res = sampler.run_in_and_out(body, x0, plan, seed=seed)
+    plan = planner.Plan(eps_prime=0.1, eta=0.025, T=T, S=100.0, h=h, N=N,
+                        T0=0, T_tilde=0.0)
+    res = sampler.run_in_and_out(body, x0, plan, seed=seed)
     failed, failed_at, iterations, total, point, y = reference_chain(
         body, x0, h, T, N, sampler.make_rng(seed))
-    stopped = sampler.CAP_EXCEEDED if ideal else sampler.FAILURE
-    assert res.status == (stopped if failed else sampler.SUCCESS)
+    assert res.status == (sampler.FAILURE if failed else sampler.SUCCESS)
     assert (res.failed_at, res.iterations, res.total_trials) == (failed_at, iterations, total)
     for got, want in ((res.point, point), (res.y_at_failure, y)):
         assert (got is None) == (want is None)

@@ -10,7 +10,6 @@ from scipy import stats
 from inandout import bodies, diagnostics, planner, sampler
 from inandout.planner import Plan, PlanInputs
 from inandout.sampler import (
-    CAP_EXCEEDED,
     FAILURE,
     SUCCESS,
     backward_step,
@@ -20,7 +19,6 @@ from inandout.sampler import (
     make_rng,
     run_ensemble,
     run_in_and_out,
-    run_proximal_ideal,
     splitmix64,
 )
 
@@ -216,33 +214,14 @@ def test_trial_accounting_matches_oracle_calls(annulus):
     assert res.membership_calls < res.total_trials < res.membership_points
 
 
-def test_proximal_matches_thresholded_run(unit_disk, attempts):
-    p = small_plan(40, 0.04, 500)
-    res_a = run_in_and_out(unit_disk, [0.1, 0.2], p, seed=77)
-    res_b = run_proximal_ideal(unit_disk, [0.1, 0.2], 0.04, 40, seed=77,
-                               attempt_cap=500)
-    assert res_a.status == SUCCESS and res_b.status == SUCCESS
-    assert res_a.point.tolist() == res_b.point.tolist()
-    assert attempts[:40] == attempts[40:]
-    assert res_a.total_trials == res_b.total_trials
-
-
 def test_proximal_long_run_stays_inside(unit_square, attempts):
-    res = run_proximal_ideal(unit_square, [0.5, 0.5], 0.01, 10_000, seed=13)
+    # a threshold of 10^9 is never reached: the chain without a failure outcome
+    res = run_in_and_out(unit_square, [0.5, 0.5], small_plan(10_000, 0.01, 10**9),
+                         seed=13)
     assert res.status == SUCCESS
     assert bool(unit_square.membership(res.point))
     assert len(attempts) == res.iterations == 10_000
     assert all(k >= 1 for k in attempts)
-
-
-def test_proximal_cap_exceeded(unit_square, attempts):
-    # a hopeless step size: proposals almost never return to the square
-    res = run_proximal_ideal(unit_square, [0.5, 0.5], 100.0, 50, seed=2,
-                             attempt_cap=5)
-    assert res.status == CAP_EXCEEDED
-    assert res.failed_at is not None
-    assert res.iterations == res.failed_at + 1 == len(attempts)
-    assert attempts[-1] == 5
 
 
 # ------------------------------------------------------------ ensembles
@@ -324,7 +303,7 @@ def test_failure_rate_by_iteration_exact_values():
     results = [
         _record(SUCCESS, 4),
         _record(FAILURE, 1, failed_at=0),
-        _record(CAP_EXCEEDED, 3, failed_at=2),
+        _record(FAILURE, 3, failed_at=2),
         _record(SUCCESS, 0),             # a zero-iteration chain reaches nothing
     ]
     # reached per iteration: 3, 2, 2, 1
