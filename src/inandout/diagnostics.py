@@ -39,7 +39,8 @@ TV_LEVEL = 0.01    # grid_tv is violated when its p-value falls below this
 
 
 class UnsupportedCheck(RuntimeError):
-    """The body lacks what this check needs (e.g. a distance function)."""
+    """The body lacks what this check needs (e.g. a distance function), or
+    the check's draws cannot resolve it (no draw lands in the body)."""
 
 
 @dataclass
@@ -479,7 +480,8 @@ def certificate_soundness_check(body: Body, t: float, n_mc: int,
     bbox inflated by t, classifies points by distance (in X_t iff dist
     <= t; in X via membership) and takes the count ratio.  The std
     error accounts for the nesting of the two events; it is exactly
-    zero at t = 0.
+    zero at t = 0.  When no draw lands in the body, as in high
+    dimension, the check is unsupported at this t and n_mc.
     """
     if body.growth is None:
         raise ValueError("body has no growth certificate")
@@ -495,7 +497,9 @@ def certificate_soundness_check(body: Body, t: float, n_mc: int,
     n_in = int(np.count_nonzero(in_x))
     n_t = int(np.count_nonzero(in_xt))
     if n_in == 0:
-        raise RuntimeError("no Monte Carlo sample landed inside the body")
+        raise UnsupportedCheck(
+            f"none of the n_mc = {n_mc} uniform draws in the bbox inflated by "
+            f"t = {t} landed inside the body")
     ratio = n_t / n_in
     return BoundCheck(
         name=f"certificate_soundness(t={t})",

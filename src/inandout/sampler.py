@@ -16,6 +16,14 @@ independent.  Gaussian variates use numpy's standard_normal (ziggurat);
 this transform is part of the frozen contract for regression tests.
 A chain draws its normals ahead in blocks and hands them out in the
 order of one draw per proposal, so buffering changes no output.
+
+A chain also works out a window of iterations ahead, on the assumption
+that each in-step keeps its first proposal, and tests the window's
+first proposals in one membership call.  `forward_step` and
+`backward_step` still run once per iteration and hand out the window's
+points, bit for bit the ones a step-by-step chain computes, up to the
+first miss; that in-step goes on alone.  The chain's `membership_calls`
+and `membership_points` count one call of _WINDOW points per window.
 """
 
 from __future__ import annotations
@@ -64,10 +72,12 @@ class RunResult:
     iterations counts the executed iterations, the failing one
     included: T on success, failed_at + 1 otherwise.  total_trials is
     the number of in-step proposals up to each first hit (the paper's
-    trial count).  In-steps test proposals in blocks, so the oracle
-    traffic is counted apart: membership_calls and membership_points
-    are the in-steps' calls and the points those calls evaluated, at
-    least total_trials of them.
+    trial count).  In-steps test proposals in blocks and windows test
+    first proposals ahead, so the oracle traffic is counted apart:
+    membership_calls and membership_points are the calls of the
+    in-steps and windows and the points those calls evaluated, at least
+    total_trials of them.  Each window counts one call of _WINDOW
+    points.
     """
 
     status: str
@@ -80,38 +90,71 @@ class RunResult:
     membership_points: int
 
 
-# Rows of a chain's normal buffer: 4096 vectors are 320 KB in 10-D.
-_BUFFER_ROWS = 4096
-# The in-step's first block after a missed proposal, and its largest,
-# which fits the buffer.  One call costs about as much as testing a
-# hundred points in a batch, so stragglers save calls and waste little.
+# Rows of a normal buffer at its first fill and at most: the buffer
+# doubles on each refill, so a chain of a few iterations draws few rows
+# ahead and a long one draws 4096 (320 KB in 10-D) at a time.
+_FIRST_ROWS = 64
+_MAX_ROWS = 4096
+# Iterations a chain works out ahead, assuming every first proposal
+# hits, with all their first proposals tested in one membership call.
+# Most first proposals hit (93% on a 10-D ball, 82% on the README
+# annulus), so a window serves several iterations; 16 measured faster
+# than 8 or 64.  Outputs do not depend on it.
+_WINDOW = 16
+# The in-step's first block after a missed proposal, and its largest.
+# One call costs about as much as testing a hundred points in a batch,
+# so stragglers save calls and waste little.
 _FIRST_BLOCK = 4
 _BLOCK_CAP = 1024
 
 
 class _Normals:
-    """A generator's standard normal vectors, drawn ahead in blocks.
+    """A generator's normal vectors scaled by sqrt(h), drawn ahead.
 
-    Vectors come out in the order that sequential
-    `rng.standard_normal(n)` calls give them, because filling an array
-    makes the same draws.  `standard_normal(n)` consumes one vector (so
-    `forward_step` takes a stream like a generator), `peek(k)` returns
-    the next k without consuming them and `skip(j)`, j <= k, consumes
-    the first j of them.  Returned arrays are views of the buffer, valid
-    until the next draw.  The buffer holds `rows` vectors, or the
-    largest peek if that is more.  The in-steps that draw from the
-    stream tally their membership calls and points on it.
+    Row i is `math.sqrt(h) * v`, where v is the i-th vector that
+    sequential `rng.standard_normal(n)` calls give: filling an array
+    makes the same draws, and scaling it rounds each product as scaling
+    one row does.  `draw(n)` consumes one row, `peek(k)` returns the
+    next k without consuming them and `skip(j)`, j <= k, consumes the
+    first j of them.  Returned arrays are views of the buffer, valid
+    until the next draw.  The buffer holds `rows` rows at its first
+    fill and doubles on each refill up to 4096, or grows to the largest
+    peek if that is more.  Steps of another size than h are refused.
+
+    A chain's stream also holds the chain's body and serves its
+    out-steps and first in-step proposals from a window.  `out_step(x)`
+    opens one unless x is the point the window handed out last: from x
+    it adds the next 2 * _WINDOW rows in turn (the out-step point, then
+    the first proposal from it, iteration after iteration, as if every
+    first proposal hits) and tests all _WINDOW proposals in one
+    membership call.  Each out-step point and each first proposal is
+    then the sum a chain computes one iteration at a time, with the same
+    bits.  `window_proposal` hands the proposals out up to the first
+    miss, where the window ends.  Handed-out points are views of the
+    window and must not be written to.  The in-steps and windows that
+    draw from the stream tally their membership calls and points on it;
+    a window counts one call of _WINDOW points.
     """
 
-    __slots__ = ("rng", "buf", "pos", "end", "membership_calls", "membership_points")
+    __slots__ = ("rng", "h", "body", "buf", "pos", "end", "window", "next", "hits",
+                 "last", "membership_calls", "membership_points")
 
-    def __init__(self, rng: np.random.Generator, n: int, rows: int = _BUFFER_ROWS):
-        self.rng = rng
+    def __init__(self, rng: np.random.Generator, n: int, h: float,
+                 body: Optional[Body] = None, rows: Optional[int] = None):
+        self.rng, self.h, self.body = rng, h, body
+        if rows is None:
+            rows = max(_FIRST_ROWS, 2 * _WINDOW)
         self.buf = np.empty((rows, n))
         self.pos = self.end = 0  # rows pos..end-1 are drawn and not consumed
+        # window rows: 0 is the start point, 2j - 1 the j-th out-step
+        # point and 2j its first proposal, and hits[j - 1] says whether
+        # that proposal is inside the body.  `next` is the row handed out
+        # next, after `last`.
+        self.window = self.last = self.hits = None
+        self.next = 0
         self.membership_calls = self.membership_points = 0
 
-    def standard_normal(self, n: int) -> np.ndarray:
+    def draw(self, n: int) -> np.ndarray:
         if n != self.buf.shape[1]:
             raise ValueError(f"stream draws {self.buf.shape[1]}-vectors, asked for {n}")
         if self.pos == self.end:
@@ -128,23 +171,83 @@ class _Normals:
         self.pos += k
 
     def _refill(self, k: int):
-        # keep the undrawn rest in front and fill the buffer behind it
+        # keep the undrawn rest in front and fill the rows behind it
         rest = self.end - self.pos
-        if k > self.buf.shape[0]:
-            grown = np.empty((k, self.buf.shape[1]))
+        rows = self.buf.shape[0]
+        if self.end:  # not the first fill
+            rows = min(2 * rows, _MAX_ROWS)
+        rows = max(rows, k)
+        if rows != self.buf.shape[0]:
+            grown = np.empty((rows, self.buf.shape[1]))
             grown[:rest] = self.buf[self.pos:self.end]
             self.buf = grown
         else:
             self.buf[:rest] = self.buf[self.pos:self.end]
-        self.rng.standard_normal(out=self.buf[rest:])
-        self.pos, self.end = 0, self.buf.shape[0]
+        fresh = self.buf[rest:]
+        self.rng.standard_normal(out=fresh)
+        np.multiply(fresh, math.sqrt(self.h), out=fresh)
+        self.pos, self.end = 0, rows
+
+    def out_step(self, x: np.ndarray, h: float) -> np.ndarray:
+        """The out-step point from x, the next window row if x is `last`."""
+        if h != self.h:
+            raise ValueError(f"stream draws steps of size {self.h}, asked for {h}")
+        win = self.window
+        # row `next` is `last` plus the next row of the stream, so it is
+        # the step from x when x is `last`
+        if win is None or x is not self.last or self.next == win.shape[0]:
+            if x.shape != (self.buf.shape[1],):
+                raise ValueError(f"stream draws {self.buf.shape[1]}-vectors, "
+                                 f"asked for a step from shape {x.shape}")
+            win = np.empty((2 * _WINDOW + 1, x.shape[0]))
+            win[0] = x
+            win[1:] = self.peek(2 * _WINDOW)
+            np.add.accumulate(win, axis=0, out=win)
+            self.hits = self.body.membership(win[2::2])
+            self.membership_calls += 1
+            self.membership_points += _WINDOW
+            self.window, self.next = win, 1
+        self.pos += 1
+        self.last = win[self.next]
+        self.next += 1
+        return self.last
+
+    def window_proposal(self, y, h: float, body: Body):
+        """The first in-step proposal from y and whether it hits, or None.
+
+        The proposal comes from the window, and consumes its row, when
+        y is the out-step point the window handed out last and body is
+        the window's.  Otherwise, and after a miss, the window is
+        dropped.
+        """
+        if h != self.h:
+            raise ValueError(f"stream draws steps of size {self.h}, asked for {h}")
+        win = self.window
+        # an odd `next` is an out-step row, which no membership call tested
+        if win is None or y is not self.last or self.next % 2 or body is not self.body:
+            self.window = None
+            return None
+        self.pos += 1
+        x = win[self.next]
+        if not self.hits[self.next // 2 - 1]:
+            self.window = None  # the in-step goes on past this row
+            return x, False
+        self.last = x
+        self.next += 1
+        return x, True
 
 
 def forward_step(x: np.ndarray, h: float, rng: np.random.Generator) -> np.ndarray:
-    """The out-step: one Gaussian move of scale sqrt(h)."""
+    """The out-step: one Gaussian move of scale sqrt(h).
+
+    A chain passes its normal stream, which hands out the point from its
+    window (see `_Normals`).
+    """
     if not (h > 0.0):
         raise ValueError(f"step size must be positive, got {h}")
     x = np.asarray(x, dtype=float)
+    if isinstance(rng, _Normals):
+        return rng.out_step(x, h)
     return x + math.sqrt(h) * rng.standard_normal(x.shape[0])
 
 
@@ -153,31 +256,38 @@ def backward_step(y: np.ndarray, h: float, N: int, body: Body,
     """The in-step: rejection-sample N(y, h I) restricted to the body.
 
     Returns (point, attempts) on success and (None, N) when all N
-    attempts landed outside.  The first proposal is tested alone; after
-    a miss the next ones are tested in blocks of 4, 8, ... up to 1024,
-    one membership call per block.  Only the proposals up to the first
-    hit are consumed, so the point, `attempts` and the stream position
-    are those of testing one proposal at a time, while the body sees up
-    to a block of points past the hit.  A chain passes its normal
-    stream; a bare Generator is wrapped in one and read ahead by up to
-    one block.
+    attempts landed outside.  A chain passes its normal stream, and when
+    y is the out-step point that `forward_step` just returned from it,
+    the first proposal comes from the stream's window, already tested
+    in the window's one membership call of _WINDOW points.  Otherwise
+    the first proposal is tested alone.  After a miss the next ones are
+    tested in blocks of 4, 8, ... up to 1024, one membership call per
+    block.  Only the proposals up to the first hit are consumed, so the
+    point, `attempts` and the stream position are those of testing one
+    proposal at a time, while the body sees points past the hit.  A
+    bare Generator is wrapped in a stream of its own and read ahead.
     """
     if not (h > 0.0):
         raise ValueError(f"step size must be positive, got {h}")
     if N < 1:
         raise ValueError(f"attempt threshold must be >= 1, got {N}")
     y = np.asarray(y, dtype=float)
-    normals = rng if isinstance(rng, _Normals) else _Normals(rng, y.shape[0], rows=1)
-    sqrt_h = math.sqrt(h)
-    x = y + sqrt_h * normals.standard_normal(y.shape[0])
-    normals.membership_calls += 1
-    normals.membership_points += 1
-    if body.membership(x):
-        return x, 1
+    if isinstance(rng, _Normals):
+        normals, first = rng, rng.window_proposal(y, h, body)
+    else:
+        normals, first = _Normals(rng, y.shape[0], h, rows=1), None
+    if first is None:
+        x = y + normals.draw(y.shape[0])
+        normals.membership_calls += 1
+        normals.membership_points += 1
+        if body.membership(x):
+            return x, 1
+    elif first[1]:
+        return first[0], 1
     k, block = 1, _FIRST_BLOCK
     while k < N:
         m = min(block, N - k)
-        xs = y + sqrt_h * normals.peek(m)
+        xs = y + normals.peek(m)
         normals.membership_calls += 1
         normals.membership_points += m
         hit = body.membership(xs)
@@ -200,7 +310,7 @@ def _run_chain(body: Body, x0, h: float, T: int, N: int,
         raise ValueError("start point is outside the body")
     if T < 0:
         raise ValueError(f"iteration count must be >= 0, got {T}")
-    normals = _Normals(rng, body.dim)
+    normals = _Normals(rng, body.dim, h, body)
     total = 0
     for i in range(T):
         y = forward_step(x, h, normals)

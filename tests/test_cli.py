@@ -574,6 +574,25 @@ def test_diagnose_command_skips_unsupported_in_5d(tmp_path):
     assert all(c["verdict"] == "satisfied" for c in ran)
 
 
+def test_diagnose_skips_a_certificate_check_no_draw_resolves(tmp_path):
+    # at t = 1 the 10-D unit ball fills 2.4e-6 of its inflated bbox, so
+    # no draw lands inside; the record is skipped and the report written
+    cfg = write_config(tmp_path, {
+        "body": {"kind": "ball", "center": [0] * 10, "radius": 1.0},
+        "plan": {"q": 2, "eps": 0.2, "M": 1, "C_PI": 4},
+        "diagnose": {"seed": 1, "n_mc": 200, "inner_mc": 20,
+                     "r_grid": [0.5], "t_grid": [1.0]},
+    })
+    out = tmp_path / "report.json"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) \
+        in (EXIT_OK, EXIT_CHECK_FAILED)
+    checks = {c["name"]: c for c in
+              json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    skipped = checks["certificate_soundness(t=1.0)"]
+    assert skipped["status"] == "skipped"
+    assert "n_mc = 200" in skipped["reason"] and "t = 1.0" in skipped["reason"]
+
+
 # ------------------------------------------------------------ I/O paths
 
 

@@ -19,6 +19,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -201,6 +202,31 @@ def test_blocked_chain_equals_the_one_at_a_time_chain(name, T, N, h, seed):
         assert (got is None) == (want is None)
         if want is not None:
             assert got.tobytes() == want.tobytes()
+
+
+def _chain_outcome(res):
+    """Everything a chain reports but its oracle traffic."""
+    return (res.status, res.failed_at, res.iterations, res.total_trials,
+            None if res.point is None else res.point.tobytes(),
+            None if res.y_at_failure is None else res.y_at_failure.tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BODIES))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 50), st.integers(1, 50), st.floats(1e-6, 4.0),
+       st.integers(0, 2**64 - 1))
+def test_chain_does_not_depend_on_the_window(name, T, N, h, seed):
+    # a window of one iteration tests each first proposal alone; longer
+    # ones test ahead past misses, and none may change an output
+    body, x0 = KERNEL_BODIES[name]
+    plan = planner.Plan(eps_prime=0.1, eta=0.025, T=T, S=100.0, h=h, N=N,
+                        T0=0, T_tilde=0.0)
+    outcomes = []
+    for window in (1, 2, 16, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "_WINDOW", window)
+            outcomes.append(_chain_outcome(sampler.run_in_and_out(body, x0, plan, seed)))
+    assert outcomes[1:] == outcomes[:-1]
 
 
 # ------------------------------------------------ combinator certificates
