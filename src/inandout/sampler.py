@@ -17,12 +17,13 @@ this transform is part of the frozen contract for regression tests.
 A chain draws its normals ahead in blocks and hands them out in the
 order of one draw per proposal, so buffering changes no output.
 
-A chain also works out a window of iterations ahead, on the assumption
-that each in-step keeps its first proposal, and tests the window's
-first proposals in one membership call.  `forward_step` and
-`backward_step` still run once per iteration and hand out the window's
-points, bit for bit the ones a step-by-step chain computes, up to the
-first miss; that in-step goes on alone.  The chain's `membership_calls`
+The chain works a window of iterations ahead, on the assumption that
+each in-step keeps its first proposal: from x it adds the next normals
+in turn into out-step points and first proposals, and tests the
+window's first proposals in one membership call.  Each in-step then
+takes its first proposal from the window; up to the first miss every
+point is, bit for bit, the one a step-by-step chain computes, and the
+iteration that misses ends the window.  The chain's `membership_calls`
 and `membership_points` count one call of _WINDOW points per window.
 """
 
@@ -72,9 +73,9 @@ class RunResult:
     iterations counts the executed iterations, the failing one
     included: T on success, failed_at + 1 otherwise.  total_trials is
     the number of in-step proposals up to each first hit (the paper's
-    trial count).  In-steps test proposals in blocks and windows test
-    first proposals ahead, so the oracle traffic is counted apart:
-    membership_calls and membership_points are the calls of the
+    trial count).  In-steps test proposals in blocks and the chain tests
+    its windows' first proposals ahead, so the oracle traffic is counted
+    apart: membership_calls and membership_points are the calls of the
     in-steps and windows and the points those calls evaluated, at least
     total_trials of them.  Each window counts one call of _WINDOW
     points.
@@ -119,39 +120,16 @@ class _Normals:
     first j of them.  Returned arrays are views of the buffer, valid
     until the next draw.  The buffer holds `rows` rows at its first
     fill and doubles on each refill up to 4096, or grows to the largest
-    peek if that is more.  Steps of another size than h are refused.
-
-    A chain's stream also holds the chain's body and serves its
-    out-steps and first in-step proposals from a window.  `out_step(x)`
-    opens one unless x is the point the window handed out last: from x
-    it adds the next 2 * _WINDOW rows in turn (the out-step point, then
-    the first proposal from it, iteration after iteration, as if every
-    first proposal hits) and tests all _WINDOW proposals in one
-    membership call.  Each out-step point and each first proposal is
-    then the sum a chain computes one iteration at a time, with the same
-    bits.  `window_proposal` hands the proposals out up to the first
-    miss, where the window ends.  Handed-out points are views of the
-    window and must not be written to.  The in-steps and windows that
-    draw from the stream tally their membership calls and points on it;
-    a window counts one call of _WINDOW points.
+    peek if that is more.  The in-steps and windows that draw from the
+    stream tally their membership calls and points on it.
     """
 
-    __slots__ = ("rng", "h", "body", "buf", "pos", "end", "window", "next", "hits",
-                 "last", "membership_calls", "membership_points")
+    __slots__ = ("rng", "h", "buf", "pos", "end", "membership_calls", "membership_points")
 
-    def __init__(self, rng: np.random.Generator, n: int, h: float,
-                 body: Optional[Body] = None, rows: Optional[int] = None):
-        self.rng, self.h, self.body = rng, h, body
-        if rows is None:
-            rows = max(_FIRST_ROWS, 2 * _WINDOW)
+    def __init__(self, rng: np.random.Generator, n: int, h: float, rows: int = _FIRST_ROWS):
+        self.rng, self.h = rng, h
         self.buf = np.empty((rows, n))
         self.pos = self.end = 0  # rows pos..end-1 are drawn and not consumed
-        # window rows: 0 is the start point, 2j - 1 the j-th out-step
-        # point and 2j its first proposal, and hits[j - 1] says whether
-        # that proposal is inside the body.  `next` is the row handed out
-        # next, after `last`.
-        self.window = self.last = self.hits = None
-        self.next = 0
         self.membership_calls = self.membership_points = 0
 
     def draw(self, n: int) -> np.ndarray:
@@ -188,94 +166,44 @@ class _Normals:
         np.multiply(fresh, math.sqrt(self.h), out=fresh)
         self.pos, self.end = 0, rows
 
-    def out_step(self, x: np.ndarray, h: float) -> np.ndarray:
-        """The out-step point from x, the next window row if x is `last`."""
-        if h != self.h:
-            raise ValueError(f"stream draws steps of size {self.h}, asked for {h}")
-        win = self.window
-        # row `next` is `last` plus the next row of the stream, so it is
-        # the step from x when x is `last`
-        if win is None or x is not self.last or self.next == win.shape[0]:
-            if x.shape != (self.buf.shape[1],):
-                raise ValueError(f"stream draws {self.buf.shape[1]}-vectors, "
-                                 f"asked for a step from shape {x.shape}")
-            win = np.empty((2 * _WINDOW + 1, x.shape[0]))
-            win[0] = x
-            win[1:] = self.peek(2 * _WINDOW)
-            np.add.accumulate(win, axis=0, out=win)
-            self.hits = self.body.membership(win[2::2])
-            self.membership_calls += 1
-            self.membership_points += _WINDOW
-            self.window, self.next = win, 1
-        self.pos += 1
-        self.last = win[self.next]
-        self.next += 1
-        return self.last
-
-    def window_proposal(self, y, h: float, body: Body):
-        """The first in-step proposal from y and whether it hits, or None.
-
-        The proposal comes from the window, and consumes its row, when
-        y is the out-step point the window handed out last and body is
-        the window's.  Otherwise, and after a miss, the window is
-        dropped.
-        """
-        if h != self.h:
-            raise ValueError(f"stream draws steps of size {self.h}, asked for {h}")
-        win = self.window
-        # an odd `next` is an out-step row, which no membership call tested
-        if win is None or y is not self.last or self.next % 2 or body is not self.body:
-            self.window = None
-            return None
-        self.pos += 1
-        x = win[self.next]
-        if not self.hits[self.next // 2 - 1]:
-            self.window = None  # the in-step goes on past this row
-            return x, False
-        self.last = x
-        self.next += 1
-        return x, True
-
 
 def forward_step(x: np.ndarray, h: float, rng: np.random.Generator) -> np.ndarray:
     """The out-step: one Gaussian move of scale sqrt(h).
 
-    A chain passes its normal stream, which hands out the point from its
-    window (see `_Normals`).
+    A chain makes its out-steps in its windows, with the same bits (see
+    the module docstring); this is the one-step form.
     """
     if not (h > 0.0):
         raise ValueError(f"step size must be positive, got {h}")
     x = np.asarray(x, dtype=float)
-    if isinstance(rng, _Normals):
-        return rng.out_step(x, h)
     return x + math.sqrt(h) * rng.standard_normal(x.shape[0])
 
 
 def backward_step(y: np.ndarray, h: float, N: int, body: Body,
-                  rng: np.random.Generator):
+                  rng: np.random.Generator, first: Optional[tuple] = None):
     """The in-step: rejection-sample N(y, h I) restricted to the body.
 
     Returns (point, attempts) on success and (None, N) when all N
-    attempts landed outside.  A chain passes its normal stream, and when
-    y is the out-step point that `forward_step` just returned from it,
-    the first proposal comes from the stream's window, already tested
-    in the window's one membership call of _WINDOW points.  Otherwise
-    the first proposal is tested alone.  After a miss the next ones are
-    tested in blocks of 4, 8, ... up to 1024, one membership call per
-    block.  Only the proposals up to the first hit are consumed, so the
-    point, `attempts` and the stream position are those of testing one
-    proposal at a time, while the body sees points past the hit.  A
-    bare Generator is wrapped in a stream of its own and read ahead.
+    attempts landed outside.  rng is a Generator, which is wrapped in a
+    stream of its own and read ahead, or a chain's normal stream, which
+    must be drawn for h.  A chain passes `first=(point, hit)`, its
+    window's first proposal from y and whether it is inside the body,
+    with its row already consumed: a hit is returned as it is, and a
+    miss goes on from attempt 2.  Otherwise the first proposal is
+    tested alone.  After a miss the next ones are tested in blocks of
+    4, 8, ... up to 1024, one membership call per block.  Only the
+    proposals up to the first hit are consumed, so the point,
+    `attempts` and the stream position are those of testing one
+    proposal at a time, while the body sees points past the hit.
     """
     if not (h > 0.0):
         raise ValueError(f"step size must be positive, got {h}")
     if N < 1:
         raise ValueError(f"attempt threshold must be >= 1, got {N}")
     y = np.asarray(y, dtype=float)
-    if isinstance(rng, _Normals):
-        normals, first = rng, rng.window_proposal(y, h, body)
-    else:
-        normals, first = _Normals(rng, y.shape[0], h, rows=1), None
+    normals = rng if isinstance(rng, _Normals) else _Normals(rng, y.shape[0], h, rows=1)
+    if h != normals.h:
+        raise ValueError(f"stream draws steps of size {normals.h}, asked for {h}")
     if first is None:
         x = y + normals.draw(y.shape[0])
         normals.membership_calls += 1
@@ -310,18 +238,32 @@ def _run_chain(body: Body, x0, h: float, T: int, N: int,
         raise ValueError("start point is outside the body")
     if T < 0:
         raise ValueError(f"iteration count must be >= 0, got {T}")
-    normals = _Normals(rng, body.dim, h, body)
-    total = 0
-    for i in range(T):
-        y = forward_step(x, h, normals)
-        xn, k = backward_step(y, h, N, body, normals)
-        total += k
-        if xn is None:
-            return RunResult(status=FAILURE, point=None, failed_at=i, y_at_failure=y,
-                             iterations=i + 1, total_trials=total,
-                             membership_calls=normals.membership_calls,
-                             membership_points=normals.membership_points)
-        x = xn
+    normals = _Normals(rng, body.dim, h)
+    total = i = 0
+    while i < T:
+        # row 0 is x, row 2j + 1 the j-th out-step point and row 2j + 2
+        # its first proposal, as if every first proposal before it hit
+        win = np.empty((2 * _WINDOW + 1, body.dim))
+        win[0] = x
+        win[1:] = normals.peek(2 * _WINDOW)
+        np.add.accumulate(win, axis=0, out=win)
+        hits = body.membership(win[2::2])
+        normals.membership_calls += 1
+        normals.membership_points += _WINDOW
+        for j in range(min(_WINDOW, T - i)):
+            y = win[2 * j + 1]
+            normals.skip(2)
+            xn, k = backward_step(y, h, N, body, normals,
+                                  first=(win[2 * j + 2], hits[j]))
+            total += k
+            if xn is None:
+                return RunResult(status=FAILURE, point=None, failed_at=i, y_at_failure=y,
+                                 iterations=i + 1, total_trials=total,
+                                 membership_calls=normals.membership_calls,
+                                 membership_points=normals.membership_points)
+            x, i = xn, i + 1
+            if k > 1:  # past the first miss the window's points are not the chain's
+                break
     return RunResult(status=SUCCESS, point=x, failed_at=None, y_at_failure=None,
                      iterations=T, total_trials=total,
                      membership_calls=normals.membership_calls,

@@ -139,93 +139,30 @@ def test_normal_buffer_doubles_from_64_rows_to_4096():
 def test_backward_step_consumes_only_up_to_the_first_hit(annulus):
     # y deep in the hole: the first hit comes several blocks in, past
     # refills of a 5-row buffer, and the stream then stands where one
-    # draw per proposal would stand
+    # draw per proposal would stand.  A missed first proposal handed in,
+    # its row consumed, goes on from attempt 2 the same way; a hit
+    # handed in comes back untested, and the stream stays where it was.
     y, h = np.array([0.3, 0.0]), 0.01
     reference = make_rng(4)
-    k = 0
-    while True:
-        k += 1
-        x = y + math.sqrt(h) * reference.standard_normal(2)
-        if annulus.membership(x):
-            break
+    draws = []
+    while not draws or not annulus.membership(y + draws[-1]):
+        draws.append(math.sqrt(h) * reference.standard_normal(2))
+    after = math.sqrt(h) * reference.standard_normal(2)
+    for first in (None, (y + draws[0], False)):
+        stream = sampler._Normals(make_rng(4), 2, h, rows=5)
+        if first is not None:
+            stream.draw(2)
+        point, attempts = backward_step(y, h, 10_000, annulus, stream, first=first)
+        assert attempts == len(draws) > 13
+        assert point.tobytes() == (y + draws[-1]).tobytes()
+        assert stream.draw(2).tobytes() == after.tobytes()
     stream = sampler._Normals(make_rng(4), 2, h, rows=5)
-    point, attempts = backward_step(y, h, 10_000, annulus, stream)
-    assert attempts == k > 13
-    assert point.tobytes() == x.tobytes()
-    assert stream.draw(2).tobytes() == (math.sqrt(h) * reference.standard_normal(2)).tobytes()
-
-
-def test_stale_points_take_the_sequential_path(annulus):
-    # the window serves a step only from the very point it handed out
-    # last, and an in-step only from its out-step point with its body.
-    # Copies, moved points, another body and an in-step from the in-step
-    # point all drop it, two out-steps in a row do not, and every step
-    # equals one proposal at a time.
-    h, N = 0.01, 10_000
-    sqrt_h = math.sqrt(h)
-    reference = make_rng(8)
-    shift = np.array([1e-3, 0.0])
-    # the annulus up to radius 0.8: it refuses some of the window's hits
-    smaller = bodies.exclusion(bodies.make_ball([0.0, 0.0], 0.8),
-                               bodies.make_ball([0.0, 0.0], 0.5), 0.39 * math.pi)
-
-    def in_step(y, body):
-        k = 0
-        while True:
-            k += 1
-            x = y + sqrt_h * reference.standard_normal(2)
-            if body.membership(x):
-                return x, k
-
-    stream = sampler._Normals(make_rng(8), 2, h, annulus)
-    x = np.array([0.75, 0.0])
-    for i in range(200):
-        x = (x, x.copy(), x + shift)[i % 3]
-        want_y = x + sqrt_h * reference.standard_normal(2)
-        y = forward_step(x, h, stream)
-        assert y.tobytes() == want_y.tobytes()
-        if i % 6 == 1:  # two out-steps in a row
-            want_y = y + sqrt_h * reference.standard_normal(2)
-            y = forward_step(y, h, stream)
-            assert y.tobytes() == want_y.tobytes()
-        y = (y, y.copy(), y + shift)[i // 3 % 3]
-        body = smaller if i % 5 == 0 else annulus
-        want_x, k = in_step(y, body)
-        x, attempts = backward_step(y, h, N, body, stream)
-        assert (attempts, x.tobytes()) == (k, want_x.tobytes())
-        if i % 4 == 0:
-            want_x, k = in_step(x, annulus)
-            x, attempts = backward_step(x, h, N, annulus, stream)
-            assert (attempts, x.tobytes()) == (k, want_x.tobytes())
-    assert stream.draw(2).tobytes() == (sqrt_h * reference.standard_normal(2)).tobytes()
-    with pytest.raises(ValueError):
-        forward_step(x, 2 * h, stream)
-    with pytest.raises(ValueError):
-        backward_step(x, 2 * h, N, annulus, stream)
-
-
-def test_an_out_step_from_a_missed_in_step_draws_afresh(thin_box):
-    # nearly every proposal misses the sliver, and N = 1 ends each
-    # in-step at its first proposal; the next out-step starts from the
-    # same out-step point, which the window handed out last
-    h, sqrt_h = 0.25, 0.5
-    reference = make_rng(3)
-    stream = sampler._Normals(make_rng(3), 2, h, thin_box)
-    y = np.array([0.5, 5e-4])
-    misses = 0
-    for _ in range(20):
-        want_y = y + sqrt_h * reference.standard_normal(2)
-        y = forward_step(y, h, stream)
-        assert y.tobytes() == want_y.tobytes()
-        want_x = y + sqrt_h * reference.standard_normal(2)
-        x, attempts = backward_step(y, h, 1, thin_box, stream)
-        assert attempts == 1
-        if thin_box.membership(want_x):
-            assert x.tobytes() == want_x.tobytes()
-        else:
-            assert x is None
-            misses += 1
-    assert misses > 10
+    untested = dataclasses.replace(annulus, membership=None)
+    hit = np.array([0.75, 0.0])
+    point, attempts = backward_step(y, h, 10_000, untested, stream, first=(hit, True))
+    assert (point.tobytes(), attempts) == (hit.tobytes(), 1)
+    assert stream.membership_calls == stream.membership_points == 0
+    assert stream.draw(2).tobytes() == draws[0].tobytes()
 
 
 def test_backward_step_validation(unit_disk):
@@ -234,6 +171,9 @@ def test_backward_step_validation(unit_disk):
         backward_step(np.zeros(2), 0.0, 5, unit_disk, rng)
     with pytest.raises(ValueError):
         backward_step(np.zeros(2), 0.1, 0, unit_disk, rng)
+    # a chain's stream is drawn for one step size
+    with pytest.raises(ValueError):
+        backward_step(np.zeros(2), 0.2, 5, unit_disk, sampler._Normals(rng, 2, 0.1))
 
 
 # -------------------------------------------------------------- chains
