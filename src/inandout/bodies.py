@@ -112,10 +112,20 @@ class Body:
 
 
 def _radius(pts, center) -> np.ndarray:
-    # Euclidean distance to center: the operations of
+    # Euclidean distance to center: the bits of
     # np.linalg.norm(..., axis=-1), without its dispatch
     d = np.asarray(pts, dtype=float) - center
-    return np.sqrt(np.add.reduce(d * d, axis=-1))
+    d *= d
+    n = d.shape[-1]
+    if n >= 8:
+        return np.sqrt(np.add.reduce(d, axis=-1))
+    # np.add.reduce adds fewer than 8 terms in order (from 8 on it sums
+    # pairwise), so adding the columns gives its bits without its inner
+    # loop over each row
+    s = d[..., 0]
+    for k in range(1, n):
+        s = s + d[..., k]
+    return np.sqrt(s)
 
 
 def unit_ball_volume(n: int) -> float:
@@ -377,7 +387,7 @@ def exclusion(outer: Body, hole: Body, remaining_volume: float) -> Body:
         # with the same bits as the two tests
         def membership(pts):
             rho = _radius(pts, c_out)
-            return (rho <= r_out) & ~(rho < r_in)
+            return (rho <= r_out) & (rho >= r_in)
     else:
         def membership(pts):
             return outer_mem(pts) & ~hole_int(pts)

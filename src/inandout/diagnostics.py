@@ -95,9 +95,12 @@ class GridOracle:
         self.step = (hi - lo) / resolution
         self.xs = lo[0] + (np.arange(resolution) + 0.5) * self.step[0]
         self.ys = lo[1] + (np.arange(resolution) + 0.5) * self.step[1]
-        gx, gy = np.meshgrid(self.xs, self.ys, indexing="ij")
-        centers = np.column_stack([gx.ravel(), gy.ravel()])
-        self.bitmap = np.asarray(body.membership(centers)).reshape(resolution, resolution)
+        # cell (i, j) is row i * resolution + j, at (xs[i], ys[j])
+        centers = np.empty((resolution, resolution, 2))
+        centers[..., 0] = self.xs[:, None]
+        centers[..., 1] = self.ys
+        self.bitmap = np.asarray(body.membership(centers.reshape(-1, 2))).reshape(
+            resolution, resolution)
         self.n_occupied = int(np.count_nonzero(self.bitmap))
         if self.n_occupied == 0:
             raise ValueError("no grid cell center lies inside the body")
@@ -413,18 +416,73 @@ class TvCheckResult:
         self.verdict = SATISFIED if self.p_value >= TV_LEVEL else VIOLATED
 
 
+# a cell's place in grid_tv's order; structured arrays compare field by field
+_CELL_KEY = np.dtype([("angle", float), ("radius", float), ("index", np.intp)])
+
+
+def _cell_labels(oracle: GridOracle, center: np.ndarray, n_cells: int) -> np.ndarray:
+    """grid_tv's run of every grid cell, by flat index, without sorting the grid.
+
+    In (angle, radius, flat index) order around center, the occupied
+    cells of ranks 0, s_1, s_2, ... (np.array_split's offsets) start
+    the n_cells runs, and a cell's run is the number of run starts at or
+    before it, minus one; a cell ahead of every start is in the last
+    run.  The starts' angles are read off the occupied cells' sorted
+    angles (one float key, faster than np.partition at those ranks),
+    and one search of every cell's angle among them counts its starts.
+    Radius and index decide only at an exact angle tie, so hypot is
+    taken only for the cells at a start's angle.
+    """
+    rx = (oracle.xs - center[0])[:, None]
+    ry = (oracle.ys - center[1])[None, :]
+    angle = np.arctan2(ry, rx).ravel()
+
+    def keys(cells):
+        k = np.empty(cells.size, _CELL_KEY)
+        k["angle"] = angle[cells]
+        i, j = np.divmod(cells, oracle.resolution)
+        k["radius"] = np.hypot(rx[i, 0], ry[0, j])
+        k["index"] = cells
+        return k
+
+    occupied = np.flatnonzero(oracle.bitmap)
+    q, extra = divmod(occupied.size, n_cells)
+    runs = np.arange(n_cells)
+    first = runs * q + np.minimum(runs, extra)
+    occupied_angle = np.sort(angle[occupied])
+    start_angle = occupied_angle[first]
+    # starts with an angle at or below each cell's; equal ones decide by
+    # radius and index (a cell below every start gets 0, and
+    # start_angle[-1] is then above its angle)
+    after = np.searchsorted(start_angle, angle, side="right")
+    tied = np.flatnonzero(start_angle[after - 1] == angle)
+    # the start of rank first[k] is the (first[k] - below[k])-th, in
+    # order, of the occupied cells with its angle, below[k] being the
+    # occupied cells of smaller angles
+    below = np.searchsorted(occupied_angle, start_angle)
+    candidates = np.sort(keys(tied[oracle.bitmap.ravel()[tied]]))
+    starts = candidates[np.searchsorted(candidates["angle"], start_angle)
+                        + first - below]
+    label = after
+    label[tied] = np.searchsorted(starts, keys(tied), side="right")
+    label -= 1
+    label[label < 0] = n_cells - 1
+    return label
+
+
 def grid_tv_check(body: Body, samples, n_cells: int,
                   oracle: Optional[GridOracle] = None) -> TvCheckResult:
     """Compare samples with exact uniform via equal-mass grid cells.
 
-    The grid cells are sorted by (angle, radius) around the bbox center,
-    and the occupied ones in that order are split into n_cells runs of
-    equal count, up to one cell (for round bodies these are sectors).
-    A free cell takes the run of the occupied cell before it, the first
-    free cells that of the last, so every cell has a label and a sample
-    counts in the run of its own (clipped) cell.  Reports the half-L1
-    distance between empirical and exact run histograms and a
-    chi-square goodness-of-fit p-value.
+    The grid cells are ordered by (angle, radius, flat index) around the
+    bbox center, and the occupied ones in that order are split into
+    n_cells runs of equal count, up to one cell (for round bodies these
+    are sectors).  A free cell takes the run of the occupied cell before
+    it, the first free cells that of the last, so every cell has a label
+    and a sample counts in the run of its own (clipped) cell.  The order
+    only defines the labels: they are found without sorting the grid
+    (see _cell_labels).  Reports the half-L1 distance between empirical
+    and exact run histograms and a chi-square goodness-of-fit p-value.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] < 5 * n_cells:
@@ -439,20 +497,12 @@ def grid_tv_check(body: Body, samples, n_cells: int,
         raise ValueError("more cells requested than occupied grid cells")
 
     lo, hi = body.bbox
-    center = (lo + hi) / 2.0
-    rx = (oracle.xs - center[0])[:, None]
-    ry = (oracle.ys - center[1])[None, :]
-    order = np.lexsort((np.hypot(rx, ry).ravel(), np.arctan2(ry, rx).ravel()))
+    label = _cell_labels(oracle, (lo + hi) / 2.0, n_cells)
     # the run sizes np.array_split gives
     q, extra = divmod(oracle.n_occupied, n_cells)
     sizes = np.full(n_cells, q)
     sizes[:extra] += 1
     exact = sizes / oracle.n_occupied
-    # rank of the last occupied cell at or before each cell; -1 before
-    # the first one picks the last run
-    rank = np.cumsum(oracle.bitmap.ravel()[order]) - 1
-    label = np.empty(oracle.resolution**2, dtype=int)
-    label[order] = np.repeat(np.arange(n_cells), sizes)[rank]
     ij = oracle.cell_index(samples)
     groups = label[ij[:, 0] * oracle.resolution + ij[:, 1]]
 

@@ -120,16 +120,20 @@ class _Normals:
     first j of them.  Returned arrays are views of the buffer, valid
     until the next draw.  The buffer holds `rows` rows at its first
     fill and doubles on each refill up to 4096, or grows to the largest
-    peek if that is more.  The in-steps and windows that draw from the
+    peek if that is more.  `wanted`, which the owner may lower as it
+    goes, caps a refill at the rows it can still use, but not below 64
+    rows or a peek's need.  The in-steps and windows that draw from the
     stream tally their membership calls and points on it.
     """
 
-    __slots__ = ("rng", "h", "buf", "pos", "end", "membership_calls", "membership_points")
+    __slots__ = ("rng", "h", "buf", "pos", "end", "wanted",
+                 "membership_calls", "membership_points")
 
     def __init__(self, rng: np.random.Generator, n: int, h: float, rows: int = _FIRST_ROWS):
         self.rng, self.h = rng, h
         self.buf = np.empty((rows, n))
         self.pos = self.end = 0  # rows pos..end-1 are drawn and not consumed
+        self.wanted = _MAX_ROWS
         self.membership_calls = self.membership_points = 0
 
     def draw(self, n: int) -> np.ndarray:
@@ -154,14 +158,14 @@ class _Normals:
         rows = self.buf.shape[0]
         if self.end:  # not the first fill
             rows = min(2 * rows, _MAX_ROWS)
-        rows = max(rows, k)
-        if rows != self.buf.shape[0]:
+        rows = max(min(rows, max(self.wanted, _FIRST_ROWS)), k)
+        if rows > self.buf.shape[0]:
             grown = np.empty((rows, self.buf.shape[1]))
             grown[:rest] = self.buf[self.pos:self.end]
             self.buf = grown
         else:
             self.buf[:rest] = self.buf[self.pos:self.end]
-        fresh = self.buf[rest:]
+        fresh = self.buf[rest:rows]
         self.rng.standard_normal(out=fresh)
         np.multiply(fresh, math.sqrt(self.h), out=fresh)
         self.pos, self.end = 0, rows
@@ -219,7 +223,7 @@ def backward_step(y: np.ndarray, h: float, N: int, body: Body,
         normals.membership_calls += 1
         normals.membership_points += m
         hit = body.membership(xs)
-        j = int(np.argmax(hit))
+        j = int(hit.argmax())
         if hit[j]:
             normals.skip(j + 1)
             return xs[j], k + j + 1
@@ -241,6 +245,9 @@ def _run_chain(body: Body, x0, h: float, T: int, N: int,
     normals = _Normals(rng, body.dim, h)
     total = i = 0
     while i < T:
+        # the rest of the run takes at least 2 rows per iteration, and
+        # its last window peeks up to 2 _WINDOW rows past them
+        normals.wanted = 2 * (T - i + _WINDOW)
         # row 0 is x, row 2j + 1 the j-th out-step point and row 2j + 2
         # its first proposal, as if every first proposal before it hit
         win = np.empty((2 * _WINDOW + 1, body.dim))

@@ -293,6 +293,50 @@ def test_concentric_exclusion_membership_is_bitwise_the_parts():
     assert want[:11].tolist() == [True] * 7 + [False, True, True, False]
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_radius_has_the_bits_of_the_reduce(n):
+    # below 8 dimensions _radius adds the columns, from 8 on it reduces;
+    # either way a point and a batch get np.add.reduce's bits, also on
+    # points within one ulp of a sphere, where the last bit decides a
+    # ball's membership
+    rng = np.random.default_rng(n)
+    center = rng.uniform(-1.0, 1.0, n)
+    for shape in ((n,), (1, n), (4, n), (16, n), (65_536, n)):
+        u = rng.standard_normal(shape)
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        pts = center + rng.uniform(0.1, 10.0, shape[:-1] + (1,)) * u
+        ulps = rng.integers(-1, 2, shape)
+        pts = np.where(ulps == 0, pts, np.nextafter(pts, np.copysign(np.inf, ulps)))
+        d = pts - center
+        want = np.sqrt(np.add.reduce(d * d, axis=-1))
+        got = bodies._radius(pts, center)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_concentric_exclusion_membership_at_and_beside_both_radii():
+    # points whose computed radius is each circle's radius or one ulp
+    # either side, in many directions, and NaN: the annulus's one
+    # comparison per radius gives the verdicts of not being in the
+    # hole's interior, and of the two ball tests
+    outer, hole = make_ball([0.0, 0.0], 1.0), make_ball([0.0, 0.0], 0.5)
+    annulus = exclusion(outer, hole, 0.75 * math.pi)
+    angles = np.linspace(0.0, 2.0 * math.pi, 2_000)
+    units = np.column_stack([np.cos(angles), np.sin(angles)])
+    targets = [np.nextafter(r, r + s) for r in (0.5, 1.0) for s in (-1.0, 0.0, 1.0)]
+    scales = np.array([np.nextafter(t, t + s) for t in targets for s in (-1.0, 0.0, 1.0)])
+    pts = (scales[:, None, None] * units).reshape(-1, 2)
+    rho = bodies._radius(pts, np.zeros(2))
+    assert set(targets) <= set(rho.tolist())
+    pts = np.concatenate([pts[np.isin(rho, targets)], [[np.nan, 0.0], [0.0, np.nan]]])
+    rho = bodies._radius(pts, np.zeros(2))
+    got = annulus.membership(pts)
+    assert got.tolist() == ((rho <= 1.0) & ~(rho < 0.5)).tolist()
+    assert got.tolist() == (outer.membership(pts) & ~hole.interior(pts)).tolist()
+    assert got.tolist() == ((rho >= 0.5) & (rho <= 1.0)).tolist()
+    assert not got[-2:].any()
+
+
 def test_exclusion_of_nearly_concentric_balls_tests_each_ball():
     # centers 1e-13 apart: a shared radius would misplace points that
     # lie between the two hole circles

@@ -510,6 +510,54 @@ def test_grid_tv_counts_a_free_cell_with_the_occupied_cell_before_it(
         assert check(order[k]) == by_run[g]
 
 
+def sorted_cell_labels(oracle, center, n_cells):
+    """grid_tv's cell labels by sorting the grid: the order that defines them."""
+    rx = (oracle.xs - center[0])[:, None]
+    ry = (oracle.ys - center[1])[None, :]
+    order = np.lexsort((np.hypot(rx, ry).ravel(), np.arctan2(ry, rx).ravel()))
+    sizes = [len(run) for run in np.array_split(np.arange(oracle.n_occupied), n_cells)]
+    # rank of the last occupied cell at or before each cell; -1 before
+    # the first one picks the last run
+    rank = np.cumsum(oracle.bitmap.ravel()[order]) - 1
+    label = np.empty(oracle.resolution**2, dtype=int)
+    label[order] = np.repeat(np.arange(n_cells), sizes)[rank]
+    # whether a run start shares its angle with a cell next to it in order
+    angle = np.arctan2(ry, rx).ravel()[order]
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1) != 0)
+    neighbors = np.clip(np.concatenate([starts - 1, starts + 1]), 0, len(order) - 1)
+    tied = np.isin(angle[starts], angle[neighbors])
+    return label, bool(tied.any())
+
+
+def off_center_hole():
+    disk = bodies.make_ball([0.0, 0.0], 1.0)
+    hole = bodies.make_ball([0.3, -0.2], 0.4)
+    return bodies.exclusion(disk, hole, disk.exact_volume - hole.exact_volume)
+
+
+@pytest.mark.parametrize("name", ["annulus", "unit_disk", "two_strips",
+                                  "off_center_hole", "triangle"])
+def test_cell_labels_equal_those_of_the_sorted_grid(request, name):
+    # even and odd resolutions put many cells at exactly one angle (the
+    # axes and diagonals through the center); every n_cells splits the
+    # occupied cells at other ranks
+    makers = {"two_strips": two_strips, "off_center_hole": off_center_hole,
+              "triangle": triangle}
+    body = makers[name]() if name in makers else request.getfixturevalue(name)
+    lo, hi = body.bbox
+    center = (lo + hi) / 2.0
+    ties = 0
+    for resolution in (4, 5, 8, 13, 30, 31, 64, 101, 400):
+        oracle = GridOracle(body, resolution=resolution)
+        m = oracle.n_occupied
+        for n_cells in sorted({2, 3, 16, m // 3, m - 1, m} & set(range(2, m + 1))):
+            want, tied = sorted_cell_labels(oracle, center, n_cells)
+            got = diagnostics._cell_labels(oracle, center, n_cells)
+            assert got.tolist() == want.tolist(), (resolution, n_cells)
+            ties += tied
+    assert ties >= 10
+
+
 def test_only_a_body_without_a_distance_builds_the_kd_tree(annulus, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("KD-tree built")

@@ -249,6 +249,39 @@ def test_proximal_long_run_stays_inside(unit_square, attempts):
     assert all(k >= 1 for k in attempts)
 
 
+def rows_drawn(seed, rng, n, most):
+    """Normal n-vectors that rng, keyed by seed, gave before its next draw."""
+    stream = make_rng(seed).standard_normal((most, n)).ravel()
+    probe = rng.standard_normal(8)
+    for i in np.flatnonzero(stream == probe[0]):
+        if i % n == 0 and np.array_equal(stream[i:i + 8], probe):
+            return i // n
+    raise AssertionError(f"rng is more than {most} draws ahead")
+
+
+@pytest.mark.parametrize("name,h,slack", [
+    # mostly first hits: a refill asks for the rows the rest of the run
+    # takes, at least 2 per iteration, plus a window's peek, or 64
+    ("disk", 1e-4, sampler._FIRST_ROWS),
+    ("disk", 1e-2, sampler._FIRST_ROWS),
+    ("ball10", 1.558e-4, sampler._FIRST_ROWS),
+    # a straggler's block can be the last refill, and its hit ends it early
+    ("annulus", 4.69e-3, sampler._BLOCK_CAP),
+])
+def test_chain_draws_few_normals_past_those_it_uses(unit_disk, annulus, name, h, slack):
+    # a chain uses one normal vector per out-step and one per in-step
+    # proposal, and draws ahead of them by less than the slack
+    body, x0 = {"disk": (unit_disk, [0.0, 0.0]), "annulus": (annulus, [0.75, 0.0]),
+                "ball10": (bodies.make_ball(np.zeros(10), 1.0), np.zeros(10))}[name]
+    for T in (1, 5, 40, 300, 2000):
+        for seed in (1, 2, 3):
+            rng = make_rng(seed)
+            res = sampler._run_chain(body, np.array(x0), h, T, 100_000, rng)
+            assert res.status == SUCCESS
+            used = T + res.total_trials
+            assert used <= rows_drawn(seed, rng, body.dim, used + 5000) < used + slack
+
+
 # ------------------------------------------------------------ ensembles
 
 
