@@ -98,8 +98,13 @@ class Body:
         lo, hi = _freeze(lo), _freeze(hi)
         if lo.shape != (self.dim,) or hi.shape != (self.dim,):
             raise ValueError("bbox arrays must have shape (dim,)")
-        if not np.all(lo < hi):
-            raise ValueError("bbox must have positive extent on every axis")
+        # a finite extent keeps uniform draws from the bbox, whose width
+        # hi - lo they scale by, in float range
+        with np.errstate(over="ignore"):
+            extent = hi - lo
+        if not np.all((extent > 0.0) & (extent < np.inf)):
+            raise ValueError(f"bbox must have a positive, finite extent on every "
+                             f"axis, got {extent}")
         object.__setattr__(self, "bbox", (lo, hi))
         if self.inner_ball is not None:
             c, r = self.inner_ball
@@ -107,8 +112,9 @@ class Body:
             if c.shape != (self.dim,) or not (r > 0.0):
                 raise ValueError("inner ball needs a (dim,) center and positive radius")
             object.__setattr__(self, "inner_ball", (c, float(r)))
-        if self.exact_volume is not None and not (self.exact_volume > 0.0):
-            raise ValueError(f"exact volume must be positive, got {self.exact_volume}")
+        if self.exact_volume is not None and not (0.0 < self.exact_volume < math.inf):
+            raise ValueError(
+                f"exact volume must be positive and finite, got {self.exact_volume}")
 
 
 def _radius(pts, center) -> np.ndarray:
@@ -172,7 +178,9 @@ def make_box(lo, hi) -> Body:
     lo, hi = _freeze(lo), _freeze(hi)
     if lo.ndim != 1 or lo.shape != hi.shape:
         raise ValueError("lo and hi must be 1-D points of equal dimension")
-    sides = hi - lo
+    with np.errstate(over="ignore"):  # Body rejects an overflowing side or volume
+        sides = hi - lo
+        volume = float(np.prod(sides))
     if not np.all(sides > 0.0):
         raise ValueError("box must have positive extent on every axis")
     n = lo.shape[0]
@@ -196,7 +204,7 @@ def make_box(lo, hi) -> Body:
         dim=n,
         membership=membership,
         bbox=(lo, hi),
-        exact_volume=float(np.prod(sides)),
+        exact_volume=volume,
         growth=GrowthCertificate(1.0, 1.0 / half_min, GrowthSource.CONVEX),
         inner_ball=(center, half_min),
         interior=interior,

@@ -71,64 +71,117 @@ def dumps_canonical(obj) -> str:
 
 
 # ------------------------------------------------------------- config
+#
+# Every value read from outside passes a checker of its kind: a call
+# (value, where) that returns the value to use or raises a ConfigError
+# naming the key path where.  PlanInputs and the body constructors check
+# their own ranges.
 
 
-def _require_keys(node: dict, allowed: set, required: set, where: str):
+def _integer(least: Optional[int] = None, end: Optional[int] = None):
+    """Checker of an integer >= least and < end; a bool is not one."""
+    need = ("an integer" + ("" if least is None else f" >= {least}")
+            + ("" if end is None else f" and < {end}"))
+
+    def check(value, where: str) -> int:
+        if (not isinstance(value, int) or isinstance(value, bool)
+                or (least is not None and value < least)
+                or (end is not None and value >= end)):
+            raise ConfigError(f"{where}: need {need}, got {value!r}")
+        return value
+    return check
+
+
+def _number(sign: Optional[str] = None):
+    """Checker of a number that converts to a finite float (so no bool, NaN
+    or inf), "positive" or "nonnegative" if sign says so."""
+    need = "a finite number" if sign is None else f"a finite {sign} number"
+
+    def check(value, where: str):
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not abs(value) <= sys.float_info.max
+                or (sign and value < 0) or (sign == "positive" and value == 0)):
+            raise ConfigError(f"{where}: need {need}, got {value!r}")
+        return value
+    return check
+
+
+def _list(check):
+    """Checker of a list whose every item passes check."""
+    def checked(value, where: str) -> list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: need a list, got {value!r}")
+        return [check(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return checked
+
+
+def _auto(check):
+    return lambda value, where: value if value == "auto" else check(value, where)
+
+
+def _section(node, spec: dict, where: str, defaults: dict = {}) -> dict:
+    """Each key of spec in the object node, its value checked by spec[key].
+
+    A key without a default is required; a default of None makes it
+    optional, and its None value, like any value of a None checker, is
+    taken as it is."""
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: expected an object")
-    unknown = set(node) - allowed
+    unknown = set(node) - set(spec)
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(node)
+    missing = set(spec) - set(defaults) - set(node)
     if missing:
         raise ConfigError(f"{where}: missing required key(s) {sorted(missing)}")
+    out = {}
+    for key, check in spec.items():
+        value = node.get(key, defaults.get(key))
+        unset = value is None and key in defaults and defaults[key] is None
+        out[key] = value if unset or check is None else check(value, f"{where}.{key}")
+    return out
 
 
-_BODY_KINDS = {"ball", "box", "polytope", "union", "exclusion", "star"}
+def _object(spec: dict, defaults: dict = {}):
+    return lambda value, where: _section(value, spec, where, defaults)
+
+
+# a seed keys 64-bit generators, so seeds lie in [0, 2^64) and none alias
+_SEED, _COUNT = _integer(0, 1 << 64), _integer(1)
+_FINITE, _POSITIVE, _NONNEGATIVE = (_number(), _number("positive"),
+                                     _number("nonnegative"))
+_POINT = _list(_FINITE)
+
+
+def _body(node, where: str) -> bodies.Body:
+    return build_body(node, where)  # the module name, which bench/tracing.py wraps
+
+
+# kind -> (constructor, checker of each of its arguments in order)
+_BODY_KINDS = {
+    "ball": (bodies.make_ball, {"center": _POINT, "radius": _FINITE}),
+    "box": (bodies.make_box, {"lo": _POINT, "hi": _POINT}),
+    "polytope": (bodies.make_halfspace_polytope,
+                 {"A": _list(_POINT), "b": _POINT, "inner_center": _POINT,
+                  "inner_radius": _FINITE}),
+    "union": (bodies.union, {"parts": _list(_body), "volume": _FINITE}),
+    "exclusion": (bodies.exclusion,
+                  {"outer": _body, "hole": _body, "volume": _FINITE}),
+    "star": (bodies.star_shaped, {"parts": _list(_body), "core_radius": _FINITE}),
+}
 
 
 def build_body(node: dict, where: str = "body") -> bodies.Body:
-    """Construct a Body from a config tree node (strict key checking)."""
+    """Construct a Body from a config tree node, every key and value checked."""
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError(f"{where}: expected an object with a 'kind' key")
     kind = node["kind"]
     if not isinstance(kind, str) or kind not in _BODY_KINDS:
         raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
+    make, spec = _BODY_KINDS[kind]
+    args = _section({k: v for k, v in node.items() if k != "kind"}, spec, where)
     try:
-        if kind == "ball":
-            _require_keys(node, {"kind", "center", "radius"},
-                          {"center", "radius"}, where)
-            return bodies.make_ball(node["center"], node["radius"])
-        if kind == "box":
-            _require_keys(node, {"kind", "lo", "hi"}, {"lo", "hi"}, where)
-            return bodies.make_box(node["lo"], node["hi"])
-        if kind == "polytope":
-            _require_keys(node, {"kind", "A", "b", "inner_center", "inner_radius"},
-                          {"A", "b", "inner_center", "inner_radius"}, where)
-            return bodies.make_halfspace_polytope(
-                node["A"], node["b"], node["inner_center"], node["inner_radius"]
-            )
-        if kind == "union":
-            _require_keys(node, {"kind", "parts", "volume"}, {"parts", "volume"}, where)
-            parts = [build_body(p, f"{where}.parts[{i}]")
-                     for i, p in enumerate(node["parts"])]
-            return bodies.union(parts, node["volume"])
-        if kind == "exclusion":
-            _require_keys(node, {"kind", "outer", "hole", "volume"},
-                          {"outer", "hole", "volume"}, where)
-            return bodies.exclusion(
-                build_body(node["outer"], f"{where}.outer"),
-                build_body(node["hole"], f"{where}.hole"),
-                node["volume"],
-            )
-        _require_keys(node, {"kind", "parts", "core_radius"},
-                      {"parts", "core_radius"}, where)
-        parts = [build_body(p, f"{where}.parts[{i}]")
-                 for i, p in enumerate(node["parts"])]
-        return bodies.star_shaped(parts, node["core_radius"])
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, KeyError, ArithmeticError) as e:
+        return make(*args.values())
+    except (ValueError, TypeError, ArithmeticError) as e:
         raise ConfigError(f"{where}: {e}") from e
 
 
@@ -142,70 +195,35 @@ class RunConfig:
     diagnose_node: dict
 
 
-# default and least value of each integer setting; a default of None makes
-# the setting optional
-_RUN_INTEGERS = {"n_chains": (1, 1), "seed": (0, 0),
-                 "t_cap": (None, 1), "n_cap": (None, 1)}
-_DIAGNOSE_INTEGERS = {"seed": (0, 0), "n_mc": (20_000, 1),
-                      "inner_mc": (diagnostics.INNER_MC, 1),
-                      "resolution": (diagnostics.RESOLUTION, 2), "n_cells": (16, 2)}
-_DIAGNOSE_NUMBERS = {"r_grid": [0.25, 0.5, 1.0], "t_grid": [0.1, 0.5, 1.0],
-                     "h_override": None}
+_INPUTS = {**dict.fromkeys(("q", "eps", "M", "C_PI", "alpha", "beta"), _POSITIVE),
+           "n": _integer()}
+_AUTO = ("alpha", "beta", "n")
+_CONFIG = {
+    "body": None,  # checked when it is built
+    "plan": _object({**_INPUTS, **{k: _auto(_INPUTS[k]) for k in _AUTO}},
+                    dict.fromkeys(_AUTO, "auto")),
+    "run": _object({"n_chains": _COUNT, "seed": _SEED, "t_cap": _COUNT, "n_cap": _COUNT},
+                   {"n_chains": 1, "seed": 0, "t_cap": None, "n_cap": None}),
+    # escape distances must be positive, dilations may be zero
+    "diagnose": _object(
+        {"seed": _SEED, "n_mc": _COUNT, "inner_mc": _COUNT, "resolution": _integer(2),
+         "n_cells": _integer(2), "r_grid": _list(_POSITIVE),
+         "t_grid": _list(_NONNEGATIVE), "h_override": _POSITIVE},
+        {"seed": 0, "n_mc": 20_000, "inner_mc": diagnostics.INNER_MC,
+         "resolution": diagnostics.RESOLUTION, "n_cells": 16,
+         "r_grid": [0.25, 0.5, 1.0], "t_grid": [0.1, 0.5, 1.0], "h_override": None}),
+}
+_PLAN_DOCUMENT = {
+    "inputs": _object(_INPUTS),
+    "plan": _object({"eps_prime": _NONNEGATIVE, "eta": _NONNEGATIVE, "T": _COUNT,
+                     "S": _POSITIVE, "h": _POSITIVE, "N": _COUNT, "T0": _integer(0),
+                     "T_tilde": _NONNEGATIVE}),
+    "consistency": None,  # written by `plan`, not read
+}
 
 
-# a seed keys 64-bit generators, so seeds lie in [0, 2^64) and none alias
-_SEED_END = 1 << 64
-
-
-def _integer(value, where: str, least: Optional[int] = None,
-             end: Optional[int] = None) -> int:
-    if (not isinstance(value, int) or isinstance(value, bool)
-            or (least is not None and value < least)
-            or (end is not None and value >= end)):
-        need = "an integer" if least is None else f"an integer >= {least}"
-        if end is not None:
-            need += f" and < {end}"
-        raise ConfigError(f"{where}: need {need}, got {value!r}")
-    return value
-
-
-def _real(value) -> bool:
-    """A JSON number that converts to a finite float (so no bool, NaN or inf)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
-def _number(value, where: str, positive: bool = True):
-    if not _real(value) or value < 0 or (positive and value == 0):
-        need = "a positive" if positive else "a nonnegative"
-        raise ConfigError(f"{where}: need {need} number, got {value!r}")
-
-
-def _settings(node, integers: dict, numbers: dict, where: str) -> dict:
-    """Check a settings section's keys and integers; fill in its defaults."""
-    _require_keys(node, set(integers) | set(numbers), set(), where)
-    out = {**{k: default for k, (default, _) in integers.items()}, **numbers, **node}
-    for key, (default, least) in integers.items():
-        if out[key] is not None or default is not None:
-            _integer(out[key], f"{where}.{key}", least,
-                     _SEED_END if key == "seed" else None)
-    return out
-
-
-_INPUT_FIELDS = {f.name for f in dataclasses.fields(planner.PlanInputs)}
-_PLAN_FIELDS = {f.name for f in dataclasses.fields(planner.Plan)}
-# least value of each integer field of a Plan; its other fields are numbers
-_PLAN_INTEGERS = {"T": 1, "N": 1, "T0": 0}
-
-
-def _plan_inputs(node, where: str) -> planner.PlanInputs:
-    """PlanInputs from a node of all its fields; PlanInputs checks the ranges."""
-    _require_keys(node, _INPUT_FIELDS, _INPUT_FIELDS, where)
-    for key, value in node.items():
-        if key == "n":
-            _integer(value, f"{where}.n")
-        else:
-            _number(value, f"{where}.{key}")
+def _plan_inputs(node: dict, where: str) -> planner.PlanInputs:
+    """PlanInputs from checked fields; PlanInputs checks their ranges."""
     try:
         return planner.PlanInputs(**node)
     except (ValueError, ArithmeticError) as e:  # n too large for a float
@@ -218,35 +236,14 @@ def read_plan_document(doc, where: str) -> tuple:
     Keys and types are checked strictly; the schedule is not re-checked
     for consistency, so hand-made out-of-regime plans still run.
     """
-    _require_keys(doc, {"inputs", "plan", "consistency"}, {"inputs", "plan"}, where)
-    node = doc["plan"]
-    _require_keys(node, _PLAN_FIELDS, _PLAN_FIELDS, f"{where}.plan")
-    for key, value in node.items():
-        if key in _PLAN_INTEGERS:
-            _integer(value, f"{where}.plan.{key}", _PLAN_INTEGERS[key])
-        else:
-            _number(value, f"{where}.plan.{key}", positive=key in ("h", "S"))
-    return _plan_inputs(doc["inputs"], f"{where}.inputs"), planner.Plan(**node)
+    node = _section(doc, _PLAN_DOCUMENT, where, {"consistency": None})
+    return _plan_inputs(node["inputs"], f"{where}.inputs"), planner.Plan(**node["plan"])
 
 
 def parse_config(doc: dict) -> RunConfig:
-    _require_keys(doc, {"body", "plan", "run", "diagnose"}, set(), "config")
-    plan_node = doc.get("plan")
-    if plan_node is not None:
-        _require_keys(plan_node, _INPUT_FIELDS, {"q", "eps", "M", "C_PI"}, "config.plan")
-    run_node = _settings(doc.get("run", {}), _RUN_INTEGERS, {}, "config.run")
-    diag = _settings(doc.get("diagnose", {}), _DIAGNOSE_INTEGERS, _DIAGNOSE_NUMBERS,
-                     "config.diagnose")
-    # escape distances must be positive, dilations may be zero
-    for key in ("r_grid", "t_grid"):
-        if not isinstance(diag[key], list):
-            raise ConfigError(f"config.diagnose.{key}: need a list, got {diag[key]!r}")
-        for i, v in enumerate(diag[key]):
-            _number(v, f"config.diagnose.{key}[{i}]", positive=key == "r_grid")
-    if diag["h_override"] is not None:
-        _number(diag["h_override"], "config.diagnose.h_override")
-    return RunConfig(body_node=doc.get("body"), plan_node=plan_node,
-                     run_node=run_node, diagnose_node=diag)
+    node = _section(doc, _CONFIG, "config",
+                    {"body": None, "plan": None, "run": {}, "diagnose": {}})
+    return RunConfig(**{f"{key}_node": value for key, value in node.items()})
 
 
 def resolve_plan_inputs(cfg: RunConfig) -> tuple:
@@ -254,8 +251,8 @@ def resolve_plan_inputs(cfg: RunConfig) -> tuple:
     if cfg.plan_node is None:
         raise ConfigError("config.plan: required for this command")
     body = build_body(cfg.body_node) if cfg.body_node is not None else None
-    node = {"alpha": "auto", "beta": "auto", "n": "auto", **cfg.plan_node}
-    for key in ("alpha", "beta", "n"):
+    node = dict(cfg.plan_node)
+    for key in _AUTO:
         if node[key] == "auto":
             need = "a body" if key == "n" else "a body with a growth certificate"
             if body is None or (key != "n" and body.growth is None):
@@ -326,9 +323,8 @@ def cmd_sample(cfg: RunConfig, out_dir: str, seed_override: Optional[int],
     _, body, p = resolve_run(cfg, plan_path, "sample")
     run = cfg.run_node
     n_chains = (run["n_chains"] if chains_override is None
-                else _integer(chains_override, "--chains", 1))
-    seed = (run["seed"] if seed_override is None
-            else _integer(seed_override, "--seed", 0, _SEED_END))
+                else _COUNT(chains_override, "--chains"))
+    seed = run["seed"] if seed_override is None else _SEED(seed_override, "--seed")
     if run["t_cap"] is not None:
         p = dataclasses.replace(p, T=min(p.T, run["t_cap"]))
     if run["n_cap"] is not None:
@@ -457,7 +453,11 @@ def _read_samples(path: str, dim: int) -> np.ndarray:
         if rec.get("outcome") != "success":
             continue
         x = rec.get("x")
-        if not (isinstance(x, list) and len(x) == dim and all(map(_real, x))):
+        try:
+            ok = len(_POINT(x, where)) == dim
+        except ConfigError:
+            ok = False
+        if not ok:
             raise ConfigError(f"{where}: x needs {dim} finite numbers, got {x!r}")
         pts.append(x)
     if not pts:
@@ -470,7 +470,7 @@ def cmd_diagnose(cfg: RunConfig, out_path: str, seed_override: Optional[int],
     _, body, p = resolve_run(cfg, task="diagnose")
     diag = dict(cfg.diagnose_node)
     if seed_override is not None:
-        diag["seed"] = _integer(seed_override, "--seed", 0, _SEED_END)
+        diag["seed"] = _SEED(seed_override, "--seed")
     if diag["h_override"] is not None:
         p = dataclasses.replace(p, h=float(diag["h_override"]))
 

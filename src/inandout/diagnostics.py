@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import specfun
 from .bodies import Body, sample_uniform
-from .planner import Plan, step_size_regime
+from .planner import Plan, step_size_regime, trial_floor
 
 SATISFIED = "satisfied"
 VIOLATED = "violated_beyond_3se"
@@ -311,7 +311,7 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
     h_cap = step_size_regime(body.dim, body.growth.beta, alpha, p.S).per_iteration_cap
     if not (p.h <= h_cap * (1.0 + 1e-12)):
         raise ValueError(f"step size {p.h} violates the per-iteration regime cap {h_cap}")
-    n_floor = 8.0 * alpha * p.S * math.log(p.S)
+    n_floor = trial_floor(alpha, p.S)
     if not (p.N >= n_floor * (1.0 - 1e-12)):
         raise ValueError(
             f"trial threshold {p.N} below the required 8 alpha S log S = {n_floor}"

@@ -114,6 +114,11 @@ def step_size_regime(n: int, beta: float, alpha: float = 1.0,
                           1.0 / (base * (1.0 + excess)))
 
 
+def trial_floor(alpha: float, S: float) -> float:
+    """The floor 8 alpha S log S that the per-iteration trial threshold N must reach."""
+    return 8.0 * alpha * S * math.log(S)
+
+
 def _z_value(inp: PlanInputs) -> float:
     # the quantity whose near-fixed-point gives the iteration count:
     # T = 2 z log z resolves T >= z * (2 log T-ish) self-consistently
@@ -153,7 +158,7 @@ def plan(inputs: PlanInputs) -> Plan:
         # final (T, S, h, N) quadruple is internally consistent
         S = 3.0 * T * inputs.M / eta
         h = step_size_regime(inputs.n, inputs.beta, inputs.alpha, S).planned_h
-        N = math.ceil(8.0 * inputs.alpha * S * math.log(S))
+        N = math.ceil(trial_floor(inputs.alpha, S))
 
         log_rate = math.log1p(h / inputs.C_PI)
         # warmness enters only through log M; for M < e the burn-in is zero
@@ -209,7 +214,7 @@ def check_plan_consistency(p: Plan, inputs: PlanInputs) -> ConsistencyReport:
     h_cap = step_size_regime(inputs.n, inputs.beta, inputs.alpha, p.S).per_iteration_cap
     if not (p.h <= h_cap):
         v.append(f"step size h = {p.h} above per-iteration cap {h_cap}")
-    n_floor = 8.0 * inputs.alpha * p.S * math.log(p.S)
+    n_floor = trial_floor(inputs.alpha, p.S)
     if not (p.N >= n_floor):
         v.append(f"trial threshold N = {p.N} below floor {n_floor}")
 

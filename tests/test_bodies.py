@@ -81,6 +81,22 @@ def test_degenerate_inputs_rejected():
         GrowthCertificate(1.0, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_extent_and_volume_must_be_finite():
+    # uniform draws from the bbox scale by its width hi - lo, so a width
+    # that overflows must fail at construction, not in the generator
+    with pytest.raises(ValueError, match="finite extent"):
+        make_box([-1e308, 0.0], [1e308, 1.0])
+    with pytest.raises(ValueError, match="finite extent"):
+        make_box([-math.inf, 0.0], [1.0, 1.0])
+    halves = [make_box([-1e308, 0.0], [0.0, 1e-300]),
+              make_box([0.0, 0.0], [1e308, 1e-300])]
+    with pytest.raises(ValueError, match="finite extent"):  # the hull of a union
+        union(halves, 1e8)
+    with pytest.raises(ValueError, match="exact volume must be positive and finite"):
+        make_box([0.0, 0.0], [1e200, 1e200])
+
+
 def test_polytope_matches_box_on_probes():
     # the unit square written as four halfspaces
     A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])

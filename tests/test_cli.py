@@ -180,6 +180,48 @@ def test_build_body_error_paths():
                     "volume": 1.0})
 
 
+def test_plan_section_is_checked_when_read():
+    with pytest.raises(ConfigError, match=r"config\.plan\.q"):
+        parse_config({"plan": {**ANNULUS_PLAN, "q": "2"}})
+    with pytest.raises(ConfigError, match=r"config\.plan\.n"):
+        parse_config({"plan": {**ANNULUS_PLAN, "n": math.inf}})
+    cfg = parse_config({"plan": {"q": 2, "eps": 0.2, "M": 1, "C_PI": 4}})
+    assert cfg.plan_node == ANNULUS_PLAN
+
+
+TRIANGLE = {"kind": "polytope", "A": [[-1, 0], [0, -1], [1, 1]], "b": [0, 0, 1],
+            "inner_center": [0.25, 0.25], "inner_radius": 0.2}
+
+
+def annulus_with(**outer):
+    return {**ANNULUS_BODY, "outer": {**ANNULUS_BODY["outer"], **outer}}
+
+
+@pytest.mark.parametrize("body,message", [
+    (annulus_with(radius=True), "body.outer.radius: need a finite number"),
+    (annulus_with(center=[False, False]), "body.outer.center[0]: need a finite number"),
+    ({"kind": "box", "lo": [-math.inf, 0.0], "hi": [1.0, 1.0]},
+     "body.lo[0]: need a finite number"),
+    ({**ANNULUS_BODY, "volume": math.nan}, "body.volume: need a finite number"),
+    ({**TRIANGLE, "A": [[-1, 0], [0, "-1"], [1, 1]]}, "body.A[1][1]: need a finite"),
+    ({"kind": "union", "parts": [TRIANGLE, {**TRIANGLE, "b": None}], "volume": 0.5},
+     "body.parts[1].b: need a list"),
+    # finite corners whose difference overflows
+    ({"kind": "box", "lo": [-1e308, 0.0], "hi": [1e308, 1.0]},
+     "body: bbox must have a positive, finite extent"),
+], ids=["bool-radius", "bool-center", "inf-lo", "nan-volume", "string-in-A",
+        "null-b-of-a-part", "overflowing-box"])
+def test_bad_body_values_exit_2(tmp_path, capsys, body, message):
+    cfg = write_config(tmp_path, {"body": body, "plan": ANNULUS_PLAN,
+                                  "run": {"t_cap": 5, "n_cap": 10}})
+    out = tmp_path / "run"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert message in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- plan
 
 
@@ -297,6 +339,15 @@ def test_sample_command_bad_chain_count(tmp_path):
     cfg = write_config(tmp_path, sample_config(n_chains=0))
     assert main(["sample", "--config", cfg, "--out", str(tmp_path / "x")]) \
         == EXIT_BAD_CONFIG
+
+
+def test_bad_chains_flag_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, sample_config())
+    out = tmp_path / "run"
+    assert main(["sample", "--config", cfg, "--out", str(out), "--chains", "0"]) \
+        == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --chains: need an integer >= 1")
+    assert not out.exists()
 
 
 # a well-typed, out-of-regime plan document and a 2-D body it runs on
