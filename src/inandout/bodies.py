@@ -332,7 +332,10 @@ def union(parts: Sequence[Body], union_volume: float) -> Body:
         if p.exact_volume is None:
             raise ValueError(f"part {i} has no exact volume")
     vols = np.array([p.exact_volume for p in parts])
-    total = float(vols.sum())
+    with np.errstate(over="ignore"):
+        total = float(vols.sum())
+    if not math.isfinite(total):
+        raise ValueError(f"the sum of the part volumes {vols.tolist()} overflows")
     if not (0.0 < union_volume <= total * (1.0 + 1e-12)):
         raise ValueError(
             f"union volume {union_volume} must lie in (0, {total}] (sum of part volumes)"

@@ -229,12 +229,14 @@ def _gaussian_band(n_cells: int, pad: int, step: float, h: float) -> np.ndarray:
     Row k, column i holds the mass of bitmap cell i around the center of
     padded cell k, which depends only on k - pad - i: the rows are
     windows of one weight vector (a Toeplitz matrix of shape
-    (n_cells + 2 pad, n_cells)).
+    (n_cells + 2 pad, n_cells)).  The weight at offset d is
+    (erfc((d - 1/2) c) - erfc((d + 1/2) c)) / 2, and d + 1/2 is exactly
+    (d + 1) - 1/2, so each erfc is evaluated once.
     """
     c = step / math.sqrt(2.0 * h)
-    d = np.abs(np.arange(-(n_cells + pad - 1), n_cells + pad))
-    erfc = scipy.special.erfc
-    w = 0.5 * (erfc((d - 0.5) * c) - erfc((d + 0.5) * c))
+    e = np.array([math.erfc((d - 0.5) * c) for d in range(n_cells + pad + 1)])
+    half = 0.5 * (e[:-1] - e[1:])  # offsets 0 .. n_cells + pad - 1
+    w = np.concatenate((half[:0:-1], half))
     # a contiguous copy keeps the products on BLAS
     return np.ascontiguousarray(sliding_window_view(w, n_cells)[:, ::-1])
 

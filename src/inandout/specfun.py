@@ -6,10 +6,10 @@ chi distribution with m degrees of freedom,
     Q_m(r) = Pr(||Z|| >= r),   Z ~ N(0, I_m),
 
 is the regularized upper incomplete gamma function evaluated at
-(m/2, r^2/2), here SciPy's `scipy.special.gammaincc`.  The module
-imports the bare `scipy` package, which loads no submodule;
-`scipy.special` loads on the first tail evaluated, so commands that
-never evaluate one start on NumPy alone.
+(m/2, r^2/2).  Its shape m/2 is a multiple of 1/2, as is the shape
+(cells - 1)/2 of the grid chi-square p-value, and at those shapes the
+function has a finite closed form in `exp`, `lgamma` and `erfc`
+(`gamma_q`), so the module needs no SciPy.
 """
 
 from __future__ import annotations
@@ -17,18 +17,45 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import scipy
-
 from .planner import step_size_regime
+
+_EPS = 2.0 ** -53  # half an ulp of 1: a term below this share of the sum is lost
 
 
 def gamma_q(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s)."""
-    if s <= 0.0:
-        raise ValueError(f"shape must be positive, got {s}")
-    if x < 0.0:
+    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s).
+
+    The shape s must be a positive multiple of 1/2, where Q is a finite
+    sum (DLMF 8.4 and the recurrence of 8.8):
+
+        Q(k, x)       = sum_{j<k} e^-x x^j / j!
+        Q(k + 1/2, x) = erfc(sqrt x) + sum_{j<k} e^-x x^(j+1/2) / Gamma(j + 3/2)
+
+    Each term is exp(-x + (a - 1) log x - lgamma(a)), so a large x
+    underflows no factor on its own.  The terms rise up to a = x and
+    fall after it; the sum stops once a falling term is below 2^-53 of
+    the running sum, so a shape far above x costs about x terms, not s.
+    """
+    if not (s > 0.0 and (2.0 * s).is_integer()):
+        raise ValueError(f"shape must be a positive multiple of 1/2, got {s}")
+    if not (x >= 0.0):
         raise ValueError(f"argument must be nonnegative, got {x}")
-    return float(scipy.special.gammaincc(s, x))
+    if x == 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    if float(s).is_integer():
+        a, total = 1.0, 0.0
+    else:
+        a, total = 1.5, math.erfc(math.sqrt(x))
+    log_x = math.log(x)
+    while a <= s:
+        term = math.exp(-x + (a - 1.0) * log_x - math.lgamma(a))
+        total += term
+        if a > x and term < _EPS * total:
+            break
+        a += 1.0
+    return min(total, 1.0)
 
 
 def chi_tail(m: int, r: float) -> float:

@@ -222,6 +222,21 @@ def test_bad_body_values_exit_2(tmp_path, capsys, body, message):
     assert not out.exists()
 
 
+def test_union_whose_part_volumes_overflow_exit_2(tmp_path):
+    # two finite boxes of volume 1e308 each: the union rejects the sum
+    # itself, with no NumPy overflow warning and no misleading beta error
+    body = {"kind": "union", "volume": 1e308, "parts": [
+        {"kind": "box", "lo": [0.0, 0.0], "hi": [1e200, 1e108]},
+        {"kind": "box", "lo": [0.0, 1e108], "hi": [1e200, 2e108]}]}
+    cfg = write_config(tmp_path, {"body": body, "plan": ANNULUS_PLAN})
+    proc = subprocess.run(
+        [sys.executable, "-m", "inandout.cli", "plan", "--config", cfg],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert "sum of the part volumes" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 # ----------------------------------------------------------------- plan
 
 
@@ -677,10 +692,12 @@ def test_console_script_plan_roundtrip(tmp_path):
 
 # Importing scipy.special, .spatial and .optimize takes about 0.5 s, twice
 # NumPy's start-up, and scipy.stats about 0.6 s more.  The package imports
-# the bare `scipy`, and each call that needs a submodule loads it.
+# the bare `scipy`, and each call that needs a submodule loads it;
+# `diagnose` evaluates its chi tails and erfc values without SciPy.
 SCIPY_SUBMODULES = ("scipy.special", "scipy.spatial", "scipy.optimize", "scipy.stats")
 
 BALL10_BODY = {"kind": "ball", "center": [0.0] * 10, "radius": 1.0}
+BALL3_BODY = {"kind": "ball", "center": [0.0] * 3, "radius": 1.0}
 
 
 def scipy_loaded(code):
@@ -699,17 +716,20 @@ def scipy_loaded(code):
     (("sample", ANNULUS_BODY), set()),
     (("plan", BALL10_BODY), set()),
     (("sample", BALL10_BODY), set()),
-    (("diagnose", ANNULUS_BODY), {"scipy.special"}),
+    (("diagnose", ANNULUS_BODY), set()),
+    # the nested Monte Carlo route and the escape bound's chi_tail(6, .);
+    # few draws keep it fast
+    (("diagnose", BALL3_BODY, {"n_mc": 2000, "inner_mc": 50}), set()),
 ], ids=["import", "import-cli", "plan-annulus", "sample-annulus",
-        "plan-ball10", "sample-ball10", "diagnose-annulus"])
+        "plan-ball10", "sample-ball10", "diagnose-annulus", "diagnose-ball3"])
 def test_start_up_loads_only_the_scipy_a_command_calls(tmp_path, run, loads):
     if isinstance(run, tuple):
-        command, body = run
+        command, body, *diagnose = run
         cfg = write_config(tmp_path, {
             "body": body, "plan": ANNULUS_PLAN,
             "run": {"n_chains": 2, "seed": 42, "t_cap": 50, "n_cap": 100000},
             "diagnose": {"seed": 7, "n_mc": 20000, "r_grid": [0.25, 0.5],
-                         "t_grid": [0.5]}})
+                         "t_grid": [0.5], **(diagnose[0] if diagnose else {})}})
         argv = [command, "--config", cfg]
         if command != "plan":
             argv += ["--out", str(tmp_path / "out")]

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 from scipy.spatial import cKDTree
 
 from inandout import bodies, diagnostics, planner, specfun
@@ -313,6 +313,20 @@ def test_grid_quadrature_needs_a_coarser_grid(annulus, resolution):
     oracle = GridOracle(annulus, resolution=resolution)
     with pytest.raises(ValueError, match="resolution >= 4"):
         per_iteration_checks(annulus, p, 10, make_rng(1), oracle=oracle)
+
+
+@pytest.mark.parametrize("n_cells,pad,step,h", [
+    (400, 120, 2.0 / 400, 6.68e-3), (200, 60, 2.0 / 200, 6.68e-3),
+    (5, 0, 0.3, 0.01), (1, 3, 0.1, 1e-4)])
+def test_gaussian_band_matches_scipy_erfc(n_cells, pad, step, h):
+    # entry (k, i) is the N(0, h) mass of cell i seen from padded cell k
+    band = diagnostics._gaussian_band(n_cells, pad, step, h)
+    assert band.shape == (n_cells + 2 * pad, n_cells)
+    k, i = np.indices(band.shape)
+    d = np.abs(k - pad - i)
+    c = step / math.sqrt(2.0 * h)
+    ref = 0.5 * (special.erfc((d - 0.5) * c) - special.erfc((d + 0.5) * c))
+    assert np.max(np.abs(band - ref)) <= 1e-15
 
 
 def test_trials_check_clamps_unresolvable_conductance():

@@ -1,9 +1,10 @@
 """Tests for the chi tails and the closed-form inequalities.
 
-The tail values are checked two independent ways: against direct
-numerical quadrature of the chi density (scipy.integrate) and against
-a 30-digit reference (mpmath).  Neither route shares code with SciPy's
-`gammaincc`, which computes the tails.
+The tails come from `specfun.gamma_q`, a finite sum of exp, lgamma and
+erfc terms.  They are checked three independent ways: against direct
+numerical quadrature of the chi density (scipy.integrate), against a
+30-digit reference (mpmath), and against SciPy's own kernel
+(`scipy.special.gammaincc`).
 """
 
 import math
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from inandout import planner, specfun
 
@@ -151,6 +152,30 @@ def test_gamma_kernel_rejects_bad_arguments():
     with pytest.raises(ValueError):
         specfun.gamma_q(1.0, -1.0)
     assert specfun.gamma_q(3.0, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("s", [0.3, 2.7, math.nan])
+def test_gamma_kernel_takes_only_multiples_of_a_half(s):
+    # the closed form exists only there
+    with pytest.raises(ValueError, match="multiple of 1/2"):
+        specfun.gamma_q(s, 1.0)
+
+
+def test_gamma_kernel_matches_scipy():
+    # every shape from 1/2 to 60, x on a log grid up to 700, relative error
+    xs = [float(x) for x in np.logspace(-6.0, math.log10(700.0), 40)]
+    for twice_s in range(1, 121):
+        s = twice_s / 2.0
+        for x in xs:
+            want = float(special.gammaincc(s, x))
+            assert abs(specfun.gamma_q(s, x) - want) <= 1e-12 * want, (s, x)
+
+
+def test_gamma_kernel_stops_after_the_peak(time_limit):
+    # the terms peak at j = x; past it the sum stops once a term is lost
+    # in it, so a huge shape costs a few dozen terms, not 1e9
+    with time_limit(1):
+        assert specfun.gamma_q(1e9, 5.0) == pytest.approx(1.0, abs=1e-15)
 
 
 # ------------------------------------------------------ norm constants
