@@ -312,7 +312,10 @@ def cmd_plan(cfg: RunConfig, out_path: Optional[str]) -> int:
     report = planner.check_plan_consistency(p, inputs)
     doc = dumps_canonical(plan_document(inputs, p, report))
     if out_path:
-        Path(out_path).write_text(doc + "\n", encoding="utf-8")
+        try:
+            Path(out_path).write_text(doc + "\n", encoding="utf-8")
+        except OSError as e:
+            raise OSError(f"cannot write plan {out_path}: {e}") from e
     print(doc)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
@@ -400,6 +403,10 @@ def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
     def grid_tv():
         if oracle is None:
             raise diagnostics.UnsupportedCheck("grid oracle is 2-D only")
+        if n_cells > oracle.n_occupied:  # before drawing 5 n_cells points
+            raise ValueError(f"config.diagnose.n_cells: {n_cells} is more than the "
+                             f"{oracle.n_occupied} cells the body occupies at "
+                             f"resolution {diag['resolution']}")
         rng = sampler.make_rng(sampler.derive_seed(seed, 500))
         if samples is None:
             pts = bodies.sample_uniform(body, rng, max(n_mc, 5 * n_cells))

@@ -14,8 +14,10 @@ by a 64-bit seed.  Per-chain seeds come from `derive_seed`, a frozen
 SplitMix64 construction, so ensembles are reproducible and order
 independent.  Gaussian variates use numpy's standard_normal (ziggurat);
 this transform is part of the frozen contract for regression tests.
-A chain draws its normals ahead in blocks and hands them out in the
-order of one draw per proposal, so buffering changes no output.
+A chain draws its normals ahead in blocks, each refill as many rows as
+the rest of the run can use but at most 4096 unless one peek needs
+more, and hands them out in the order of one draw per proposal, so
+buffering changes no output.
 
 The chain works a window of iterations ahead, on the assumption that
 each in-step keeps its first proposal: from x it adds the next normals
@@ -91,10 +93,8 @@ class RunResult:
     membership_points: int
 
 
-# Rows of a normal buffer at its first fill and at most: the buffer
-# doubles on each refill, so a chain of a few iterations draws few rows
-# ahead and a long one draws 4096 (320 KB in 10-D) at a time.
-_FIRST_ROWS = 64
+# Rows a refill of a normal buffer draws at most, unless one peek needs
+# more: a long chain draws 4096 (320 KB in 10-D) at a time.
 _MAX_ROWS = 4096
 # Iterations a chain works out ahead, assuming every first proposal
 # hits, with all their first proposals tested in one membership call.
@@ -115,34 +115,25 @@ class _Normals:
     Row i is `math.sqrt(h) * v`, where v is the i-th vector that
     sequential `rng.standard_normal(n)` calls give: filling an array
     makes the same draws, and scaling it rounds each product as scaling
-    one row does.  `draw(n)` consumes one row, `peek(k)` returns the
-    next k without consuming them and `skip(j)`, j <= k, consumes the
-    first j of them.  Returned arrays are views of the buffer, valid
-    until the next draw.  The buffer holds `rows` rows at its first
-    fill and doubles on each refill up to 4096, or grows to the largest
-    peek if that is more.  `wanted`, which the owner may lower as it
-    goes, caps a refill at the rows it can still use, but not below 64
-    rows or a peek's need.  The in-steps and windows that draw from the
-    stream tally their membership calls and points on it.
+    one row does.  `peek(k)` returns the next k rows without consuming
+    them and `skip(j)`, j <= k, consumes the first j of them.  Returned
+    arrays are views of the buffer, valid until the next peek.  A peek
+    past the drawn rows refills the buffer to max(k, min(wanted, 4096))
+    rows, the undrawn rest included; `wanted`, 1 unless the owner raises
+    it, is the rows the owner can still use.  The in-steps and windows
+    that draw from the stream tally their membership calls and points
+    on it.
     """
 
     __slots__ = ("rng", "h", "buf", "pos", "end", "wanted",
                  "membership_calls", "membership_points")
 
-    def __init__(self, rng: np.random.Generator, n: int, h: float, rows: int = _FIRST_ROWS):
+    def __init__(self, rng: np.random.Generator, n: int, h: float):
         self.rng, self.h = rng, h
-        self.buf = np.empty((rows, n))
+        self.buf = np.empty((0, n))
         self.pos = self.end = 0  # rows pos..end-1 are drawn and not consumed
-        self.wanted = _MAX_ROWS
+        self.wanted = 1
         self.membership_calls = self.membership_points = 0
-
-    def draw(self, n: int) -> np.ndarray:
-        if n != self.buf.shape[1]:
-            raise ValueError(f"stream draws {self.buf.shape[1]}-vectors, asked for {n}")
-        if self.pos == self.end:
-            self._refill(1)
-        self.pos += 1
-        return self.buf[self.pos - 1]
 
     def peek(self, k: int) -> np.ndarray:
         if self.end - self.pos < k:
@@ -155,10 +146,7 @@ class _Normals:
     def _refill(self, k: int):
         # keep the undrawn rest in front and fill the rows behind it
         rest = self.end - self.pos
-        rows = self.buf.shape[0]
-        if self.end:  # not the first fill
-            rows = min(2 * rows, _MAX_ROWS)
-        rows = max(min(rows, max(self.wanted, _FIRST_ROWS)), k)
+        rows = max(k, min(self.wanted, _MAX_ROWS))
         if rows > self.buf.shape[0]:
             grown = np.empty((rows, self.buf.shape[1]))
             grown[:rest] = self.buf[self.pos:self.end]
@@ -189,34 +177,28 @@ def backward_step(y: np.ndarray, h: float, N: int, body: Body,
 
     Returns (point, attempts) on success and (None, N) when all N
     attempts landed outside.  rng is a Generator, which is wrapped in a
-    stream of its own and read ahead, or a chain's normal stream, which
-    must be drawn for h.  A chain passes `first=(point, hit)`, its
-    window's first proposal from y and whether it is inside the body,
-    with its row already consumed: a hit is returned as it is, and a
-    miss goes on from attempt 2.  Otherwise the first proposal is
-    tested alone.  After a miss the next ones are tested in blocks of
-    4, 8, ... up to 1024, one membership call per block.  Only the
-    proposals up to the first hit are consumed, so the point,
-    `attempts` and the stream position are those of testing one
-    proposal at a time, while the body sees points past the hit.
+    stream of its own that draws only the rows it tests, or a chain's
+    normal stream, which must be drawn for h.  A chain passes
+    `first=(point, hit)`, its window's first proposal from y and whether
+    it is inside the body, with its row already consumed: a hit is
+    returned as it is, and a miss goes on from attempt 2.  Proposals are
+    tested in blocks of 1, 4, 8, ... up to 1024 (from 4 after a handed-in
+    miss), one membership call per block.  Only the proposals up to the
+    first hit are consumed, so the point, `attempts` and the stream
+    position are those of testing one proposal at a time, while the body
+    sees points past the hit.
     """
     if not (h > 0.0):
         raise ValueError(f"step size must be positive, got {h}")
     if N < 1:
         raise ValueError(f"attempt threshold must be >= 1, got {N}")
     y = np.asarray(y, dtype=float)
-    normals = rng if isinstance(rng, _Normals) else _Normals(rng, y.shape[0], h, rows=1)
+    normals = rng if isinstance(rng, _Normals) else _Normals(rng, y.shape[0], h)
     if h != normals.h:
         raise ValueError(f"stream draws steps of size {normals.h}, asked for {h}")
-    if first is None:
-        x = y + normals.draw(y.shape[0])
-        normals.membership_calls += 1
-        normals.membership_points += 1
-        if body.membership(x):
-            return x, 1
-    elif first[1]:
+    if first is not None and first[1]:
         return first[0], 1
-    k, block = 1, _FIRST_BLOCK
+    k, block = (0, 1) if first is None else (1, _FIRST_BLOCK)
     while k < N:
         m = min(block, N - k)
         xs = y + normals.peek(m)
@@ -229,7 +211,7 @@ def backward_step(y: np.ndarray, h: float, N: int, body: Body,
             return xs[j], k + j + 1
         normals.skip(m)
         k += m
-        block = min(2 * block, _BLOCK_CAP)
+        block = min(max(2 * block, _FIRST_BLOCK), _BLOCK_CAP)
     return None, N
 
 

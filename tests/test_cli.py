@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from inandout import cli
+from inandout import bodies, cli
 from inandout.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -659,6 +659,35 @@ def test_diagnose_skips_a_certificate_check_no_draw_resolves(tmp_path):
     assert "n_mc = 200" in skipped["reason"] and "t = 1.0" in skipped["reason"]
 
 
+@pytest.mark.parametrize("n_cells", [200_000, 10**12])
+def test_diagnose_refuses_more_cells_than_the_grid_occupies(tmp_path, monkeypatch,
+                                                           n_cells):
+    # the annulus occupies 94,248 cells at resolution 400: grid_tv is a
+    # hypothesis violation before its 5 n_cells reference points are drawn
+    sizes = []
+    draw = bodies.sample_uniform
+
+    def spy(body, rng, size=None):
+        sizes.append(size)
+        return draw(body, rng, size)
+
+    monkeypatch.setattr(bodies, "sample_uniform", spy)
+    cfg = write_config(tmp_path, {
+        "body": ANNULUS_BODY, "plan": ANNULUS_PLAN,
+        "diagnose": {"seed": 7, "n_mc": 200, "r_grid": [0.25], "t_grid": [0.5],
+                     "n_cells": n_cells},
+    })
+    out = tmp_path / "report.json"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
+    checks = {c["name"]: c for c in
+              json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    assert checks["grid_tv"]["status"] == "hypothesis_violation"
+    assert checks["grid_tv"]["reason"] == (
+        f"config.diagnose.n_cells: {n_cells} is more than the 94248 cells "
+        "the body occupies at resolution 400")
+    assert sizes == []
+
+
 # ------------------------------------------------------------ I/O paths
 
 
@@ -669,6 +698,13 @@ def test_missing_config_file_is_io_error(tmp_path):
 def test_unwritable_sample_dir_is_io_error(tmp_path):
     cfg = write_config(tmp_path, sample_config(n_chains=1))
     assert main(["sample", "--config", cfg, "--out", "/dev/null/sub"]) == EXIT_IO
+
+
+def test_unwritable_plan_file_is_io_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"body": ANNULUS_BODY, "plan": ANNULUS_PLAN})
+    out = str(tmp_path / "missing" / "plan.json")
+    assert main(["plan", "--config", cfg, "--out", out]) == EXIT_IO
+    assert f"cannot write plan {out}" in capsys.readouterr().err
 
 
 def test_invalid_json_config(tmp_path):

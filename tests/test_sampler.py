@@ -103,43 +103,65 @@ def test_backward_step_exhaustion_frequency():
     assert abs(fails / 10_000 - 0.5) <= 0.02
 
 
+def read(stream):
+    """The stream's next row, consumed: a peek of one row and a skip."""
+    row = stream.peek(1)[0].copy()
+    stream.skip(1)
+    return row
+
+
 def test_normal_stream_hands_out_the_sequential_draws():
-    # a 5-row buffer: single draws cross refills, and a peek of 24 rows
-    # is larger than the buffer, even doubled; every row is sqrt(h) times
-    # the sequential draw
+    # 5-row refills: single reads cross refills, and a peek of 24 rows
+    # needs more than a refill draws; every row is sqrt(h) times the
+    # sequential draw
     n, h = 3, 0.3
     reference = make_rng(11)
     want = np.array([math.sqrt(h) * reference.standard_normal(n) for _ in range(80)])
-    stream = sampler._Normals(make_rng(11), n, h, rows=5)
-    got = [stream.draw(n).copy() for _ in range(7)]
+    stream = sampler._Normals(make_rng(11), n, h)
+    stream.wanted = 5
+    got = [read(stream) for _ in range(7)]
     ahead = stream.peek(24).copy()
     assert ahead.tobytes() == want[7:31].tobytes()
     assert stream.peek(3).tobytes() == want[7:10].tobytes()
     stream.skip(2)
     got += list(ahead[:2])
-    got += [stream.draw(n).copy() for _ in range(20)]
+    got += [read(stream) for _ in range(20)]
     got += list(stream.peek(4).copy())
     stream.skip(4)
-    got += [stream.draw(n).copy() for _ in range(47)]
+    got += [read(stream) for _ in range(47)]
     assert np.array(got).tobytes() == want.tobytes()
-    with pytest.raises(ValueError):
-        stream.draw(2)
 
 
-def test_normal_buffer_doubles_from_64_rows_to_4096():
-    stream = sampler._Normals(make_rng(1), 2, 0.1)
-    sizes = []
-    for _ in range(9):
-        stream.skip(stream.end - stream.pos)
-        stream.draw(2)
-        sizes.append(stream.buf.shape[0])
-    assert sizes == [64, 128, 256, 512, 1024, 2048, 4096, 4096, 4096]
+def test_normal_refill_holds_the_wanted_rows_up_to_4096_or_the_peek():
+    # (peek, wanted, rows after the refill): max(peek, min(wanted, 4096))
+    for k, wanted, rows in [(1, 1, 1), (4, 1, 4), (1, 34, 34), (32, 34, 34),
+                            (32, 10_000, 4096), (5000, 10_000, 5000), (5000, 1, 5000)]:
+        rng = make_rng(1)
+        stream = sampler._Normals(rng, 2, 0.1)
+        stream.wanted = wanted
+        stream.peek(k)
+        assert (stream.end, rows_drawn(1, rng, 2, 6000)) == (rows, rows)
+    # the undrawn rest counts toward a refill's rows
+    rng = make_rng(1)
+    stream = sampler._Normals(rng, 2, 0.1)
+    stream.wanted = 10
+    stream.peek(10)
+    stream.skip(7)
+    stream.peek(5)
+    assert (stream.end, rows_drawn(1, rng, 2, 100)) == (10, 17)
+
+
+def test_bare_generator_in_step_draws_only_the_rows_it_tests(unit_disk):
+    # far outside the disk all 10 attempts miss, in blocks of 1, 4 and 5
+    rng = make_rng(6)
+    assert backward_step(np.array([100.0, 0.0]), 0.01, 10, unit_disk, rng) == (None, 10)
+    assert rows_drawn(6, rng, 2, 100) == 10
 
 
 def test_backward_step_consumes_only_up_to_the_first_hit(annulus):
     # y deep in the hole: the first hit comes several blocks in, past
-    # refills of a 5-row buffer, and the stream then stands where one
-    # draw per proposal would stand.  A missed first proposal handed in,
+    # 5-row refills, and the stream then stands where one draw per
+    # proposal would stand.  A missed first proposal handed in,
     # its row consumed, goes on from attempt 2 the same way; a hit
     # handed in comes back untested, and the stream stays where it was.
     y, h = np.array([0.3, 0.0]), 0.01
@@ -149,20 +171,22 @@ def test_backward_step_consumes_only_up_to_the_first_hit(annulus):
         draws.append(math.sqrt(h) * reference.standard_normal(2))
     after = math.sqrt(h) * reference.standard_normal(2)
     for first in (None, (y + draws[0], False)):
-        stream = sampler._Normals(make_rng(4), 2, h, rows=5)
+        stream = sampler._Normals(make_rng(4), 2, h)
+        stream.wanted = 5
         if first is not None:
-            stream.draw(2)
+            read(stream)
         point, attempts = backward_step(y, h, 10_000, annulus, stream, first=first)
         assert attempts == len(draws) > 13
         assert point.tobytes() == (y + draws[-1]).tobytes()
-        assert stream.draw(2).tobytes() == after.tobytes()
-    stream = sampler._Normals(make_rng(4), 2, h, rows=5)
+        assert read(stream).tobytes() == after.tobytes()
+    stream = sampler._Normals(make_rng(4), 2, h)
+    stream.wanted = 5
     untested = dataclasses.replace(annulus, membership=None)
     hit = np.array([0.75, 0.0])
     point, attempts = backward_step(y, h, 10_000, untested, stream, first=(hit, True))
     assert (point.tobytes(), attempts) == (hit.tobytes(), 1)
     assert stream.membership_calls == stream.membership_points == 0
-    assert stream.draw(2).tobytes() == draws[0].tobytes()
+    assert read(stream).tobytes() == draws[0].tobytes()
 
 
 def test_backward_step_validation(unit_disk):
@@ -261,10 +285,10 @@ def rows_drawn(seed, rng, n, most):
 
 @pytest.mark.parametrize("name,h,slack", [
     # mostly first hits: a refill asks for the rows the rest of the run
-    # takes, at least 2 per iteration, plus a window's peek, or 64
-    ("disk", 1e-4, sampler._FIRST_ROWS),
-    ("disk", 1e-2, sampler._FIRST_ROWS),
-    ("ball10", 1.558e-4, sampler._FIRST_ROWS),
+    # takes, at least 2 per iteration, plus a window's peek
+    ("disk", 1e-4, 2 * sampler._WINDOW + 1),
+    ("disk", 1e-2, 2 * sampler._WINDOW + 1),
+    ("ball10", 1.558e-4, 2 * sampler._WINDOW + 1),
     # a straggler's block can be the last refill, and its hit ends it early
     ("annulus", 4.69e-3, sampler._BLOCK_CAP),
 ])
