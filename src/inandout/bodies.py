@@ -82,6 +82,13 @@ class Body:
     convention: a point (n,) or a batch (m, n); boolean or float
     results with matching leading shape.  interior and distance are
     optional (None when no closed form is known).
+
+    shell, when set, is (center, r_in, r_out) and states that the body
+    is exactly the closed shell r_in <= |x - center| <= r_out (a ball
+    when r_in is 0), membership and interior being make_ball's radius
+    tests.  exclusion fuses such tests, and diagnostics draws and
+    integrates such bodies in the radius; a copy whose membership wraps
+    the original keeps it, one that changes the set must drop it.
     """
 
     dim: int
@@ -92,6 +99,7 @@ class Body:
     inner_ball: Optional[tuple] = None  # (center, radius)
     interior: Optional[Callable[[np.ndarray], np.ndarray]] = None
     distance: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    shell: Optional[tuple] = None  # (center, r_in, r_out)
 
     def __post_init__(self):
         lo, hi = self.bbox
@@ -112,6 +120,13 @@ class Body:
             if c.shape != (self.dim,) or not (r > 0.0):
                 raise ValueError("inner ball needs a (dim,) center and positive radius")
             object.__setattr__(self, "inner_ball", (c, float(r)))
+        if self.shell is not None:
+            c, r_in, r_out = self.shell
+            c = _freeze(c)
+            if c.shape != (self.dim,) or not (0.0 <= r_in < r_out < math.inf):
+                raise ValueError("shell needs a (dim,) center and radii "
+                                 "0 <= r_in < r_out < inf")
+            object.__setattr__(self, "shell", (c, float(r_in), float(r_out)))
         if self.exact_volume is not None and not (0.0 < self.exact_volume < math.inf):
             raise ValueError(
                 f"exact volume must be positive and finite, got {self.exact_volume}")
@@ -158,9 +173,6 @@ def make_ball(center, radius: float) -> Body:
     def distance(pts):
         return np.maximum(_radius(pts, center) - r, 0.0)
 
-    # the tag by which `exclusion` knows these tests are exactly a ball's
-    membership.ball = interior.ball = (center, r)
-
     return Body(
         dim=n,
         membership=membership,
@@ -170,6 +182,7 @@ def make_ball(center, radius: float) -> Body:
         inner_ball=(center, r),
         interior=interior,
         distance=distance,
+        shell=(center, 0.0, r),
     )
 
 
@@ -256,18 +269,11 @@ def make_halfspace_polytope(A, b, inner_center, inner_radius: float) -> Body:
                 )
             dest[i] = sign * res.fun
 
-    def products(pts):
-        # pts @ A.T by the same float operations for a point and a batch:
-        # BLAS takes gemv for one and gemm for the other, which differ in
-        # the last bit
-        pts = np.asarray(pts, dtype=float)
-        return np.add.reduce(pts[..., None, :] * A, axis=-1)
-
     def membership(pts):
-        return np.all(products(pts) <= b, axis=-1)
+        return np.all(_products(pts, A) <= b, axis=-1)
 
     def interior(pts):
-        return np.all(products(pts) < b, axis=-1)
+        return np.all(_products(pts, A) < b, axis=-1)
 
     return Body(
         dim=n,
@@ -279,6 +285,13 @@ def make_halfspace_polytope(A, b, inner_center, inner_radius: float) -> Body:
         interior=interior,
         distance=None,
     )
+
+
+def _products(pts, A) -> np.ndarray:
+    # pts @ A.T by the same float operations for a point, a batch and any
+    # view of one: BLAS takes gemv for one point and gemm for a batch,
+    # which differ in the last bit, and einsum's own loop does neither
+    return np.einsum("...j,kj->...k", np.asarray(pts, dtype=float), A)
 
 
 def _hull_bbox(parts: Sequence[Body]) -> tuple:
@@ -389,11 +402,13 @@ def exclusion(outer: Body, hole: Body, remaining_volume: float) -> Body:
         )
 
     outer_mem, hole_int = outer.membership, hole.interior
-    # make_ball's tag: (center, radius) of each ball, or None
-    (c_out, r_out), (c_in, r_in) = (getattr(f, "ball", (None, None))
-                                    for f in (outer_mem, hole_int))
+    # (center, radius) of each body that is a ball, or None
+    (c_out, r_out), (c_in, r_in) = ((b.shell[0], b.shell[2])
+                                    if b.shell is not None and b.shell[1] == 0.0
+                                    else (None, None) for b in (outer, hole))
     balls = c_out is not None and c_in is not None
-    if balls and np.array_equal(c_out, c_in):
+    concentric = balls and np.array_equal(c_out, c_in)
+    if concentric:
         # two make_ball tests around one center: one radius serves both,
         # with the same bits as the two tests
         def membership(pts):
@@ -430,6 +445,7 @@ def exclusion(outer: Body, hole: Body, remaining_volume: float) -> Body:
         inner_ball=None,
         interior=interior,
         distance=distance,
+        shell=(c_out, r_in, r_out) if concentric and r_in < r_out else None,
     )
 
 

@@ -409,8 +409,9 @@ def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
                              f"resolution {diag['resolution']}")
         rng = sampler.make_rng(sampler.derive_seed(seed, 500))
         if samples is None:
-            pts = bodies.sample_uniform(body, rng, max(n_mc, 5 * n_cells))
-            src = "exact-uniform reference (bbox rejection)"
+            pts = diagnostics.uniform_reference(body, rng, max(n_mc, 5 * n_cells))
+            route = "bbox rejection" if body.shell is None else "radial draw"
+            src = f"exact-uniform reference ({route})"
         else:
             pts = samples
             src = "supplied sample file"

@@ -12,8 +12,12 @@ order.  The per-iteration failure and trial checks of a 2-D body are
 computed instead by grid quadrature of the local conductance on the
 `GridOracle` bitmap; their error is the change from a grid of half the
 resolution, which resolves failure mass far below the 3/S bound (about
-3e-14 against 6.7e-7 on the annulus plan).  Other dimensions keep a
-nested Monte Carlo, which resolves failure mass only down to 1/n_mc.
+3e-14 against 6.7e-7 on the annulus plan).  Above 2-D, a ball or a
+concentric shell (a body with a `shell`) is integrated in the radius
+instead, with its error the change from half the nodes; other bodies
+keep a nested Monte Carlo, which resolves failure mass only down to
+1/n_mc.  The uniform reference points of the checks are drawn exactly
+in the radius for a shell body and by bbox rejection otherwise.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ import scipy
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import specfun
-from .bodies import Body, sample_uniform
+from .bodies import Body, _radius, sample_uniform, unit_ball_volume
 from .planner import Plan, step_size_regime, trial_floor
 
 SATISFIED = "satisfied"
 VIOLATED = "violated_beyond_3se"
 RESOLUTION = 400   # GridOracle cells per axis
 INNER_MC = 2_000   # proposals per outer point of the nested Monte Carlo
+RADIAL_NODES = 2**15 + 1  # nodes of the radial quadrature; every other is the coarse rule
 TV_LEVEL = 0.01    # grid_tv is violated when its p-value falls below this
 
 
@@ -148,6 +153,29 @@ def expected_trials_closed_form(p: float, N: int) -> float:
     return -math.expm1(N * math.log1p(-p)) / p
 
 
+def uniform_reference(body: Body, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size exact uniform points of the body, an array (size, dim).
+
+    A shell body r_in <= |x - c| <= r_out is drawn in the radius: a
+    direction g / |g| from g = rng.standard_normal((size, n)), then
+    u = rng.random(size) and rho = (r_in^n + u (r_out^n - r_in^n))^(1/n),
+    taken as r_out (t + u (1 - t))^(1/n) with t = (r_in / r_out)^n so no
+    power overflows.  Any other body falls back to sample_uniform's
+    bbox rejection.
+    """
+    if body.shell is None:
+        return sample_uniform(body, rng, size)
+    c, r_in, r_out = body.shell
+    n = body.dim
+    g = rng.standard_normal((size, n))
+    u = rng.random(size)
+    t = (r_in / r_out) ** n
+    rho = r_out * (t + u * (1.0 - t)) ** (1.0 / n)
+    g *= (rho / _radius(g, 0.0))[:, None]
+    g += c
+    return g
+
+
 def _require_distance(body: Body, oracle: Optional[GridOracle]):
     """Pick the distance route: analytic when present, else a 2-D grid."""
     if body.distance is not None:
@@ -169,10 +197,10 @@ def stationary_escape_check(body: Body, h: float, r: float, n_mc: int,
                             oracle: Optional[GridOracle] = None) -> BoundCheck:
     """Check the smoothed-law escape bound at distance r.
 
-    Draws X uniform on the body, forms Y = X + sqrt(h) Z, and compares
-    the empirical frequency of dist(Y, body) > r against
-    alpha (n+1) Q_{2n}(r / sqrt(h)).  Requires h within the base cap
-    of planner.step_size_regime.
+    Draws X uniform on the body (uniform_reference), forms
+    Y = X + sqrt(h) Z, and compares the empirical frequency of
+    dist(Y, body) > r against alpha (n+1) Q_{2n}(r / sqrt(h)).  Requires
+    h within the base cap of planner.step_size_regime.
     """
     if body.growth is None:
         raise ValueError("body has no growth certificate")
@@ -183,7 +211,7 @@ def stationary_escape_check(body: Body, h: float, r: float, n_mc: int,
     if not (0.0 < h <= h_cap * (1.0 + 1e-12)):
         raise ValueError(f"step size {h} violates the base regime cap {h_cap}")
     dist, note = _require_distance(body, oracle)
-    xs = sample_uniform(body, rng, n_mc)
+    xs = uniform_reference(body, rng, n_mc)
     ys = xs + math.sqrt(h) * rng.standard_normal((n_mc, n))
     escapes = int(np.count_nonzero(np.asarray(dist(ys)) > r))
     p = escapes / n_mc
@@ -277,6 +305,49 @@ def _grid_failure_and_trials(oracle: GridOracle, h: float, N: int) -> tuple:
             rows.shape[0] * cols.shape[0])
 
 
+def _radial_failure_and_trials(body: Body, h: float, N: int) -> tuple:
+    """((failure, trials), the same on half the nodes, lo, hi) of a shell body.
+
+    At |y - c| = rho the local conductance of the shell r_in <= |x - c|
+    <= r_out is ell(rho) = F(r_out^2 / h) - F(r_in^2 / h), F being the
+    noncentral chi-square law with n degrees of freedom and
+    noncentrality rho^2 / h (the second term only when r_in > 0).  The
+    sums of _grid_failure_and_trials become integrals in rho against
+    the sphere area n omega_n rho^(n-1), by the trapezoid rule on
+    RADIAL_NODES nodes over [max(0, r_in - z sqrt(h)), r_out + z sqrt(h)]
+    with the grid's z; the coarse values take every other node.
+    scipy.special loads here.
+    """
+    _, r_in, r_out = body.shell
+    n = body.dim
+    z = max(8.0, math.sqrt(2.0 * math.log(1e6 * N)))
+    lo, hi = max(0.0, r_in - z * math.sqrt(h)), r_out + z * math.sqrt(h)
+    rho = np.linspace(lo, hi, RADIAL_NODES)
+    nc = rho * rho / h
+    ell = scipy.special.chndtr(r_out * r_out / h, n, nc)
+    if r_in > 0.0:
+        ell -= scipy.special.chndtr(r_in * r_in / h, n, nc)
+    np.clip(ell, 0.0, 1.0, out=ell)
+    area = n * unit_ball_volume(n) * rho ** (n - 1)
+    with np.errstate(divide="ignore"):
+        t = N * np.log1p(-ell)
+    integrands = (ell * area, ell * np.exp(t) * area, -np.expm1(t) * area)
+    values = []
+    for every in (1, 2):
+        mass, failure, trials = (np.trapezoid(f[::every], rho[::every])
+                                 for f in integrands)
+        values.append((failure / mass, trials / mass))
+    return (*values, lo, hi)
+
+
+def _quadrature_checks(fine, coarse, bounds, nodes: int, note: str) -> tuple:
+    """The (failure, trials) records of a quadrature and its coarse rule."""
+    return tuple(BoundCheck(name=name, empirical=value, theoretical_bound=bound,
+                            mc_std_error=abs(value - other), n_samples=nodes, note=note)
+                 for name, value, other, bound in zip(
+                     ("stationary_failure", "expected_trials"), fine, coarse, bounds))
+
+
 def per_iteration_checks(body: Body, p: Plan, n_mc: int,
                          rng: np.random.Generator,
                          inner_mc: int = INNER_MC,
@@ -294,6 +365,12 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
     is the change from a grid of half the resolution, and n_mc, inner_mc
     and rng are not used.  A resolution below 4 has no such grid and is a
     ValueError.
+
+    Above 2-D, a body with a shell (a make_ball ball or a concentric
+    make_ball exclusion) is integrated in the radius: ell is exact in
+    closed form, the integrals are 1-D, each record's mc_std_error is
+    the change from half the nodes, and again n_mc, inner_mc and rng are
+    not used.
 
     Other bodies estimate the local conductance at n_mc smoothed-law
     points, inner_mc proposals each, on one shared sample.  The nested
@@ -331,11 +408,13 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
         note = (f"grid quadrature of the local conductance on {nodes} padded "
                 f"cells (resolution {r}); the error is the change from "
                 f"resolution {r // 2}")
-        return tuple(BoundCheck(name=name, empirical=value, theoretical_bound=bound,
-                                mc_std_error=abs(value - other), n_samples=nodes,
-                                note=note)
-                     for name, value, other, bound in zip(
-                         ("stationary_failure", "expected_trials"), fine, coarse, bounds))
+        return _quadrature_checks(fine, coarse, bounds, nodes, note)
+    if body.dim > 2 and body.shell is not None:
+        fine, coarse, lo, hi = _radial_failure_and_trials(body, p.h, p.N)
+        note = (f"radial quadrature of the exact local conductance on {RADIAL_NODES} "
+                f"nodes in [{lo:.6g}, {hi:.6g}]; the error is the change from "
+                f"{RADIAL_NODES // 2 + 1} nodes")
+        return _quadrature_checks(fine, coarse, bounds, RADIAL_NODES, note)
 
     ell = smoothed_conductance_samples(body, p.h, n_mc, inner_mc, rng)
     # estimates are multiples of 1/inner_mc: the zero-hit points are

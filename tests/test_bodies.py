@@ -151,6 +151,27 @@ def test_polytope_gives_one_point_the_bits_of_a_batch(rows):
         assert test(pts[:777]).tolist() == batch[:777].tolist()
 
 
+@pytest.mark.parametrize("n,k", [(2, 6), (3, 4), (10, 20), (12, 2)])
+def test_polytope_products_have_one_set_of_bits(n, k):
+    # a point, a batch, a strided view (the window's first proposals are
+    # every other row of its buffer) and sub-batches of one batch get the
+    # same bits of A x, at the in-step's block sizes and a large batch
+    rng = np.random.default_rng(100 * n + k)
+    A = bodies._freeze(rng.standard_normal((k, n)))
+    for m in (1, 4, 16, 1024):
+        buf = rng.standard_normal((2 * m + 1, n))
+        batch = np.ascontiguousarray(buf[1::2])
+        want = bodies._products(batch, A)
+        assert want.shape == (m, k)
+        views = [np.stack([bodies._products(x, A) for x in batch]),
+                 bodies._products(buf[1::2], A),
+                 bodies._products(batch[None], A)[0],
+                 np.concatenate([bodies._products(batch[i:i + 3], A)
+                                 for i in range(0, m, 3)])]
+        for got in views:
+            assert got.tobytes() == want.tobytes()
+
+
 def test_polytope_rejects_unbounded():
     A = np.array([[1.0, 0.0], [0.0, 1.0]])     # no lower bounds: a quadrant
     b = np.array([1.0, 1.0])
@@ -371,6 +392,41 @@ def test_exclusion_of_nearly_concentric_balls_tests_each_ball():
     assert exclusion(make_ball([1e3, 0.0], 1.0), make_ball([1e3 + 1e-6, 0.0], 0.5),
                      2.0).distance is None
     assert exclusion(outer, make_ball([0.0, 0.0], 1.0), 1.0).distance is None
+
+
+def test_shell_is_set_for_balls_and_exactly_concentric_ball_exclusions():
+    c = [0.5, -1.0, 2.0]
+    ball = make_ball(c, 2.0)
+    assert np.array_equal(ball.shell[0], c) and ball.shell[1:] == (0.0, 2.0)
+    assert with_growth(ball, 2.0, 1.0).shell[1:] == (0.0, 2.0)
+    hole = make_ball(c, 0.5)
+    shell = exclusion(ball, hole, ball.exact_volume - hole.exact_volume)
+    assert np.array_equal(shell.shell[0], c) and shell.shell[1:] == (0.5, 2.0)
+    # a membership wrapper keeps the field, and the fused test with it
+    wrapped = exclusion(dataclasses.replace(ball, membership=lambda p: ball.membership(p)),
+                        hole, ball.exact_volume - hole.exact_volume)
+    assert wrapped.shell[1:] == (0.5, 2.0)
+    assert wrapped.membership.__code__ is shell.membership.__code__
+    # no shell: a hole that covers the outer ball, centers apart by
+    # rounding, a box, an annulus as the outer body, unions and stars
+    assert exclusion(hole, ball, 0.1).shell is None
+    nudged = make_ball([0.5 + 1e-15, -1.0, 2.0], 0.5)
+    assert exclusion(ball, nudged, ball.exact_volume - nudged.exact_volume).shell is None
+    box = make_box([-3.0] * 3, [3.0] * 3)
+    assert box.shell is None
+    assert exclusion(box, make_ball([0.0] * 3, 1.0), 200.0).shell is None
+    assert exclusion(shell, make_ball(c, 1.0), 1.0).shell is None
+    assert union([ball], ball.exact_volume).shell is None
+    assert star_shaped([make_ball([0.0] * 3, 1.0)], 0.5).shell is None
+
+
+@pytest.mark.parametrize("shell", [([0.0, 0.0], 1.0, 1.0), ([0.0, 0.0], -0.5, 1.0),
+                                   ([0.0, 0.0, 0.0], 0.0, 1.0),
+                                   ([0.0, 0.0], 0.0, math.inf)])
+def test_body_rejects_a_bad_shell(shell):
+    ball = make_ball([0.0, 0.0], 1.0)
+    with pytest.raises(ValueError, match="shell"):
+        dataclasses.replace(ball, shell=shell)
 
 
 def test_union_distance_is_min_of_parts():

@@ -519,6 +519,38 @@ def test_diagnose_per_iteration_records_are_grid_quadrature(tmp_path):
     assert checks["stationary_failure"]["mc_std_error"] <= 1e-12
 
 
+@pytest.mark.parametrize("body,route", [
+    (ANNULUS_BODY, "radial draw"),
+    ({"kind": "exclusion", "outer": {"kind": "box", "lo": [-1, -1], "hi": [1, 1]},
+      "hole": {"kind": "ball", "center": [0.2, 0.0], "radius": 0.5},
+      "volume": 4.0 - 0.25 * math.pi}, "bbox rejection"),
+], ids=["annulus", "square-minus-disk"])
+def test_diagnose_grid_tv_note_names_the_reference_route(tmp_path, body, route):
+    cfg = write_config(tmp_path, {**diagnose_config(), "body": body})
+    out = tmp_path / "report.json"
+    main(["diagnose", "--config", cfg, "--out", str(out)])
+    tv = {c["name"]: c for c in json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    assert tv["grid_tv"]["note"] == f"samples: exact-uniform reference ({route})"
+
+
+def test_diagnose_integrates_a_ball_above_2d_in_the_radius(tmp_path):
+    cfg = write_config(tmp_path, {
+        "body": {"kind": "ball", "center": [0.0] * 10, "radius": 1.0},
+        "plan": ANNULUS_PLAN,
+        "diagnose": {"seed": 1, "n_mc": 2000, "r_grid": [0.25], "t_grid": [0.1]}})
+    out = tmp_path / "report.json"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    checks = {c["name"]: c for c in
+              json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    # the exact values of the 10-D unit ball plan, far under 3/S = 8.4e-9
+    # and 16 alpha log S = 315.1
+    assert checks["stationary_failure"]["empirical"] == pytest.approx(6.6466e-13, rel=1e-4)
+    assert checks["expected_trials"]["empirical"] == pytest.approx(2.22022, rel=1e-5)
+    for name in ("stationary_failure", "expected_trials"):
+        assert checks[name]["note"].startswith("radial quadrature")
+        assert checks[name]["mc_std_error"] <= 1e-9 * checks[name]["empirical"]
+
+
 @pytest.mark.parametrize("resolution", [2, 3])
 def test_diagnose_without_a_coarser_grid_is_a_hypothesis_violation(tmp_path,
                                                                   resolution):
@@ -538,7 +570,7 @@ def test_diagnose_uses_n_mc_as_given_above_2d(tmp_path):
     # the nested Monte Carlo of a 3-D body takes every one of the n_mc
     # outer points (it was capped at 4000 before)
     cfg = write_config(tmp_path, {
-        "body": {"kind": "ball", "center": [0, 0, 0], "radius": 1.0},
+        "body": {"kind": "box", "lo": [-1.0] * 3, "hi": [1.0] * 3},
         "plan": {"q": 2, "eps": 0.2, "M": 1, "C_PI": 1},
         "diagnose": {"seed": 1, "n_mc": 4500, "inner_mc": 1,
                      "r_grid": [0.5], "t_grid": [0.5]},
@@ -734,6 +766,7 @@ SCIPY_SUBMODULES = ("scipy.special", "scipy.spatial", "scipy.optimize", "scipy.s
 
 BALL10_BODY = {"kind": "ball", "center": [0.0] * 10, "radius": 1.0}
 BALL3_BODY = {"kind": "ball", "center": [0.0] * 3, "radius": 1.0}
+BOX3_BODY = {"kind": "box", "lo": [-1.0] * 3, "hi": [1.0] * 3}
 
 
 def scipy_loaded(code):
@@ -753,11 +786,14 @@ def scipy_loaded(code):
     (("plan", BALL10_BODY), set()),
     (("sample", BALL10_BODY), set()),
     (("diagnose", ANNULUS_BODY), set()),
+    # the radial quadrature's noncentral chi-square law
+    (("diagnose", BALL3_BODY, {"n_mc": 2000, "inner_mc": 50}), {"scipy.special"}),
     # the nested Monte Carlo route and the escape bound's chi_tail(6, .);
     # few draws keep it fast
-    (("diagnose", BALL3_BODY, {"n_mc": 2000, "inner_mc": 50}), set()),
+    (("diagnose", BOX3_BODY, {"n_mc": 2000, "inner_mc": 50}), set()),
 ], ids=["import", "import-cli", "plan-annulus", "sample-annulus",
-        "plan-ball10", "sample-ball10", "diagnose-annulus", "diagnose-ball3"])
+        "plan-ball10", "sample-ball10", "diagnose-annulus", "diagnose-ball3",
+        "diagnose-box3"])
 def test_start_up_loads_only_the_scipy_a_command_calls(tmp_path, run, loads):
     if isinstance(run, tuple):
         command, body, *diagnose = run

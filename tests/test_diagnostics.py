@@ -60,34 +60,54 @@ SHELL_PLAN_INPUTS = PlanInputs(q=2, eps=0.2, M=1, C_PI=4, alpha=8.0 / 7.0,
                                beta=1.0, n=3)
 
 
-def exact_per_iteration_values(r_lo: float, r_hi: float, h: float, N: int) -> tuple:
-    """(failure mass, expected trials) on the 2-D ring r_lo <= |x| <= r_hi.
+def box_minus_ball_3d():
+    """The cube [-1, 1]^3 minus an off-center ball: no shell, so the nested Monte Carlo."""
+    box = bodies.make_box([-1.0] * 3, [1.0] * 3)
+    hole = bodies.make_ball([0.03, 0.02, 0.0], 0.95)
+    return bodies.exclusion(box, hole, box.exact_volume - hole.exact_volume)
+
+
+def box_minus_ball_plan():
+    g = box_minus_ball_3d().growth
+    return planner.plan(PlanInputs(q=2, eps=0.2, M=1, C_PI=4, alpha=g.alpha,
+                                   beta=g.beta, n=3))
+
+
+def exact_per_iteration_values(r_lo: float, r_hi: float, h: float, N: int,
+                               n: int = 2) -> tuple:
+    """(failure mass, expected trials) on the shell r_lo <= |x| <= r_hi in n dimensions.
 
     The local conductance at |y| = rho is Pr(r_lo^2 <= |y + sqrt(h) Z|^2
-    <= r_hi^2), a difference of noncentral chi-square laws with 2
+    <= r_hi^2), a difference of noncentral chi-square laws with n
     degrees of freedom and noncentrality rho^2 / h; Y has density
-    ell / vol, so both values are radial integrals of ell.
+    ell / vol, so both values are radial integrals of ell against the
+    sphere area n omega_n rho^(n-1).
     """
     def ell(rho):
         nc = rho * rho / h
         lo, hi = r_lo * r_lo / h, r_hi * r_hi / h
         # take the difference on the side where both terms are small
         if rho < r_lo:
-            return stats.ncx2.sf(lo, 2, nc) - stats.ncx2.sf(hi, 2, nc)
-        below = stats.ncx2.cdf(lo, 2, nc) if r_lo > 0.0 else 0.0
-        return stats.ncx2.cdf(hi, 2, nc) - below
+            return stats.ncx2.sf(lo, n, nc) - stats.ncx2.sf(hi, n, nc)
+        below = stats.ncx2.cdf(lo, n, nc) if r_lo > 0.0 else 0.0
+        return stats.ncx2.cdf(hi, n, nc) - below
 
     def log_miss(rho):   # N log(1 - ell), -inf at ell == 1
         e = min(ell(rho), 1.0)
         return -math.inf if e == 1.0 else N * math.log1p(-e)
 
-    vol = math.pi * (r_hi**2 - r_lo**2)
+    omega = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+
+    def area(rho):
+        return n * omega * rho ** (n - 1)
+
+    vol = omega * (r_hi**n - r_lo**n)
     top = r_hi + 12.0 * math.sqrt(h)
     breaks = [r for r in (r_lo, r_hi) if r > 0.0]
-    failure = integrate.quad(lambda rho: 2 * math.pi * rho * ell(rho)
+    failure = integrate.quad(lambda rho: area(rho) * ell(rho)
                              * math.exp(log_miss(rho)), 0.0, top, points=breaks,
                              limit=500, epsabs=0.0, epsrel=1e-10)[0]
-    trials = integrate.quad(lambda rho: -2 * math.pi * rho * math.expm1(log_miss(rho)),
+    trials = integrate.quad(lambda rho: -area(rho) * math.expm1(log_miss(rho)),
                             0.0, top, points=breaks, limit=500, epsabs=0.0,
                             epsrel=1e-10)[0]
     return failure / vol, trials / vol
@@ -329,11 +349,68 @@ def test_gaussian_band_matches_scipy_erfc(n_cells, pad, step, h):
     assert np.max(np.abs(band - ref)) <= 1e-15
 
 
+BALL10_PLAN_INPUTS = PlanInputs(q=2, eps=0.2, M=1, C_PI=4, alpha=1.0, beta=1.0, n=10)
+
+
+@pytest.mark.parametrize("body,inputs,r_lo", [
+    (shell_3d, SHELL_PLAN_INPUTS, 0.5),
+    (lambda: bodies.make_ball([0.0] * 10, 1.0), BALL10_PLAN_INPUTS, 0.0),
+], ids=["shell3", "ball10"])
+def test_radial_quadrature_matches_an_independent_integral(body, inputs, r_lo):
+    # the reference integrates scipy.stats' ncx2 by adaptive quadrature,
+    # to a relative 1e-10; on the 10-D plan the failure mass is about
+    # 6.6e-13 against 3/S = 8.4e-9, and the trials 2.2202
+    body = body()
+    p = planner.plan(inputs)
+    exact = exact_per_iteration_values(r_lo, 1.0, p.h, p.N, n=body.dim)
+    rng = make_rng(3)
+    records = per_iteration_checks(body, p, 10, rng)
+    assert rng.random() == make_rng(3).random()    # no draw was taken
+    # the nodes stop z sqrt(h) beyond the shell, which leaves out Y-mass
+    # of at most 2e-6 / N: at most that much failure mass, 2e-6 trials
+    for chk, value, left_out in zip(records, exact, (2e-6 / p.N, 2e-6)):
+        assert chk.verdict == SATISFIED and chk.empirical < chk.theoretical_bound
+        assert "radial quadrature" in chk.note
+        assert chk.n_samples == diagnostics.RADIAL_NODES
+        # with that, the change from half the nodes covers the actual error
+        assert abs(chk.empirical - value) <= chk.mc_std_error + left_out
+        assert chk.mc_std_error <= 1e-9 * value
+    if body.dim == 10:
+        assert records[0].empirical == pytest.approx(6.6466e-13, rel=1e-4)
+        assert records[1].empirical == pytest.approx(2.22022, rel=1e-5)
+
+
+def test_radial_quadrature_matches_the_disk_integral(unit_disk):
+    # per_iteration_checks keeps 2-D bodies on the grid; the radial rule
+    # itself holds in 2-D too
+    p = planner.plan(DISK_PLAN_INPUTS)
+    fine, coarse, lo, hi = diagnostics._radial_failure_and_trials(unit_disk, p.h, p.N)
+    assert lo == 0.0 and hi > 1.0
+    exact = exact_per_iteration_values(0.0, 1.0, p.h, p.N)
+    for value, other, want, left_out in zip(fine, coarse, exact, (2e-6 / p.N, 2e-6)):
+        assert abs(value - want) <= abs(value - other) + left_out
+    assert "grid quadrature" in per_iteration_checks(unit_disk, p, 10, make_rng(1))[0].note
+
+
+def test_radial_route_takes_only_shell_bodies_above_2d():
+    # a ball wrapped as the benchmark's tracer wraps it keeps the route
+    ball = bodies.make_ball([0.0] * 3, 1.0)
+    p = planner.plan(dataclasses.replace(SHELL_PLAN_INPUTS, alpha=1.0))
+    wrapped = dataclasses.replace(ball, membership=lambda pts: ball.membership(pts))
+    plain, same = (per_iteration_checks(b, p, 200, make_rng(4), inner_mc=50)
+                   for b in (ball, wrapped))
+    assert [c.to_dict() for c in plain] == [c.to_dict() for c in same]
+    assert "radial quadrature" in plain[0].note
+    box = bodies.make_box([-1.0] * 3, [1.0] * 3)
+    assert "zero inner hits" in per_iteration_checks(box, p, 200, make_rng(4),
+                                                     inner_mc=50)[0].note
+
+
 def test_trials_check_clamps_unresolvable_conductance():
     # with a coarse inner estimate some smoothed-law points record zero
     # hits; they must not each contribute ~N to the average
-    body = shell_3d()
-    p = planner.plan(SHELL_PLAN_INPUTS)
+    body = box_minus_ball_3d()
+    p = box_minus_ball_plan()
     chk = expected_trials_check(body, p, n_mc=2000, rng=make_rng(30),
                                 inner_mc=300)
     assert chk.n_samples == 2000
@@ -378,8 +455,8 @@ def test_per_iteration_gate_agrees_with_plan_consistency(annulus):
 
 
 def test_per_iteration_checks_share_one_sample():
-    body = shell_3d()
-    p = planner.plan(SHELL_PLAN_INPUTS)
+    body = box_minus_ball_3d()
+    p = box_minus_ball_plan()
     failure, trials = per_iteration_checks(body, p, 500, make_rng(21),
                                            inner_mc=300)
     assert "zero inner hits" in failure.note and failure.n_samples == 500
@@ -392,13 +469,77 @@ def test_per_iteration_checks_share_one_sample():
 def test_monte_carlo_trials_are_the_closed_form_of_each_clamped_estimate():
     # the record averages expected_trials_closed_form over the clamped
     # estimates of the one conductance sample, one of them a zero-hit point
-    body = shell_3d()
-    p = planner.plan(SHELL_PLAN_INPUTS)
+    body = box_minus_ball_3d()
+    p = box_minus_ball_plan()
     trials = expected_trials_check(body, p, 2000, make_rng(30), inner_mc=300)
     ell = smoothed_conductance_samples(body, p.h, 2000, 300, make_rng(30))
     assert np.count_nonzero(ell == 0.0) >= 1
     want = [expected_trials_closed_form(max(e, 1.0 / 300), p.N) for e in ell]
     assert trials.empirical == pytest.approx(math.fsum(want) / 2000, rel=1e-15)
+
+
+def shell_at(n: int, center, r_in: float, r_out: float):
+    """A make_ball ball (r_in 0) or a concentric make_ball exclusion."""
+    outer = bodies.make_ball(center, r_out)
+    if r_in == 0.0:
+        return outer
+    hole = bodies.make_ball(center, r_in)
+    return bodies.exclusion(outer, hole, outer.exact_volume - hole.exact_volume)
+
+
+SHELLS = [(2, [0.3, -0.2], 0.5, 1.0), (3, [1.0, 0.5, -2.0], 0.25, 2.0),
+          (10, [0.1] * 10, 0.0, 1.5), (10, [-0.2] * 10, 0.9, 1.0)]
+
+
+@pytest.mark.parametrize("n,center,r_in,r_out", SHELLS,
+                         ids=["annulus2", "shell3", "ball10", "shell10"])
+def test_uniform_reference_draws_the_shell_exactly(n, center, r_in, r_out):
+    body = shell_at(n, center, r_in, r_out)
+    assert body.shell[1:] == (r_in, r_out)
+    pts = diagnostics.uniform_reference(body, make_rng(40 + n), 20_000)
+    assert pts.shape == (20_000, n)
+    assert body.membership(pts).all()
+    d = pts - np.asarray(center)
+    rho = np.linalg.norm(d, axis=1)
+    # the radial law: rho^n uniform on [r_in^n, r_out^n]
+    u = (rho**n - r_in**n) / (r_out**n - r_in**n)
+    assert stats.kstest(u, "uniform").pvalue > 1e-3
+    # one coordinate of the direction: (t + 1) / 2 ~ Beta((n-1)/2, (n-1)/2)
+    a = (n - 1) / 2.0
+    assert stats.kstest((d[:, 0] / rho + 1.0) / 2.0, stats.beta(a, a).cdf).pvalue > 1e-3
+    # the draw order: the directions' normals first, then the radii's uniforms
+    rng = make_rng(40 + n)
+    g = rng.standard_normal((20_000, n))
+    v = rng.random(20_000)
+    np.testing.assert_allclose(d / rho[:, None], g / np.linalg.norm(g, axis=1)[:, None],
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(rho, (r_in**n + v * (r_out**n - r_in**n)) ** (1.0 / n),
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("make_body", [lambda: shell_at(3, [0.0] * 3, 0.5, 1.0),
+                                       lambda: bodies.make_box([0.0] * 3, [1.0] * 3)],
+                         ids=["shell", "box"])
+def test_uniform_reference_ignores_a_membership_wrapper(make_body):
+    # bench/tracing.py wraps the body's membership; the shell field
+    # survives the copy, so the draw stays exact
+    body = make_body()
+    calls = []
+
+    def wrapper(pts):
+        calls.append(1)
+        return body.membership(pts)
+
+    wrapped = dataclasses.replace(body, membership=wrapper)
+    assert (wrapped.shell is None) == (body.shell is None)
+    same = diagnostics.uniform_reference(wrapped, make_rng(5), 3000)
+    assert np.array_equal(same, diagnostics.uniform_reference(body, make_rng(5), 3000))
+    # a body without a shell falls back to bbox rejection
+    if body.shell is None:
+        assert calls
+        assert np.array_equal(same, bodies.sample_uniform(body, make_rng(5), 3000))
+    else:
+        assert not calls
 
 
 def test_smoothed_conductance_samples_shape(unit_square):
