@@ -13,14 +13,15 @@ The package couples five pieces, which `cli` runs from a JSON config:
 
 import importlib
 
-from . import bodies, diagnostics, planner, sampler, specfun
-
 __version__ = "0.1.0"
+
+_SUBMODULES = ("bodies", "cli", "diagnostics", "planner", "sampler", "specfun")
 
 
 def __getattr__(name):
-    # `cli` loads on first use: importing it here would make
+    # a submodule loads on first use, so a command loads only the
+    # modules it runs; importing `cli` here would also make
     # `python -m inandout.cli` find it in sys.modules before running it
-    if name == "cli":
-        return importlib.import_module(".cli", __name__)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

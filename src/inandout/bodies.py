@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy
 
 
 class CertificateError(ValueError):
@@ -254,6 +253,8 @@ def make_halfspace_polytope(A, b, inner_center, inner_radius: float) -> Body:
         raise CertificateError(
             f"inscribed ball violates constraint row {bad}: slack {slack[bad]:.3e}"
         )
+
+    import scipy.optimize  # loads here, for the polytope's box only
 
     lo = np.empty(n)
     hi = np.empty(n)

@@ -30,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import bodies, diagnostics, planner, sampler
+# `sampler` and `diagnostics` load in the commands that run them
+from . import bodies, planner
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -209,8 +210,8 @@ _CONFIG = {
         {"seed": _SEED, "n_mc": _COUNT, "inner_mc": _COUNT, "resolution": _integer(2),
          "n_cells": _integer(2), "r_grid": _list(_POSITIVE),
          "t_grid": _list(_NONNEGATIVE), "h_override": _POSITIVE},
-        {"seed": 0, "n_mc": 20_000, "inner_mc": diagnostics.INNER_MC,
-         "resolution": diagnostics.RESOLUTION, "n_cells": 16,
+        {"seed": 0, "n_mc": 20_000, "inner_mc": planner.INNER_MC,
+         "resolution": planner.RESOLUTION, "n_cells": 16,
          "r_grid": [0.25, 0.5, 1.0], "t_grid": [0.1, 0.5, 1.0], "h_override": None}),
 }
 _PLAN_DOCUMENT = {
@@ -333,6 +334,7 @@ def cmd_sample(cfg: RunConfig, out_dir: str, seed_override: Optional[int],
     if run["n_cap"] is not None:
         p = dataclasses.replace(p, N=min(p.N, run["n_cap"]))
 
+    from . import sampler
     t0 = time.monotonic()
     ens = sampler.run_ensemble(
         body, lambda rng: bodies.sample_uniform(body, rng), p, n_chains, seed
@@ -369,6 +371,8 @@ def cmd_sample(cfg: RunConfig, out_dir: str, seed_override: Optional[int],
 def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
                      samples: Optional[np.ndarray]) -> tuple:
     """Run every applicable check; returns (records, any_violation)."""
+    from . import diagnostics, sampler
+
     seed, n_mc, n_cells = diag["seed"], diag["n_mc"], diag["n_cells"]
     oracle = None
     if body.dim == 2:

@@ -28,17 +28,19 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import specfun
 from .bodies import Body, _radius, sample_uniform, unit_ball_volume
-from .planner import Plan, step_size_regime, trial_floor
+from .planner import INNER_MC, RESOLUTION, Plan, step_size_regime, trial_floor
 
 SATISFIED = "satisfied"
 VIOLATED = "violated_beyond_3se"
-RESOLUTION = 400   # GridOracle cells per axis
-INNER_MC = 2_000   # proposals per outer point of the nested Monte Carlo
+# Cell centers per membership call of GridOracle, and grid rows per block
+# of the quadrature and of grid_tv's angles: blocks keep every temporary
+# of a 2-D check far below one float per grid cell.
+ORACLE_BLOCK_POINTS = 8192
+GRID_BLOCK_ROWS = 64
 RADIAL_NODES = 2**15 + 1  # nodes of the radial quadrature; every other is the coarse rule
 TV_LEVEL = 0.01    # grid_tv is violated when its p-value falls below this
 
@@ -86,6 +88,12 @@ class GridOracle:
     a distance proxy (distance to the nearest occupied cell center,
     exact up to one cell diagonal), cell indexing for histogram tests,
     and the grid quadrature of the per-iteration checks.
+
+    The bitmap is filled a block of whole rows at a time, at least
+    ORACLE_BLOCK_POINTS cell centers per membership call (fewer in the
+    last), so only the boolean bitmap grows with resolution^2.
+    Membership is pointwise, so the bits are those of one call on every
+    center.
     """
 
     def __init__(self, body: Body, resolution: int = RESOLUTION):
@@ -101,19 +109,24 @@ class GridOracle:
         self.xs = lo[0] + (np.arange(resolution) + 0.5) * self.step[0]
         self.ys = lo[1] + (np.arange(resolution) + 0.5) * self.step[1]
         # cell (i, j) is row i * resolution + j, at (xs[i], ys[j])
-        centers = np.empty((resolution, resolution, 2))
-        centers[..., 0] = self.xs[:, None]
+        rows = min(resolution, -(-ORACLE_BLOCK_POINTS // resolution))
+        centers = np.empty((rows, resolution, 2))
         centers[..., 1] = self.ys
-        self.bitmap = np.asarray(body.membership(centers.reshape(-1, 2))).reshape(
-            resolution, resolution)
+        self.bitmap = np.empty((resolution, resolution), dtype=bool)
+        for i in range(0, resolution, rows):
+            block = centers[:resolution - i]
+            block[..., 0] = self.xs[i:i + rows, None]
+            self.bitmap[i:i + rows] = np.reshape(
+                body.membership(block.reshape(-1, 2)), block.shape[:2])
         self.n_occupied = int(np.count_nonzero(self.bitmap))
         if self.n_occupied == 0:
             raise ValueError("no grid cell center lies inside the body")
 
     @functools.cached_property
-    def _tree(self) -> scipy.spatial.cKDTree:
+    def _tree(self):
         # built on the first distance query, which only a body without
         # an analytic distance makes; scipy.spatial loads here
+        import scipy.spatial
         return scipy.spatial.cKDTree(self.lo + (np.argwhere(self.bitmap) + 0.5) * self.step)
 
     def cell_index(self, pts: np.ndarray) -> np.ndarray:
@@ -281,25 +294,50 @@ def _grid_failure_and_trials(oracle: GridOracle, h: float, N: int) -> tuple:
     the mass of Y outside it is at most 4 Q(z) <= 2 exp(-z^2 / 2) with
     Q the normal tail; z = max(8, sqrt(2 log(1e6 N))) keeps the trials
     left out below 2e-6 in relative terms and the failure mass left
-    out below 2e-6 / N, far under the 3/S bound.  ell is reduced in
-    blocks of rows, so the padded grid is never held whole.
+    out below 2e-6 / N, far under the 3/S bound.
+
+    ell is rows @ bitmap @ cols.T, rows and cols being the Gaussian
+    bands of the two axes, one band when both axes share step and pad.
+    The bitmap blurred along y is held whole (resolution x padded
+    columns).  The bitmap's float copy is made, and the padded grid
+    reduced, GRID_BLOCK_ROWS rows at a time, the elementwise steps in
+    place in buffers reused from block to block, so no other array
+    grows with resolution^2.  The elementwise steps and sums round as
+    on whole arrays.  BLAS does not promise that a block of rows of
+    `bitmap @ cols.T` rounds as the same rows of the whole product: with
+    OpenBLAS they matched at resolutions 200 and 400, and at 800 and
+    1600 a few far-tail entries (below 1e-31) differed in the last bit,
+    which left the annulus results unchanged.
     """
     r = oracle.resolution
     z = max(8.0, math.sqrt(2.0 * math.log(1e6 * N)))
     pads = [math.ceil(z * math.sqrt(h) / s) for s in oracle.step]
-    rows = _gaussian_band(r, pads[0], oracle.step[0], h)
     cols = _gaussian_band(r, pads[1], oracle.step[1], h)
-    # ell = rows @ bitmap @ cols.T, the bitmap blurred along y first
-    blurred = oracle.bitmap.astype(float) @ cols.T
+    rows = (cols if pads[0] == pads[1] and oracle.step[0] == oracle.step[1]
+            else _gaussian_band(r, pads[0], oracle.step[0], h))
+    b = GRID_BLOCK_ROWS
+    # the bitmap blurred along y first
+    blurred = np.empty((r, cols.shape[0]))
+    for i in range(0, r, b):
+        np.matmul(oracle.bitmap[i:i + b].astype(float), cols.T, out=blurred[i:i + b])
+    ell_buf, t_buf, e_buf = (np.empty((b, cols.shape[0])) for _ in range(3))
     mass, failure, trials = [], [], []
-    for k in range(0, rows.shape[0], 64):
-        ell = np.minimum(rows[k:k + 64] @ blurred, 1.0)
-        # (1 - ell)^N in log space; ell == 1 gives exactly 0
-        with np.errstate(divide="ignore"):
-            t = N * np.log1p(-ell)
+    for k in range(0, rows.shape[0], b):
+        m = min(b, rows.shape[0] - k)
+        ell, t, e = ell_buf[:m], t_buf[:m], e_buf[:m]
+        np.matmul(rows[k:k + m], blurred, out=ell)
+        np.minimum(ell, 1.0, out=ell)
         mass.append(ell.sum())
-        failure.append((ell * np.exp(t)).sum())
-        trials.append(-np.expm1(t).sum())
+        # t = N log1p(-ell) = log (1 - ell)^N; ell == 1 gives exactly 0
+        np.negative(ell, out=t)
+        with np.errstate(divide="ignore"):
+            np.log1p(t, out=t)
+        t *= N
+        np.exp(t, out=e)
+        e *= ell
+        failure.append(e.sum())
+        np.expm1(t, out=t)
+        trials.append(-t.sum())
     total = math.fsum(mass)
     return (math.fsum(failure) / total, math.fsum(trials) / total,
             rows.shape[0] * cols.shape[0])
@@ -318,6 +356,8 @@ def _radial_failure_and_trials(body: Body, h: float, N: int) -> tuple:
     with the grid's z; the coarse values take every other node.
     scipy.special loads here.
     """
+    import scipy.special
+
     _, r_in, r_out = body.shell
     n = body.dim
     z = max(8.0, math.sqrt(2.0 * math.log(1e6 * N)))
@@ -501,8 +541,9 @@ class TvCheckResult:
 _CELL_KEY = np.dtype([("angle", float), ("radius", float), ("index", np.intp)])
 
 
-def _cell_labels(oracle: GridOracle, center: np.ndarray, n_cells: int) -> np.ndarray:
-    """grid_tv's run of every grid cell, by flat index, without sorting the grid.
+def _cell_labels(oracle: GridOracle, center: np.ndarray, n_cells: int,
+                 cells: np.ndarray) -> np.ndarray:
+    """grid_tv's run of each of the given cells (flat indices, repeats allowed).
 
     In (angle, radius, flat index) order around center, the occupied
     cells of ranks 0, s_1, s_2, ... (np.array_split's offsets) start
@@ -510,42 +551,61 @@ def _cell_labels(oracle: GridOracle, center: np.ndarray, n_cells: int) -> np.nda
     before it, minus one; a cell ahead of every start is in the last
     run.  The starts' angles are read off the occupied cells' sorted
     angles (one float key, faster than np.partition at those ranks),
-    and one search of every cell's angle among them counts its starts.
-    Radius and index decide only at an exact angle tie, so hypot is
-    taken only for the cells at a start's angle.
+    and one search of each given cell's angle among them counts its
+    starts.  Radius and index decide only at an exact angle tie, so
+    hypot is taken only for the cells at a start's angle.  No grid is
+    sorted, and the angles are taken of the occupied cells (a block of
+    GRID_BLOCK_ROWS rows at a time) and of the given ones, not of every
+    grid cell.
     """
-    rx = (oracle.xs - center[0])[:, None]
-    ry = (oracle.ys - center[1])[None, :]
-    angle = np.arctan2(ry, rx).ravel()
+    r = oracle.resolution
+    rx = oracle.xs - center[0]
+    ry = oracle.ys - center[1]
+
+    def angles(cells):
+        i, j = np.divmod(cells, r)
+        return np.arctan2(ry[j], rx[i])
 
     def keys(cells):
         k = np.empty(cells.size, _CELL_KEY)
-        k["angle"] = angle[cells]
-        i, j = np.divmod(cells, oracle.resolution)
-        k["radius"] = np.hypot(rx[i, 0], ry[0, j])
+        k["angle"] = angles(cells)
+        i, j = np.divmod(cells, r)
+        k["radius"] = np.hypot(rx[i], ry[j])
         k["index"] = cells
         return k
 
-    occupied = np.flatnonzero(oracle.bitmap)
-    q, extra = divmod(occupied.size, n_cells)
+    # the occupied cells' angles in flat-index order, that of
+    # np.flatnonzero(bitmap), a block of rows at a time
+    occupied_angle = np.empty(oracle.n_occupied)
+    filled = 0
+    for i in range(0, r, GRID_BLOCK_ROWS):
+        inside = oracle.bitmap[i:i + GRID_BLOCK_ROWS]
+        block = np.arctan2(ry, rx[i:i + GRID_BLOCK_ROWS, None])[inside]
+        occupied_angle[filled:filled + block.size] = block
+        filled += block.size
+    q, extra = divmod(oracle.n_occupied, n_cells)
     runs = np.arange(n_cells)
     first = runs * q + np.minimum(runs, extra)
-    occupied_angle = np.sort(angle[occupied])
-    start_angle = occupied_angle[first]
-    # starts with an angle at or below each cell's; equal ones decide by
-    # radius and index (a cell below every start gets 0, and
-    # start_angle[-1] is then above its angle)
-    after = np.searchsorted(start_angle, angle, side="right")
-    tied = np.flatnonzero(start_angle[after - 1] == angle)
+    sorted_angle = np.sort(occupied_angle)
+    start_angle = sorted_angle[first]
     # the start of rank first[k] is the (first[k] - below[k])-th, in
     # order, of the occupied cells with its angle, below[k] being the
     # occupied cells of smaller angles
-    below = np.searchsorted(occupied_angle, start_angle)
-    candidates = np.sort(keys(tied[oracle.bitmap.ravel()[tied]]))
+    below = np.searchsorted(sorted_angle, start_angle)
+    del sorted_angle
+    # the occupied cells at a start's angle, by flat index
+    at_start = np.flatnonzero(oracle.bitmap)[np.isin(occupied_angle, start_angle)]
+    candidates = np.sort(keys(at_start))
     starts = candidates[np.searchsorted(candidates["angle"], start_angle)
                         + first - below]
-    label = after
-    label[tied] = np.searchsorted(starts, keys(tied), side="right")
+    # starts with an angle at or below each cell's; equal ones decide by
+    # radius and index (a cell below every start gets 0, and
+    # start_angle[-1] is then above its angle)
+    cells = np.asarray(cells)
+    angle = angles(cells)
+    label = np.searchsorted(start_angle, angle, side="right")
+    tied = np.flatnonzero(start_angle[label - 1] == angle)
+    label[tied] = np.searchsorted(starts, keys(cells[tied]), side="right")
     label -= 1
     label[label < 0] = n_cells - 1
     return label
@@ -561,9 +621,10 @@ def grid_tv_check(body: Body, samples, n_cells: int,
     are sectors).  A free cell takes the run of the occupied cell before
     it, the first free cells that of the last, so every cell has a label
     and a sample counts in the run of its own (clipped) cell.  The order
-    only defines the labels: they are found without sorting the grid
-    (see _cell_labels).  Reports the half-L1 distance between empirical
-    and exact run histograms and a chi-square goodness-of-fit p-value.
+    only defines the labels: they are found without sorting the grid,
+    and only for the cells the samples fall in (see _cell_labels).
+    Reports the half-L1 distance between empirical and exact run
+    histograms and a chi-square goodness-of-fit p-value.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] < 5 * n_cells:
@@ -578,14 +639,14 @@ def grid_tv_check(body: Body, samples, n_cells: int,
         raise ValueError("more cells requested than occupied grid cells")
 
     lo, hi = body.bbox
-    label = _cell_labels(oracle, (lo + hi) / 2.0, n_cells)
     # the run sizes np.array_split gives
     q, extra = divmod(oracle.n_occupied, n_cells)
     sizes = np.full(n_cells, q)
     sizes[:extra] += 1
     exact = sizes / oracle.n_occupied
     ij = oracle.cell_index(samples)
-    groups = label[ij[:, 0] * oracle.resolution + ij[:, 1]]
+    groups = _cell_labels(oracle, (lo + hi) / 2.0, n_cells,
+                          ij[:, 0] * oracle.resolution + ij[:, 1])
 
     n = samples.shape[0]
     counts = np.bincount(groups, minlength=n_cells)

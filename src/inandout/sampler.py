@@ -171,6 +171,13 @@ def forward_step(x: np.ndarray, h: float, rng: np.random.Generator) -> np.ndarra
     return x + math.sqrt(h) * rng.standard_normal(x.shape[0])
 
 
+def _check_step(h: float, N: int):
+    if not (h > 0.0):
+        raise ValueError(f"step size must be positive, got {h}")
+    if N < 1:
+        raise ValueError(f"attempt threshold must be >= 1, got {N}")
+
+
 def backward_step(y: np.ndarray, h: float, N: int, body: Body,
                   rng: np.random.Generator, first: Optional[tuple] = None):
     """The in-step: rejection-sample N(y, h I) restricted to the body.
@@ -188,10 +195,7 @@ def backward_step(y: np.ndarray, h: float, N: int, body: Body,
     position are those of testing one proposal at a time, while the body
     sees points past the hit.
     """
-    if not (h > 0.0):
-        raise ValueError(f"step size must be positive, got {h}")
-    if N < 1:
-        raise ValueError(f"attempt threshold must be >= 1, got {N}")
+    _check_step(h, N)
     y = np.asarray(y, dtype=float)
     normals = rng if isinstance(rng, _Normals) else _Normals(rng, y.shape[0], h)
     if h != normals.h:
@@ -224,6 +228,7 @@ def _run_chain(body: Body, x0, h: float, T: int, N: int,
         raise ValueError("start point is outside the body")
     if T < 0:
         raise ValueError(f"iteration count must be >= 0, got {T}")
+    _check_step(h, N)
     normals = _Normals(rng, body.dim, h)
     total = i = 0
     while i < T:

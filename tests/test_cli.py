@@ -759,42 +759,59 @@ def test_console_script_plan_roundtrip(tmp_path):
 
 
 # Importing scipy.special, .spatial and .optimize takes about 0.5 s, twice
-# NumPy's start-up, and scipy.stats about 0.6 s more.  The package imports
-# the bare `scipy`, and each call that needs a submodule loads it;
-# `diagnose` evaluates its chi tails and erfc values without SciPy.
-SCIPY_SUBMODULES = ("scipy.special", "scipy.spatial", "scipy.optimize", "scipy.stats")
+# NumPy's start-up, and scipy.stats about 0.6 s more.  A bare `import
+# inandout` loads no submodule, `cli` loads `bodies` and `planner`, each
+# command the modules it runs, and each call that needs SciPy the
+# submodule it calls; `diagnose` evaluates its chi tails and erfc values
+# without SciPy.
+SCIPY_MODULES = ("scipy", "scipy.special", "scipy.spatial", "scipy.optimize",
+                 "scipy.stats")
 
 BALL10_BODY = {"kind": "ball", "center": [0.0] * 10, "radius": 1.0}
 BALL3_BODY = {"kind": "ball", "center": [0.0] * 3, "radius": 1.0}
 BOX3_BODY = {"kind": "box", "lo": [-1.0] * 3, "hi": [1.0] * 3}
+SQUARE_POLYTOPE = {"kind": "polytope", "A": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                   "b": [1, 1, 1, 1], "inner_center": [0, 0], "inner_radius": 1}
 
 
-def scipy_loaded(code):
-    """The SCIPY_SUBMODULES that `code` loads in a fresh interpreter."""
-    probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps([m for m in {SCIPY_SUBMODULES!r} if m in sys.modules]))")
+def modules_loaded(code):
+    """(inandout submodules, SCIPY_MODULES) that `code` loads in a fresh interpreter."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    names = json.loads(proc.stdout.splitlines()[-1])
+    assert "inandout" in names
+    return ({m.split(".", 1)[1] for m in names if m.startswith("inandout.")},
+            set(names) & set(SCIPY_MODULES))
 
 
-@pytest.mark.parametrize("run,loads", [
-    ("import inandout", set()),
-    ("import inandout.cli", set()),
-    (("plan", ANNULUS_BODY), set()),
-    (("sample", ANNULUS_BODY), set()),
-    (("plan", BALL10_BODY), set()),
-    (("sample", BALL10_BODY), set()),
-    (("diagnose", ANNULUS_BODY), set()),
+CLI = {"cli", "bodies", "planner"}
+SAMPLE = CLI | {"sampler"}
+DIAGNOSE = SAMPLE | {"diagnostics", "specfun"}
+
+
+@pytest.mark.parametrize("run,modules,scipy", [
+    ("import inandout", set(), set()),
+    ("import inandout.cli", CLI, set()),
+    (("plan", ANNULUS_BODY), CLI, set()),
+    (("sample", ANNULUS_BODY), SAMPLE, set()),
+    (("plan", BALL10_BODY), CLI, set()),
+    (("sample", BALL10_BODY), SAMPLE, set()),
+    (("diagnose", ANNULUS_BODY), DIAGNOSE, set()),
     # the radial quadrature's noncentral chi-square law
-    (("diagnose", BALL3_BODY, {"n_mc": 2000, "inner_mc": 50}), {"scipy.special"}),
+    (("diagnose", BALL3_BODY, {"n_mc": 2000, "inner_mc": 50}), DIAGNOSE,
+     {"scipy", "scipy.special"}),
     # the nested Monte Carlo route and the escape bound's chi_tail(6, .);
     # few draws keep it fast
-    (("diagnose", BOX3_BODY, {"n_mc": 2000, "inner_mc": 50}), set()),
+    (("diagnose", BOX3_BODY, {"n_mc": 2000, "inner_mc": 50}), DIAGNOSE, set()),
+    # linprog finds the polytope's bounding box; scipy.optimize itself
+    # loads .special and .spatial
+    (f"from inandout import cli\ncli.build_body({SQUARE_POLYTOPE!r})", CLI,
+     {"scipy", "scipy.optimize", "scipy.special", "scipy.spatial"}),
 ], ids=["import", "import-cli", "plan-annulus", "sample-annulus",
         "plan-ball10", "sample-ball10", "diagnose-annulus", "diagnose-ball3",
-        "diagnose-box3"])
-def test_start_up_loads_only_the_scipy_a_command_calls(tmp_path, run, loads):
+        "diagnose-box3", "build-polytope"])
+def test_start_up_loads_only_the_scipy_a_command_calls(tmp_path, run, modules, scipy):
     if isinstance(run, tuple):
         command, body, *diagnose = run
         cfg = write_config(tmp_path, {
@@ -806,12 +823,15 @@ def test_start_up_loads_only_the_scipy_a_command_calls(tmp_path, run, loads):
         if command != "plan":
             argv += ["--out", str(tmp_path / "out")]
         run = f"from inandout import cli\nassert cli.main({argv!r}) == 0"
-    assert scipy_loaded(run) == loads
+    assert modules_loaded(run) == (modules, scipy)
 
 
-def test_building_a_polytope_loads_scipy_optimize():
-    # linprog finds the polytope's bounding box
-    square = {"kind": "polytope", "A": [[1, 0], [-1, 0], [0, 1], [0, -1]],
-              "b": [1, 1, 1, 1], "inner_center": [0, 0], "inner_radius": 1}
-    run = f"from inandout import cli\ncli.build_body({square!r})"
-    assert "scipy.optimize" in scipy_loaded(run)
+def test_every_submodule_resolves_on_the_bare_package():
+    # bench/tracing.py reads the submodules off a bare `import inandout`
+    names = ("bodies", "cli", "diagnostics", "planner", "sampler", "specfun")
+    code = ("import inandout\n"
+            f"for name in {names!r}:\n"
+            "    assert getattr(inandout, name).__name__ == 'inandout.' + name\n"
+            "assert not hasattr(inandout, 'missing')")
+    modules, _ = modules_loaded(code)
+    assert modules == set(names)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,104 @@ def test_grid_quadrature_needs_a_coarser_grid(annulus, resolution):
     oracle = GridOracle(annulus, resolution=resolution)
     with pytest.raises(ValueError, match="resolution >= 4"):
         per_iteration_checks(annulus, p, 10, make_rng(1), oracle=oracle)
+
+
+def whole_array_failure_and_trials(oracle, h, N):
+    """_grid_failure_and_trials as it was computed before its buffers:
+    a band per axis, the whole bitmap as floats, and a fresh array for
+    every step of each block of 64 padded rows."""
+    r = oracle.resolution
+    z = max(8.0, math.sqrt(2.0 * math.log(1e6 * N)))
+    pads = [math.ceil(z * math.sqrt(h) / s) for s in oracle.step]
+    rows = diagnostics._gaussian_band(r, pads[0], oracle.step[0], h)
+    cols = diagnostics._gaussian_band(r, pads[1], oracle.step[1], h)
+    blurred = oracle.bitmap.astype(float) @ cols.T
+    mass, failure, trials = [], [], []
+    for k in range(0, rows.shape[0], 64):
+        ell = np.minimum(rows[k:k + 64] @ blurred, 1.0)
+        with np.errstate(divide="ignore"):
+            t = N * np.log1p(-ell)
+        mass.append(ell.sum())
+        failure.append((ell * np.exp(t)).sum())
+        trials.append(-np.expm1(t).sum())
+    total = math.fsum(mass)
+    return (math.fsum(failure) / total, math.fsum(trials) / total,
+            rows.shape[0] * cols.shape[0])
+
+
+@pytest.mark.parametrize("fixture,resolution", [
+    ("annulus", 400), ("annulus", 101), ("annulus", 200), ("flat_box", 400),
+    ("flat_box", 150)])
+def test_grid_quadrature_keeps_the_bits_of_the_whole_array_formulation(
+        annulus, fixture, resolution):
+    # a square grid shares one band between the axes; the flat box,
+    # with a step and a pad of its own per axis, takes two
+    body = annulus if fixture == "annulus" else bodies.make_box([0.0, 0.0], [2.0, 0.7])
+    p = planner.plan(ANNULUS_PLAN_INPUTS)
+    oracle = GridOracle(body, resolution=resolution)
+    got = diagnostics._grid_failure_and_trials(oracle, p.h, p.N)
+    assert got == whole_array_failure_and_trials(oracle, p.h, p.N)
+
+
+def one_call_bitmap(body, oracle):
+    """The oracle's bitmap as one membership call on every cell center."""
+    r = oracle.resolution
+    centers = np.empty((r, r, 2))
+    centers[..., 0] = oracle.xs[:, None]
+    centers[..., 1] = oracle.ys
+    return np.asarray(body.membership(centers.reshape(-1, 2))).reshape(r, r)
+
+
+@pytest.mark.parametrize("name", ["ball", "box", "polytope", "union", "exclusion",
+                                  "star"])
+def test_grid_oracle_blocks_give_the_bits_of_one_call(request, name):
+    # a polytope's products rest on einsum's loop order, so its bits are
+    # the ones a change of batch shape could move
+    body = {"ball": lambda: request.getfixturevalue("unit_disk"),
+            "box": lambda: bodies.make_box([0.0, 0.0], [2.0, 0.7]),
+            "polytope": triangle,
+            "union": lambda: request.getfixturevalue("l_shape"),
+            "exclusion": off_center_hole,
+            "star": lambda: request.getfixturevalue("cross")}[name]()
+    # 4 and 7 rows fit one block; 401 and 1000 end in a short block
+    for resolution in (4, 7, 401, 1000):
+        oracle = GridOracle(body, resolution=resolution)
+        rows = -(-diagnostics.ORACLE_BLOCK_POINTS // resolution)
+        assert rows > resolution or resolution % rows
+        assert oracle.bitmap.dtype == bool
+        assert np.array_equal(oracle.bitmap, one_call_bitmap(body, oracle)), resolution
+
+
+def traced_peak(fn):
+    """(peak bytes allocated while fn runs, fn's result).
+
+    NumPy reports its array buffers to tracemalloc, so the peak counts
+    them with the Python objects."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_diagnostics_hold_no_resolution_squared_temporary(annulus):
+    # at resolution 400 one float per grid cell is 1.28 MB.  Whole-grid
+    # temporaries took the peaks to 7.7 MB (the oracle), 7.8 MB (the
+    # quadrature pair) and 6.6 MB (grid TV).  Without them the oracle
+    # holds its boolean bitmap and one 8400-point block (0.6 MB), the
+    # quadrature its band, the y-blurred bitmap (400 x 672 floats each)
+    # and three 64-row buffers (5.3 MB), and grid TV the occupied cells'
+    # angles and the samples' cells (2.2 MB).
+    p = planner.plan(ANNULUS_PLAN_INPUTS)
+    peak, oracle = traced_peak(lambda: GridOracle(annulus, resolution=400))
+    assert peak < 1.0e6
+    peak, _ = traced_peak(lambda: per_iteration_checks(annulus, p, 10, make_rng(1),
+                                                       oracle=oracle))
+    assert peak < 6.0e6
+    pts = diagnostics.uniform_reference(annulus, make_rng(2), 20_000)
+    peak, _ = traced_peak(lambda: grid_tv_check(annulus, pts, 16, oracle=oracle))
+    assert peak < 3.0e6
 
 
 @pytest.mark.parametrize("n_cells,pad,step,h", [
@@ -702,13 +801,18 @@ def test_cell_labels_equal_those_of_the_sorted_grid(request, name):
     lo, hi = body.bbox
     center = (lo + hi) / 2.0
     ties = 0
+    rng = np.random.default_rng(0)
     for resolution in (4, 5, 8, 13, 30, 31, 64, 101, 400):
         oracle = GridOracle(body, resolution=resolution)
         m = oracle.n_occupied
+        every = np.arange(resolution**2)
+        # a sample's cells: a random subset, with repeats and out of order
+        some = rng.integers(0, resolution**2, size=max(10, resolution**2 // 7))
         for n_cells in sorted({2, 3, 16, m // 3, m - 1, m} & set(range(2, m + 1))):
             want, tied = sorted_cell_labels(oracle, center, n_cells)
-            got = diagnostics._cell_labels(oracle, center, n_cells)
-            assert got.tolist() == want.tolist(), (resolution, n_cells)
+            for cells in (every, some):
+                got = diagnostics._cell_labels(oracle, center, n_cells, cells)
+                assert got.tolist() == want[cells].tolist(), (resolution, n_cells)
             ties += tied
     assert ties >= 10
 

@@ -243,6 +243,21 @@ def test_validation_of_start_and_seed(unit_disk):
         run_in_and_out(unit_disk, [2.0, 0.0], p, seed=1)        # outside
 
 
+@pytest.mark.parametrize("h,N,message", [
+    (-0.01, 10, "step size must be positive"),
+    (0.0, 10, "step size must be positive"),
+    (float("nan"), 10, "step size must be positive"),
+    (0.04, 0, "attempt threshold must be >= 1"),
+])
+def test_chain_checks_its_step_before_drawing(unit_disk, h, N, message):
+    # the in-step's own messages, before the chain's normal stream (whose
+    # sqrt(h) a negative h would fail in) draws anything
+    rng = make_rng(1)
+    with pytest.raises(ValueError, match=message):
+        sampler._run_chain(unit_disk, np.array([0.25, 0.0]), h, 5, N, rng)
+    assert rng.random() == make_rng(1).random()    # no draw was taken
+
+
 def test_trial_accounting_matches_oracle_calls(annulus):
     calls = points = 0
 
