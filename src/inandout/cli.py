@@ -9,7 +9,8 @@ Three subcommands share one JSON config format:
                       [--samples samples.jsonl]
 
 Exit codes: 0 success / all bounds satisfied, 1 a bound or consistency
-check failed, 2 invalid config (an empty body included), 3 I/O failure.
+check failed, 2 invalid config (an empty body, or work too large to
+allocate, included), 3 I/O failure.
 
 Floats in every emitted document are formatted with 17 significant
 digits, which round-trips 64-bit values exactly and keeps reruns
@@ -543,6 +544,10 @@ def main(argv=None) -> int:
         return cmd_diagnose(cfg, args.out, args.seed, args.samples)
     except (ConfigError, bodies.EmptyBodyError) as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    except MemoryError as e:  # e.g. a diagnose resolution or n_mc too large
+        print(f"config error: out of memory: {str(e) or 'an allocation failed'}",
+              file=sys.stderr)
         return EXIT_BAD_CONFIG
     except planner.PlanOverflowError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -11,10 +11,11 @@ use compensated summation, making them independent of accumulation
 order.  The per-iteration failure and trial checks of a 2-D body are
 computed instead by grid quadrature of the local conductance on the
 `GridOracle` bitmap; their error is the change from a grid of half the
-resolution, which resolves failure mass far below the 3/S bound (about
-3e-14 against 6.7e-7 on the annulus plan).  Above 2-D, a ball or a
-concentric shell (a body with a `shell`) is integrated in the radius
-instead, with its error the change from half the nodes; other bodies
+resolution plus the most the grid's padding leaves out, which resolves
+failure mass far below the 3/S bound (about 3e-14 against 6.7e-7 on
+the annulus plan).  Above 2-D, a ball or a concentric shell (a body
+with a `shell`) is integrated in the radius instead, with its error the
+change from half the nodes plus the same padding bound; other bodies
 keep a nested Monte Carlo, which resolves failure mass only down to
 1/n_mc.  The uniform reference points of the checks are drawn exactly
 in the radius for a shell body and by bbox rejection otherwise.
@@ -36,11 +37,13 @@ from .planner import INNER_MC, RESOLUTION, Plan, step_size_regime, trial_floor
 
 SATISFIED = "satisfied"
 VIOLATED = "violated_beyond_3se"
-# Cell centers per membership call of GridOracle, and grid rows per block
-# of the quadrature and of grid_tv's angles: blocks keep every temporary
-# of a 2-D check far below one float per grid cell.
+# Cell centers per membership call of GridOracle, grid rows per block of
+# the quadrature and of grid_tv's angles, and band rows per block of the
+# quadrature's first product: blocks keep every temporary of a 2-D check
+# far below one float per grid cell.
 ORACLE_BLOCK_POINTS = 8192
 GRID_BLOCK_ROWS = 64
+GRID_BLOCK_COLS = 384
 RADIAL_NODES = 2**15 + 1  # nodes of the radial quadrature; every other is the coarse rule
 TV_LEVEL = 0.01    # grid_tv is violated when its p-value falls below this
 
@@ -272,14 +275,43 @@ def _gaussian_band(n_cells: int, pad: int, step: float, h: float) -> np.ndarray:
     windows of one weight vector (a Toeplitz matrix of shape
     (n_cells + 2 pad, n_cells)).  The weight at offset d is
     (erfc((d - 1/2) c) - erfc((d + 1/2) c)) / 2, and d + 1/2 is exactly
-    (d + 1) - 1/2, so each erfc is evaluated once.
+    (d + 1) - 1/2, so each erfc is evaluated once.  The band is a
+    read-only view of that vector, 2 (n_cells + pad) - 1 floats: callers
+    copy the rows they need a block at a time.
     """
     c = step / math.sqrt(2.0 * h)
     e = np.array([math.erfc((d - 0.5) * c) for d in range(n_cells + pad + 1)])
     half = 0.5 * (e[:-1] - e[1:])  # offsets 0 .. n_cells + pad - 1
     w = np.concatenate((half[:0:-1], half))
-    # a contiguous copy keeps the products on BLAS
-    return np.ascontiguousarray(sliding_window_view(w, n_cells)[:, ::-1])
+    return sliding_window_view(w, n_cells)[:, ::-1]
+
+
+def _blur_along_y(bitmap: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """bitmap @ cols.T, made a block of bitmap rows by a block of band rows at a time.
+
+    The bitmap's float rows are made GRID_BLOCK_ROWS at a time and the
+    band rows copied GRID_BLOCK_COLS at a time into one buffer.  BLAS
+    does not promise that a block of a product rounds as the same
+    entries of the whole.  With OpenBLAS, blocks of 384 band rows gave
+    every entry the bits of the whole band at resolutions 101 to 400, at
+    1 and 2 threads; blocks of 256 moved the last bit of 200 entries at
+    resolution 200, and blocks of 64 of thousands.  At 800 and 1600 a
+    few hundred far-tail entries (below 1e-16) of the last columns move
+    in the last bit, as the bitmap's row blocks already move others
+    against one whole product; the annulus results keep their bits.
+    """
+    n, r = cols.shape
+    c = GRID_BLOCK_COLS
+    blurred = np.empty((r, n))
+    # a contiguous copy of the band rows keeps the product on BLAS
+    band_buf = np.empty((min(c, n), r))
+    for j in range(0, n, c):
+        band = band_buf[:min(c, n - j)]
+        np.copyto(band, cols[j:j + c])
+        for i in range(0, r, GRID_BLOCK_ROWS):
+            np.matmul(bitmap[i:i + GRID_BLOCK_ROWS].astype(float), band.T,
+                      out=blurred[i:i + GRID_BLOCK_ROWS, j:j + c])
+    return blurred
 
 
 def _grid_failure_and_trials(oracle: GridOracle, h: float, N: int) -> tuple:
@@ -292,22 +324,21 @@ def _grid_failure_and_trials(oracle: GridOracle, h: float, N: int) -> tuple:
     the cell centers of the bitmap padded by z sqrt(h) per side.  Every
     point of the body lies at least z sqrt(h) inside the padded box, so
     the mass of Y outside it is at most 4 Q(z) <= 2 exp(-z^2 / 2) with
-    Q the normal tail; z = max(8, sqrt(2 log(1e6 N))) keeps the trials
-    left out below 2e-6 in relative terms and the failure mass left
-    out below 2e-6 / N, far under the 3/S bound.
+    Q the normal tail; z = max(8, sqrt(2 log(1e6 N))) keeps it below
+    2e-6 / N, so at most 2e-6 / N of failure mass, far under the 3/S
+    bound, and at most N times as many trials, 2e-6, are left out.
 
-    ell is rows @ bitmap @ cols.T, rows and cols being the Gaussian
-    bands of the two axes, one band when both axes share step and pad.
-    The bitmap blurred along y is held whole (resolution x padded
-    columns).  The bitmap's float copy is made, and the padded grid
-    reduced, GRID_BLOCK_ROWS rows at a time, the elementwise steps in
-    place in buffers reused from block to block, so no other array
-    grows with resolution^2.  The elementwise steps and sums round as
-    on whole arrays.  BLAS does not promise that a block of rows of
-    `bitmap @ cols.T` rounds as the same rows of the whole product: with
-    OpenBLAS they matched at resolutions 200 and 400, and at 800 and
-    1600 a few far-tail entries (below 1e-31) differed in the last bit,
-    which left the annulus results unchanged.
+    ell is rows @ (bitmap @ cols.T), rows and cols being the Gaussian
+    bands of the two axes: views of one weight vector each, one band
+    when both axes share step and pad.  _blur_along_y makes the bitmap
+    blurred along y, which is held whole (resolution x padded columns):
+    the results' bits rest on this order of the two products and on
+    sums taken GRID_BLOCK_ROWS padded rows at a time, which a fused loop
+    would change.  The padded grid is reduced GRID_BLOCK_ROWS rows at a
+    time, each block's band rows copied into one buffer and the
+    elementwise steps done in place in buffers reused from block to
+    block, so no other array grows with resolution^2.  The elementwise
+    steps and sums round as on whole arrays.
     """
     r = oracle.resolution
     z = max(8.0, math.sqrt(2.0 * math.log(1e6 * N)))
@@ -316,16 +347,16 @@ def _grid_failure_and_trials(oracle: GridOracle, h: float, N: int) -> tuple:
     rows = (cols if pads[0] == pads[1] and oracle.step[0] == oracle.step[1]
             else _gaussian_band(r, pads[0], oracle.step[0], h))
     b = GRID_BLOCK_ROWS
-    # the bitmap blurred along y first
-    blurred = np.empty((r, cols.shape[0]))
-    for i in range(0, r, b):
-        np.matmul(oracle.bitmap[i:i + b].astype(float), cols.T, out=blurred[i:i + b])
+    blurred = _blur_along_y(oracle.bitmap, cols)
+    # a contiguous copy of each block of band rows keeps the product on BLAS
+    band_buf = np.empty((b, r))
     ell_buf, t_buf, e_buf = (np.empty((b, cols.shape[0])) for _ in range(3))
     mass, failure, trials = [], [], []
     for k in range(0, rows.shape[0], b):
         m = min(b, rows.shape[0] - k)
-        ell, t, e = ell_buf[:m], t_buf[:m], e_buf[:m]
-        np.matmul(rows[k:k + m], blurred, out=ell)
+        ell, t, e, band = ell_buf[:m], t_buf[:m], e_buf[:m], band_buf[:m]
+        np.copyto(band, rows[k:k + m])
+        np.matmul(band, blurred, out=ell)
         np.minimum(ell, 1.0, out=ell)
         mass.append(ell.sum())
         # t = N log1p(-ell) = log (1 - ell)^N; ell == 1 gives exactly 0
@@ -380,12 +411,20 @@ def _radial_failure_and_trials(body: Body, h: float, N: int) -> tuple:
     return (*values, lo, hi)
 
 
-def _quadrature_checks(fine, coarse, bounds, nodes: int, note: str) -> tuple:
-    """The (failure, trials) records of a quadrature and its coarse rule."""
+def _quadrature_checks(fine, coarse, bounds, N: int, nodes: int, note: str) -> tuple:
+    """The (failure, trials) records of a quadrature and its coarse rule.
+
+    A record's mc_std_error is the change from the coarse rule plus the
+    most that the quadrature's z sqrt(h) padding leaves out: 2e-6 / N of
+    failure mass and 2e-6 trials.
+    """
     return tuple(BoundCheck(name=name, empirical=value, theoretical_bound=bound,
-                            mc_std_error=abs(value - other), n_samples=nodes, note=note)
-                 for name, value, other, bound in zip(
-                     ("stationary_failure", "expected_trials"), fine, coarse, bounds))
+                            mc_std_error=abs(value - other) + cut, n_samples=nodes,
+                            note=f"{note}, plus at most {cut:.2g} left out beyond "
+                                 f"the z sqrt(h) padding")
+                 for name, value, other, bound, cut in zip(
+                     ("stationary_failure", "expected_trials"), fine, coarse, bounds,
+                     (2e-6 / N, 2e-6)))
 
 
 def per_iteration_checks(body: Body, p: Plan, n_mc: int,
@@ -402,15 +441,16 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
     A 2-D body is integrated on a grid (the oracle's, else one of
     resolution RESOLUTION): the local conductance ell = 1_K * phi_h is
     exact up to the bitmap's discretisation, each record's mc_std_error
-    is the change from a grid of half the resolution, and n_mc, inner_mc
-    and rng are not used.  A resolution below 4 has no such grid and is a
-    ValueError.
+    is the change from a grid of half the resolution plus the most the
+    padding leaves out (see _grid_failure_and_trials), and n_mc,
+    inner_mc and rng are not used.  A resolution below 4 has no such
+    grid and is a ValueError.
 
     Above 2-D, a body with a shell (a make_ball ball or a concentric
     make_ball exclusion) is integrated in the radius: ell is exact in
     closed form, the integrals are 1-D, each record's mc_std_error is
-    the change from half the nodes, and again n_mc, inner_mc and rng are
-    not used.
+    the change from half the nodes plus the same bound on what the
+    padding leaves out, and again n_mc, inner_mc and rng are not used.
 
     Other bodies estimate the local conductance at n_mc smoothed-law
     points, inner_mc proposals each, on one shared sample.  The nested
@@ -448,13 +488,13 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
         note = (f"grid quadrature of the local conductance on {nodes} padded "
                 f"cells (resolution {r}); the error is the change from "
                 f"resolution {r // 2}")
-        return _quadrature_checks(fine, coarse, bounds, nodes, note)
+        return _quadrature_checks(fine, coarse, bounds, p.N, nodes, note)
     if body.dim > 2 and body.shell is not None:
         fine, coarse, lo, hi = _radial_failure_and_trials(body, p.h, p.N)
         note = (f"radial quadrature of the exact local conductance on {RADIAL_NODES} "
                 f"nodes in [{lo:.6g}, {hi:.6g}]; the error is the change from "
                 f"{RADIAL_NODES // 2 + 1} nodes")
-        return _quadrature_checks(fine, coarse, bounds, RADIAL_NODES, note)
+        return _quadrature_checks(fine, coarse, bounds, p.N, RADIAL_NODES, note)
 
     ell = smoothed_conductance_samples(body, p.h, n_mc, inner_mc, rng)
     # estimates are multiples of 1/inner_mc: the zero-hit points are
