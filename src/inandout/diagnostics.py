@@ -11,11 +11,11 @@ use compensated summation, making them independent of accumulation
 order.  The per-iteration failure and trial checks of a 2-D body are
 computed instead by grid quadrature of the local conductance on the
 `GridOracle` bitmap; their error is the change from a grid of half the
-resolution plus the most the grid's padding leaves out, which resolves
+resolution plus what its padding leaves out (_padding), which resolves
 failure mass far below the 3/S bound (about 3e-14 against 6.7e-7 on
 the annulus plan).  Above 2-D, a ball or a concentric shell (a body
 with a `shell`) is integrated in the radius instead, with its error the
-change from half the nodes plus the same padding bound; other bodies
+change from half the nodes plus the same padding cut; other bodies
 keep a nested Monte Carlo, which resolves failure mass only down to
 1/n_mc.  The uniform reference points of the checks are drawn exactly
 in the radius for a shell body and by bbox rejection otherwise.
@@ -222,6 +222,8 @@ def stationary_escape_check(body: Body, h: float, r: float, n_mc: int,
         raise ValueError("body has no growth certificate")
     if not (r > 0.0):
         raise ValueError(f"escape distance must be positive, got {r}")
+    if n_mc < 1:
+        raise ValueError(f"need at least one sample, got {n_mc}")
     n = body.dim
     h_cap = step_size_regime(n, body.growth.beta).base_cap
     if not (0.0 < h <= h_cap * (1.0 + 1e-12)):
@@ -314,6 +316,23 @@ def _blur_along_y(bitmap: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return blurred
 
 
+def _padding(N: int) -> tuple:
+    """(z, cuts): the padding of the per-iteration quadratures at threshold N.
+
+    With X uniform on the body and Y = X + sqrt(h) Z, both quadratures
+    integrate Y over the body padded by z sqrt(h): the grid pads each
+    side of the bitmap, the radial rule stops that far beyond the shell.
+    In 2-D every point of the body lies at least z sqrt(h) inside the
+    padded box, so the mass of Y outside it is at most
+    4 Q(z) <= 2 exp(-z^2 / 2), Q being the normal tail, and
+    z = max(8, sqrt(2 log(1e6 N))) keeps it below 2e-6 / N.  The cuts
+    are what the padding leaves out: at most 2e-6 / N of failure mass,
+    far under the 3/S bound, and at most N times as many trials, 2e-6.
+    Each quadrature record adds its cut to its mc_std_error.
+    """
+    return max(8.0, math.sqrt(2.0 * math.log(1e6 * N))), (2e-6 / N, 2e-6)
+
+
 def _grid_failure_and_trials(oracle: GridOracle, h: float, N: int) -> tuple:
     """(failure mass, expected trials, quadrature nodes) on the oracle's grid.
 
@@ -321,31 +340,24 @@ def _grid_failure_and_trials(oracle: GridOracle, h: float, N: int) -> tuple:
     ell / vol, where ell = 1_K * phi_h is the local conductance.  So the
     failure mass is sum ell (1 - ell)^N / sum ell, and the expected
     trials E[min(G, N)] are sum (1 - (1 - ell)^N) / sum ell, both over
-    the cell centers of the bitmap padded by z sqrt(h) per side.  Every
-    point of the body lies at least z sqrt(h) inside the padded box, so
-    the mass of Y outside it is at most 4 Q(z) <= 2 exp(-z^2 / 2) with
-    Q the normal tail; z = max(8, sqrt(2 log(1e6 N))) keeps it below
-    2e-6 / N, so at most 2e-6 / N of failure mass, far under the 3/S
-    bound, and at most N times as many trials, 2e-6, are left out.
+    the cell centers of the bitmap padded by z sqrt(h) per side (see
+    _padding).
 
     ell is rows @ (bitmap @ cols.T), rows and cols being the Gaussian
-    bands of the two axes: views of one weight vector each, one band
-    when both axes share step and pad.  _blur_along_y makes the bitmap
-    blurred along y, which is held whole (resolution x padded columns):
-    the results' bits rest on this order of the two products and on
-    sums taken GRID_BLOCK_ROWS padded rows at a time, which a fused loop
-    would change.  The padded grid is reduced GRID_BLOCK_ROWS rows at a
-    time, each block's band rows copied into one buffer and the
-    elementwise steps done in place in buffers reused from block to
-    block, so no other array grows with resolution^2.  The elementwise
-    steps and sums round as on whole arrays.
+    bands of the two axes, views of one weight vector each.
+    _blur_along_y makes the bitmap blurred along y, which is held whole
+    (resolution x padded columns): the results' bits rest on this order
+    of the two products and on sums taken GRID_BLOCK_ROWS padded rows at
+    a time, which a fused loop would change.  The padded grid is reduced
+    GRID_BLOCK_ROWS rows at a time, each block's band rows copied into
+    one buffer and the elementwise steps done in place in buffers reused
+    from block to block, so no other array grows with resolution^2.  The
+    elementwise steps and sums round as on whole arrays.
     """
     r = oracle.resolution
-    z = max(8.0, math.sqrt(2.0 * math.log(1e6 * N)))
-    pads = [math.ceil(z * math.sqrt(h) / s) for s in oracle.step]
-    cols = _gaussian_band(r, pads[1], oracle.step[1], h)
-    rows = (cols if pads[0] == pads[1] and oracle.step[0] == oracle.step[1]
-            else _gaussian_band(r, pads[0], oracle.step[0], h))
+    z = _padding(N)[0]
+    rows, cols = (_gaussian_band(r, math.ceil(z * math.sqrt(h) / s), s, h)
+                  for s in oracle.step)
     b = GRID_BLOCK_ROWS
     blurred = _blur_along_y(oracle.bitmap, cols)
     # a contiguous copy of each block of band rows keeps the product on BLAS
@@ -384,14 +396,14 @@ def _radial_failure_and_trials(body: Body, h: float, N: int) -> tuple:
     sums of _grid_failure_and_trials become integrals in rho against
     the sphere area n omega_n rho^(n-1), by the trapezoid rule on
     RADIAL_NODES nodes over [max(0, r_in - z sqrt(h)), r_out + z sqrt(h)]
-    with the grid's z; the coarse values take every other node.
+    (see _padding); the coarse values take every other node.
     scipy.special loads here.
     """
     import scipy.special
 
     _, r_in, r_out = body.shell
     n = body.dim
-    z = max(8.0, math.sqrt(2.0 * math.log(1e6 * N)))
+    z = _padding(N)[0]
     lo, hi = max(0.0, r_in - z * math.sqrt(h)), r_out + z * math.sqrt(h)
     rho = np.linspace(lo, hi, RADIAL_NODES)
     nc = rho * rho / h
@@ -411,22 +423,6 @@ def _radial_failure_and_trials(body: Body, h: float, N: int) -> tuple:
     return (*values, lo, hi)
 
 
-def _quadrature_checks(fine, coarse, bounds, N: int, nodes: int, note: str) -> tuple:
-    """The (failure, trials) records of a quadrature and its coarse rule.
-
-    A record's mc_std_error is the change from the coarse rule plus the
-    most that the quadrature's z sqrt(h) padding leaves out: 2e-6 / N of
-    failure mass and 2e-6 trials.
-    """
-    return tuple(BoundCheck(name=name, empirical=value, theoretical_bound=bound,
-                            mc_std_error=abs(value - other) + cut, n_samples=nodes,
-                            note=f"{note}, plus at most {cut:.2g} left out beyond "
-                                 f"the z sqrt(h) padding")
-                 for name, value, other, bound, cut in zip(
-                     ("stationary_failure", "expected_trials"), fine, coarse, bounds,
-                     (2e-6 / N, 2e-6)))
-
-
 def per_iteration_checks(body: Body, p: Plan, n_mc: int,
                          rng: np.random.Generator,
                          inner_mc: int = INNER_MC,
@@ -440,17 +436,14 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
 
     A 2-D body is integrated on a grid (the oracle's, else one of
     resolution RESOLUTION): the local conductance ell = 1_K * phi_h is
-    exact up to the bitmap's discretisation, each record's mc_std_error
-    is the change from a grid of half the resolution plus the most the
-    padding leaves out (see _grid_failure_and_trials), and n_mc,
-    inner_mc and rng are not used.  A resolution below 4 has no such
-    grid and is a ValueError.
-
-    Above 2-D, a body with a shell (a make_ball ball or a concentric
-    make_ball exclusion) is integrated in the radius: ell is exact in
-    closed form, the integrals are 1-D, each record's mc_std_error is
-    the change from half the nodes plus the same bound on what the
-    padding leaves out, and again n_mc, inner_mc and rng are not used.
+    exact up to the bitmap's discretisation, and a resolution below 4
+    has no grid of half the resolution and is a ValueError.  Above 2-D,
+    a body with a shell (a make_ball ball or a concentric make_ball
+    exclusion) is integrated in the radius: ell is exact in closed form
+    and the integrals are 1-D.  Either quadrature's record has as
+    mc_std_error the change from its coarse rule (half the resolution,
+    half the nodes) plus the cut its padding leaves out (see _padding),
+    and n_mc, inner_mc and rng are not used.
 
     Other bodies estimate the local conductance at n_mc smoothed-law
     points, inner_mc proposals each, on one shared sample.  The nested
@@ -476,64 +469,58 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
             f"trial threshold {p.N} below the required 8 alpha S log S = {n_floor}"
         )
     bounds = (3.0 / p.S, 16.0 * alpha * math.log(p.S))
-    if body.dim == 2:
-        oracle = oracle or GridOracle(body)
-        r = oracle.resolution
-        if r < 4:
-            raise ValueError(
-                f"grid quadrature needs resolution >= 4 to measure its error on a "
-                f"grid of half the resolution, got {r}")
-        *fine, nodes = _grid_failure_and_trials(oracle, p.h, p.N)
-        *coarse, _ = _grid_failure_and_trials(GridOracle(body, r // 2), p.h, p.N)
-        note = (f"grid quadrature of the local conductance on {nodes} padded "
-                f"cells (resolution {r}); the error is the change from "
-                f"resolution {r // 2}")
-        return _quadrature_checks(fine, coarse, bounds, p.N, nodes, note)
-    if body.dim > 2 and body.shell is not None:
-        fine, coarse, lo, hi = _radial_failure_and_trials(body, p.h, p.N)
-        note = (f"radial quadrature of the exact local conductance on {RADIAL_NODES} "
-                f"nodes in [{lo:.6g}, {hi:.6g}]; the error is the change from "
-                f"{RADIAL_NODES // 2 + 1} nodes")
-        return _quadrature_checks(fine, coarse, bounds, p.N, RADIAL_NODES, note)
-
-    ell = smoothed_conductance_samples(body, p.h, n_mc, inner_mc, rng)
-    # estimates are multiples of 1/inner_mc: the zero-hit points are
-    # exactly the ones below the resolution floor
-    zero = ell == 0.0
-    source = (f"inner conductance from {inner_mc} proposals per point; "
-              f"{np.count_nonzero(zero)}/{n_mc} outer points had zero inner hits")
-    # (1 - ell)^N in log space; ell == 0 contributes exactly 1
-    vals = np.ones(n_mc)
-    with np.errstate(divide="ignore"):
-        vals[~zero] = np.exp(p.N * np.log1p(-ell[~zero]))
-    mean, se = _mean_and_se(vals)
-    failure = BoundCheck(
-        name="stationary_failure",
-        empirical=mean,
-        theoretical_bound=bounds[0],
-        mc_std_error=se,
-        n_samples=n_mc,
-        note=(f"{source}; nested estimate is biased upward (conservative) and "
-              f"resolves failure mass only down to 1/{n_mc} = {1.0 / n_mc:.2g}"),
-    )
-    # expected_trials_closed_form of each estimate clamped into (0, 1];
-    # an estimate of 1 gives -expm1(-inf) / 1 = 1 exactly
-    q = np.maximum(ell, 1.0 / inner_mc)
-    with np.errstate(divide="ignore"):
-        vals = -np.expm1(p.N * np.log1p(-q)) / q
-    mean, se = _mean_and_se(vals)
-    trials = BoundCheck(
-        name="expected_trials",
-        empirical=mean,
-        theoretical_bound=bounds[1],
-        mc_std_error=se,
-        n_samples=n_mc,
-        note=(f"{source}; these were clamped to the 1/{inner_mc} resolution floor, "
-              f"so the estimate leaves out the trials of the region where the "
-              f"local conductance is below 1/{inner_mc} and is biased low by an "
-              f"amount its SE does not include"),
-    )
-    return failure, trials
+    if body.dim == 2 or body.dim > 2 and body.shell is not None:
+        if body.dim == 2:
+            oracle = oracle or GridOracle(body)
+            r = oracle.resolution
+            if r < 4:
+                raise ValueError(
+                    f"grid quadrature needs resolution >= 4 to measure its error on a "
+                    f"grid of half the resolution, got {r}")
+            *values, n = _grid_failure_and_trials(oracle, p.h, p.N)
+            *coarse, _ = _grid_failure_and_trials(GridOracle(body, r // 2), p.h, p.N)
+            source = (f"grid quadrature of the local conductance on {n} padded "
+                      f"cells (resolution {r}); the error is the change from "
+                      f"resolution {r // 2}")
+        else:
+            values, coarse, lo, hi = _radial_failure_and_trials(body, p.h, p.N)
+            n = RADIAL_NODES
+            source = (f"radial quadrature of the exact local conductance on {n} "
+                      f"nodes in [{lo:.6g}, {hi:.6g}]; the error is the change from "
+                      f"{n // 2 + 1} nodes")
+        cuts = _padding(p.N)[1]
+        errors = [abs(v - c) + cut for v, c, cut in zip(values, coarse, cuts)]
+        notes = [f"{source}, plus at most {cut:.2g} left out beyond the z sqrt(h) padding"
+                 for cut in cuts]
+    else:
+        n = n_mc
+        ell = smoothed_conductance_samples(body, p.h, n_mc, inner_mc, rng)
+        # estimates are multiples of 1/inner_mc: the zero-hit points are
+        # exactly the ones below the resolution floor
+        zero = ell == 0.0
+        source = (f"inner conductance from {inner_mc} proposals per point; "
+                  f"{np.count_nonzero(zero)}/{n_mc} outer points had zero inner hits")
+        # (1 - ell)^N in log space; ell == 0 contributes exactly 1
+        failure = np.ones(n_mc)
+        with np.errstate(divide="ignore"):
+            failure[~zero] = np.exp(p.N * np.log1p(-ell[~zero]))
+        # expected_trials_closed_form of each estimate clamped into (0, 1];
+        # an estimate of 1 gives -expm1(-inf) / 1 = 1 exactly
+        q = np.maximum(ell, 1.0 / inner_mc)
+        with np.errstate(divide="ignore"):
+            trials = -np.expm1(p.N * np.log1p(-q)) / q
+        values, errors = zip(_mean_and_se(failure), _mean_and_se(trials))
+        notes = (f"{source}; nested estimate is biased upward (conservative) and "
+                 f"resolves failure mass only down to 1/{n_mc} = {1.0 / n_mc:.2g}",
+                 f"{source}; these were clamped to the 1/{inner_mc} resolution floor, "
+                 f"so the estimate leaves out the trials of the region where the "
+                 f"local conductance is below 1/{inner_mc} and is biased low by an "
+                 f"amount its SE does not include")
+    return tuple(BoundCheck(name=name, empirical=value, theoretical_bound=bound,
+                            mc_std_error=se, n_samples=n, note=note)
+                 for name, value, bound, se, note in zip(
+                     ("stationary_failure", "expected_trials"), values, bounds, errors,
+                     notes))
 
 
 def stationary_failure_check(body: Body, p: Plan, n_mc: int,
@@ -581,22 +568,21 @@ class TvCheckResult:
 _CELL_KEY = np.dtype([("angle", float), ("radius", float), ("index", np.intp)])
 
 
-def _cell_labels(oracle: GridOracle, center: np.ndarray, n_cells: int,
+def _cell_labels(oracle: GridOracle, center: np.ndarray, first: np.ndarray,
                  cells: np.ndarray) -> np.ndarray:
     """grid_tv's run of each of the given cells (flat indices, repeats allowed).
 
     In (angle, radius, flat index) order around center, the occupied
-    cells of ranks 0, s_1, s_2, ... (np.array_split's offsets) start
-    the n_cells runs, and a cell's run is the number of run starts at or
-    before it, minus one; a cell ahead of every start is in the last
-    run.  The starts' angles are read off the occupied cells' sorted
-    angles (one float key, faster than np.partition at those ranks),
-    and one search of each given cell's angle among them counts its
-    starts.  Radius and index decide only at an exact angle tie, so
-    hypot is taken only for the cells at a start's angle.  No grid is
-    sorted, and the angles are taken of the occupied cells (a block of
-    GRID_BLOCK_ROWS rows at a time) and of the given ones, not of every
-    grid cell.
+    cells of ranks first[0] = 0 < first[1] < ... start the runs, and a
+    cell's run is the number of run starts at or before it, minus one;
+    a cell ahead of every start is in the last run.  The starts' angles
+    are read off the occupied cells' sorted angles (one float key,
+    faster than np.partition at those ranks), and one search of each
+    given cell's angle among them counts its starts.  Radius and index
+    decide only at an exact angle tie, so hypot is taken only for the
+    cells at a start's angle.  No grid is sorted, and the angles are
+    taken of the occupied cells (a block of GRID_BLOCK_ROWS rows at a
+    time) and of the given ones, not of every grid cell.
     """
     r = oracle.resolution
     rx = oracle.xs - center[0]
@@ -623,9 +609,6 @@ def _cell_labels(oracle: GridOracle, center: np.ndarray, n_cells: int,
         block = np.arctan2(ry, rx[i:i + GRID_BLOCK_ROWS, None])[inside]
         occupied_angle[filled:filled + block.size] = block
         filled += block.size
-    q, extra = divmod(oracle.n_occupied, n_cells)
-    runs = np.arange(n_cells)
-    first = runs * q + np.minimum(runs, extra)
     sorted_angle = np.sort(occupied_angle)
     start_angle = sorted_angle[first]
     # the start of rank first[k] is the (first[k] - below[k])-th, in
@@ -647,7 +630,7 @@ def _cell_labels(oracle: GridOracle, center: np.ndarray, n_cells: int,
     tied = np.flatnonzero(start_angle[label - 1] == angle)
     label[tied] = np.searchsorted(starts, keys(cells[tied]), side="right")
     label -= 1
-    label[label < 0] = n_cells - 1
+    label[label < 0] = first.size - 1
     return label
 
 
@@ -679,13 +662,13 @@ def grid_tv_check(body: Body, samples, n_cells: int,
         raise ValueError("more cells requested than occupied grid cells")
 
     lo, hi = body.bbox
-    # the run sizes np.array_split gives
+    # the occupied cells' rank that starts each run: np.array_split's offsets
     q, extra = divmod(oracle.n_occupied, n_cells)
-    sizes = np.full(n_cells, q)
-    sizes[:extra] += 1
-    exact = sizes / oracle.n_occupied
+    runs = np.arange(n_cells)
+    first = runs * q + np.minimum(runs, extra)
+    exact = np.diff(first, append=oracle.n_occupied) / oracle.n_occupied
     ij = oracle.cell_index(samples)
-    groups = _cell_labels(oracle, (lo + hi) / 2.0, n_cells,
+    groups = _cell_labels(oracle, (lo + hi) / 2.0, first,
                           ij[:, 0] * oracle.resolution + ij[:, 1])
 
     n = samples.shape[0]

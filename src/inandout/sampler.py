@@ -165,13 +165,12 @@ def forward_step(x: np.ndarray, h: float, rng: np.random.Generator) -> np.ndarra
     A chain makes its out-steps in its windows, with the same bits (see
     the module docstring); this is the one-step form.
     """
-    if not (h > 0.0):
-        raise ValueError(f"step size must be positive, got {h}")
+    _check_step(h)
     x = np.asarray(x, dtype=float)
     return x + math.sqrt(h) * rng.standard_normal(x.shape[0])
 
 
-def _check_step(h: float, N: int):
+def _check_step(h: float, N: int = 1):
     if not (h > 0.0):
         raise ValueError(f"step size must be positive, got {h}")
     if N < 1:

@@ -512,12 +512,21 @@ def test_diagnose_command_all_checks_pass(tmp_path, capsys):
     assert report["environment"]["seed"] == 7
 
 
-def test_diagnose_command_reruns_byte_identical(tmp_path, capsys):
-    cfg = write_config(tmp_path, diagnose_config(n_mc=20_000))
+@pytest.mark.parametrize("doc,route", [
+    (diagnose_config(n_mc=20_000), "grid quadrature"),
+    ({"body": {"kind": "ball", "center": [0, 0, 0], "radius": 1.0}, "plan": ANNULUS_PLAN,
+      "diagnose": {"seed": 1, "n_mc": 2000, "inner_mc": 50}}, "radial quadrature"),
+    ({"body": {"kind": "box", "lo": [-1, -1, -1], "hi": [1, 1, 1]}, "plan": ANNULUS_PLAN,
+      "diagnose": {"seed": 1, "n_mc": 2000, "inner_mc": 50}}, "inner conductance"),
+], ids=["grid", "radial", "nested"])
+def test_diagnose_command_reruns_byte_identical(tmp_path, capsys, doc, route):
+    cfg = write_config(tmp_path, doc)
     reports = [tmp_path / "first.json", tmp_path / "second.json"]
     for out in reports:
         assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert reports[0].read_bytes() == reports[1].read_bytes()
+    checks = json.loads(reports[0].read_text(encoding="utf-8"))["checks"]
+    assert {c["name"]: c for c in checks}["stationary_failure"]["note"].startswith(route)
 
 
 # failure mass and expected trials on the annulus plan from the exact
@@ -768,6 +777,23 @@ def test_unwritable_plan_file_is_io_error(tmp_path, capsys):
     out = str(tmp_path / "missing" / "plan.json")
     assert main(["plan", "--config", cfg, "--out", out]) == EXIT_IO
     assert f"cannot write plan {out}" in capsys.readouterr().err
+
+
+def test_unwritable_diagnose_report_is_io_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, diagnose_config(resolution=40))
+    out = str(tmp_path / "missing" / "report.json")
+    assert main(["diagnose", "--config", cfg, "--out", out]) == EXIT_IO
+    assert f"cannot write report {out}" in capsys.readouterr().err
+
+
+def test_unreadable_samples_file_is_io_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, diagnose_config())
+    samples = str(tmp_path / "missing.jsonl")
+    out = tmp_path / "report.json"
+    assert main(["diagnose", "--config", cfg, "--out", str(out),
+                 "--samples", samples]) == EXIT_IO
+    assert f"cannot read samples {samples}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_json_config(tmp_path):

@@ -249,6 +249,14 @@ def test_escape_check_hypothesis_gate(unit_disk):
         stationary_escape_check(bare, h=0.05, r=1.0, n_mc=100, rng=make_rng(8))
 
 
+@pytest.mark.parametrize("n_mc", [0, -1])
+def test_escape_check_needs_a_sample(unit_disk, n_mc):
+    rng = make_rng(8)
+    with pytest.raises(ValueError, match=f"need at least one sample, got {n_mc}"):
+        stationary_escape_check(unit_disk, h=0.05, r=1.0, n_mc=n_mc, rng=rng)
+    assert rng.random() == make_rng(8).random()    # no draw was taken
+
+
 def test_escape_check_gate_at_the_base_cap(unit_disk, annulus):
     for body in (unit_disk, annulus):
         cap = planner.step_size_regime(body.dim, body.growth.beta).base_cap
@@ -340,6 +348,17 @@ def test_grid_quadrature_needs_a_coarser_grid(annulus, resolution):
         per_iteration_checks(annulus, p, 10, make_rng(1), oracle=oracle)
 
 
+@pytest.mark.parametrize("N", [1, 10**5, 736_000_000, 56_300_000_000, 10**18])
+def test_padding_leaves_out_at_most_its_cuts(N):
+    # every point of a 2-D body lies at least z sqrt(h) inside the padded
+    # box, so Y leaves it only where a coordinate of Z exceeds z in size:
+    # a Gaussian mass of at most 4 Q(z) = 2 erfc(z / sqrt(2))
+    z, (failure_cut, trials_cut) = diagnostics._padding(N)
+    assert 2.0 * math.erfc(z / math.sqrt(2.0)) <= failure_cut
+    # each point of that mass takes at most N trials
+    assert trials_cut == pytest.approx(N * failure_cut, rel=1e-12)
+
+
 def whole_array_failure_and_trials(oracle, h, N):
     """_grid_failure_and_trials as it was computed before its buffers:
     a whole contiguous band per axis, the whole bitmap as floats, and a
@@ -368,8 +387,8 @@ def whole_array_failure_and_trials(oracle, h, N):
     ("flat_box", 150)])
 def test_grid_quadrature_keeps_the_bits_of_the_whole_array_formulation(
         annulus, fixture, resolution):
-    # a square grid shares one band between the axes; the flat box,
-    # with a step and a pad of its own per axis, takes two
+    # a square grid has equal bands on both axes; the flat box, with a
+    # step and a pad of its own per axis, has two different ones
     body = annulus if fixture == "annulus" else bodies.make_box([0.0, 0.0], [2.0, 0.7])
     p = planner.plan(ANNULUS_PLAN_INPUTS)
     oracle = GridOracle(body, resolution=resolution)
@@ -868,8 +887,9 @@ def test_cell_labels_equal_those_of_the_sorted_grid(request, name):
         some = rng.integers(0, resolution**2, size=max(10, resolution**2 // 7))
         for n_cells in sorted({2, 3, 16, m // 3, m - 1, m} & set(range(2, m + 1))):
             want, tied = sorted_cell_labels(oracle, center, n_cells)
+            first = np.array([run[0] for run in np.array_split(np.arange(m), n_cells)])
             for cells in (every, some):
-                got = diagnostics._cell_labels(oracle, center, n_cells, cells)
+                got = diagnostics._cell_labels(oracle, center, first, cells)
                 assert got.tolist() == want[cells].tolist(), (resolution, n_cells)
             ties += tied
     assert ties >= 10

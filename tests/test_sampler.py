@@ -73,6 +73,14 @@ def test_forward_step_increments_are_standard_normal():
     assert stats.kstest(z[:, 0], "norm").pvalue >= 1e-3
 
 
+@pytest.mark.parametrize("h", [-0.01, 0.0, float("nan")])
+def test_forward_step_rejects_a_nonpositive_step(h):
+    rng = make_rng(4)
+    with pytest.raises(ValueError, match="step size must be positive"):
+        forward_step(np.zeros(2), h, rng)
+    assert rng.random() == make_rng(4).random()    # no draw was taken
+
+
 def test_backward_step_near_certain_acceptance():
     big = bodies.make_ball([0.0, 0.0], 100.0)
     rng = make_rng(5)
