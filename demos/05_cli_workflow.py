@@ -35,8 +35,8 @@ config = {
              "alpha": "auto", "beta": "auto", "n": "auto"},
     # caps keep the demo fast; drop them for a full guaranteed run
     "run": {"n_chains": 50, "seed": 123, "t_cap": 500, "n_cap": 5000},
-    "diagnose": {"seed": 7, "n_mc": 4000, "inner_mc": 1000,
-                 "r_grid": [0.5], "t_grid": [0.5], "n_cells": 8},
+    "diagnose": {"seed": 7, "n_mc": 4000, "r_grid": [0.5], "t_grid": [0.5],
+                 "n_cells": 8},
 }
 cfg_path = workdir / "config.json"
 cfg_path.write_text(json.dumps(config, indent=2), encoding="utf-8")

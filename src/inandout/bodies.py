@@ -427,8 +427,8 @@ def exclusion(outer: Body, hole: Body, remaining_volume: float) -> Body:
             return outer_int(pts) & ~hole_mem(pts)
 
     distance = None
-    if balls and np.allclose(c_out, c_in, rtol=0.0, atol=1e-12) and r_in < r_out:
-        # an annulus, up to rounding of the centers
+    if balls and np.allclose(c_out, c_in, rtol=0.0, atol=1e-12 * r_out) and r_in < r_out:
+        # an annulus, up to rounding of the centers at the scale of r_out
         def distance(pts):
             rho = _radius(pts, c_out)
             return np.maximum(np.maximum(rho - r_out, r_in - rho), 0.0)

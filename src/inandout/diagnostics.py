@@ -396,8 +396,10 @@ def _radial_failure_and_trials(body: Body, h: float, N: int) -> tuple:
     sums of _grid_failure_and_trials become integrals in rho against
     the sphere area n omega_n rho^(n-1), by the trapezoid rule on
     RADIAL_NODES nodes over [max(0, r_in - z sqrt(h)), r_out + z sqrt(h)]
-    (see _padding); the coarse values take every other node.
-    scipy.special loads here.
+    (see _padding); the coarse values take every other node.  A step h
+    so small that scipy.special.chndtr is not finite at some node (NaN
+    near r_out at h = 1e-10 on the unit 3-ball, with noncentrality about
+    1e10) is an UnsupportedCheck.  scipy.special loads here.
     """
     import scipy.special
 
@@ -410,6 +412,8 @@ def _radial_failure_and_trials(body: Body, h: float, N: int) -> tuple:
     ell = scipy.special.chndtr(r_out * r_out / h, n, nc)
     if r_in > 0.0:
         ell -= scipy.special.chndtr(r_in * r_in / h, n, nc)
+    if not np.isfinite(ell).all():
+        raise UnsupportedCheck(f"radial local conductance is not finite at h = {h}")
     np.clip(ell, 0.0, 1.0, out=ell)
     area = n * unit_ball_volume(n) * rho ** (n - 1)
     with np.errstate(divide="ignore"):
@@ -547,7 +551,7 @@ def expected_trials_check(body: Body, p: Plan, n_mc: int,
 
 @dataclass
 class TvCheckResult:
-    """Uniformity test of samples against the grid oracle's cell law.
+    """Uniformity test of samples against the grid oracle's sector law.
 
     The verdict is violated when the p-value falls below TV_LEVEL, so a
     correct sampler fails on about that share of seeds.
@@ -564,90 +568,56 @@ class TvCheckResult:
         self.verdict = SATISFIED if self.p_value >= TV_LEVEL else VIOLATED
 
 
-# a cell's place in grid_tv's order; structured arrays compare field by field
-_CELL_KEY = np.dtype([("angle", float), ("radius", float), ("index", np.intp)])
+def _sectors(oracle: GridOracle, n_cells: int, ij: np.ndarray) -> tuple:
+    """(exact law, sector of each cell of ij): grid_tv's sectors.
 
-
-def _cell_labels(oracle: GridOracle, center: np.ndarray, first: np.ndarray,
-                 cells: np.ndarray) -> np.ndarray:
-    """grid_tv's run of each of the given cells (flat indices, repeats allowed).
-
-    In (angle, radius, flat index) order around center, the occupied
-    cells of ranks first[0] = 0 < first[1] < ... start the runs, and a
-    cell's run is the number of run starts at or before it, minus one;
-    a cell ahead of every start is in the last run.  The starts' angles
-    are read off the occupied cells' sorted angles (one float key,
-    faster than np.partition at those ranks), and one search of each
-    given cell's angle among them counts its starts.  Radius and index
-    decide only at an exact angle tie, so hypot is taken only for the
-    cells at a start's angle.  No grid is sorted, and the angles are
-    taken of the occupied cells (a block of GRID_BLOCK_ROWS rows at a
-    time) and of the given ones, not of every grid cell.
+    The center angles of the occupied cells around the bbox center,
+    filled a block of GRID_BLOCK_ROWS rows at a time, are sorted and
+    split at np.array_split's ranks into n_cells runs.  The distinct
+    angles at those ranks that lie above the smallest angle start the
+    sectors, so all cells at one angle share a sector, every sector
+    holds at least one occupied cell, and runs that start at one angle
+    merge.  The exact law is each sector's share of the occupied cells.
+    A cell of ij (rows of (i, j) indices, occupied or free) is in the
+    sector of its center's angle, and in the first sector when that
+    angle is below every start.
     """
-    r = oracle.resolution
-    rx = oracle.xs - center[0]
-    ry = oracle.ys - center[1]
-
-    def angles(cells):
-        i, j = np.divmod(cells, r)
-        return np.arctan2(ry[j], rx[i])
-
-    def keys(cells):
-        k = np.empty(cells.size, _CELL_KEY)
-        k["angle"] = angles(cells)
-        i, j = np.divmod(cells, r)
-        k["radius"] = np.hypot(rx[i], ry[j])
-        k["index"] = cells
-        return k
-
-    # the occupied cells' angles in flat-index order, that of
-    # np.flatnonzero(bitmap), a block of rows at a time
-    occupied_angle = np.empty(oracle.n_occupied)
+    center = (oracle.lo + oracle.hi) / 2.0
+    rx, ry = oracle.xs - center[0], oracle.ys - center[1]
+    # the given cells' angles before the occupied cells' array exists, so
+    # their temporaries do not add to its peak
+    cell_angle = np.arctan2(ry[ij[:, 1]], rx[ij[:, 0]])
+    angle = np.empty(oracle.n_occupied)
     filled = 0
-    for i in range(0, r, GRID_BLOCK_ROWS):
-        inside = oracle.bitmap[i:i + GRID_BLOCK_ROWS]
-        block = np.arctan2(ry, rx[i:i + GRID_BLOCK_ROWS, None])[inside]
-        occupied_angle[filled:filled + block.size] = block
+    for i in range(0, oracle.resolution, GRID_BLOCK_ROWS):
+        block = np.arctan2(ry, rx[i:i + GRID_BLOCK_ROWS, None])
+        block = block[oracle.bitmap[i:i + GRID_BLOCK_ROWS]]
+        angle[filled:filled + block.size] = block
         filled += block.size
-    sorted_angle = np.sort(occupied_angle)
-    start_angle = sorted_angle[first]
-    # the start of rank first[k] is the (first[k] - below[k])-th, in
-    # order, of the occupied cells with its angle, below[k] being the
-    # occupied cells of smaller angles
-    below = np.searchsorted(sorted_angle, start_angle)
-    del sorted_angle
-    # the occupied cells at a start's angle, by flat index
-    at_start = np.flatnonzero(oracle.bitmap)[np.isin(occupied_angle, start_angle)]
-    candidates = np.sort(keys(at_start))
-    starts = candidates[np.searchsorted(candidates["angle"], start_angle)
-                        + first - below]
-    # starts with an angle at or below each cell's; equal ones decide by
-    # radius and index (a cell below every start gets 0, and
-    # start_angle[-1] is then above its angle)
-    cells = np.asarray(cells)
-    angle = angles(cells)
-    label = np.searchsorted(start_angle, angle, side="right")
-    tied = np.flatnonzero(start_angle[label - 1] == angle)
-    label[tied] = np.searchsorted(starts, keys(cells[tied]), side="right")
-    label -= 1
-    label[label < 0] = first.size - 1
-    return label
+    angle.sort()
+    # the first angle of each run, at np.array_split's offsets; np.unique
+    # would import numpy.ma (1.1 MB) on its first call
+    q, extra = divmod(angle.size, n_cells)
+    start = angle[np.arange(n_cells) * q + np.minimum(np.arange(n_cells), extra)]
+    cuts = start[1:][start[1:] > start[:-1]]
+    exact = np.diff(np.searchsorted(angle, cuts), prepend=0, append=angle.size) / angle.size
+    return exact, np.searchsorted(cuts, cell_angle, side="right")
 
 
 def grid_tv_check(body: Body, samples, n_cells: int,
                   oracle: Optional[GridOracle] = None) -> TvCheckResult:
-    """Compare samples with exact uniform via equal-mass grid cells.
+    """Compare samples with exact uniform via equal-mass angular sectors.
 
-    The grid cells are ordered by (angle, radius, flat index) around the
-    bbox center, and the occupied ones in that order are split into
-    n_cells runs of equal count, up to one cell (for round bodies these
-    are sectors).  A free cell takes the run of the occupied cell before
-    it, the first free cells that of the last, so every cell has a label
-    and a sample counts in the run of its own (clipped) cell.  The order
-    only defines the labels: they are found without sorting the grid,
-    and only for the cells the samples fall in (see _cell_labels).
-    Reports the half-L1 distance between empirical and exact run
-    histograms and a chi-square goodness-of-fit p-value.
+    Around the bbox center, the occupied grid cells are split by the
+    angle of their center into sectors of about n_occupied / n_cells
+    cells (see _sectors).  A ray from the center is never split, so a
+    sector's size differs from n_occupied / n_cells by less than L + 1,
+    L being the most occupied cells at one angle, and the report's
+    n_cells is the number of sectors used, fewer than asked when runs
+    merge at a tied angle.  A sample counts in the sector of its own
+    (clipped) cell's center angle, whether that cell is occupied or
+    free.  Reports the half-L1 distance between empirical and exact
+    sector histograms and a chi-square goodness-of-fit p-value.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] < 5 * n_cells:
@@ -661,27 +631,17 @@ def grid_tv_check(body: Body, samples, n_cells: int,
     if n_cells > oracle.n_occupied:
         raise ValueError("more cells requested than occupied grid cells")
 
-    lo, hi = body.bbox
-    # the occupied cells' rank that starts each run: np.array_split's offsets
-    q, extra = divmod(oracle.n_occupied, n_cells)
-    runs = np.arange(n_cells)
-    first = runs * q + np.minimum(runs, extra)
-    exact = np.diff(first, append=oracle.n_occupied) / oracle.n_occupied
-    ij = oracle.cell_index(samples)
-    groups = _cell_labels(oracle, (lo + hi) / 2.0, first,
-                          ij[:, 0] * oracle.resolution + ij[:, 1])
-
+    exact, sector = _sectors(oracle, n_cells, oracle.cell_index(samples))
     n = samples.shape[0]
-    counts = np.bincount(groups, minlength=n_cells)
+    counts = np.bincount(sector, minlength=exact.size)
     tv = 0.5 * math.fsum(np.abs(counts / n - exact))
-    expected_counts = n * exact
-    chi2 = math.fsum((counts - expected_counts) ** 2 / expected_counts)
-    p_value = specfun.gamma_q((n_cells - 1) / 2.0, chi2 / 2.0)
+    chi2 = math.fsum((counts - n * exact) ** 2 / (n * exact))
+    p_value = specfun.gamma_q((exact.size - 1) / 2.0, chi2 / 2.0)
     return TvCheckResult(
         tv_estimate=tv,
         chi2_statistic=chi2,
         p_value=p_value,
-        n_cells=n_cells,
+        n_cells=exact.size,
         n_samples=n,
     )
 
@@ -695,18 +655,22 @@ def certificate_soundness_check(body: Body, t: float, n_mc: int,
     bbox inflated by t, classifies points by distance (in X_t iff dist
     <= t; in X via membership) and takes the count ratio.  The std
     error accounts for the nesting of the two events; it is exactly
-    zero at t = 0.  When no draw lands in the body, as in high
-    dimension, the check is unsupported at this t and n_mc.
+    zero at t = 0.  When the inflated bbox is wider than the float
+    range (its width overflows), or when no draw lands in the body, as
+    in high dimension, the check is unsupported at this t and n_mc.
     """
     if body.growth is None:
         raise ValueError("body has no growth certificate")
-    if t < 0.0:
+    if not (t >= 0.0):
         raise ValueError(f"dilation must be nonnegative, got {t}")
     if n_mc < 1:
         raise ValueError(f"need at least one sample, got {n_mc}")
     dist, _ = _require_distance(body, oracle)
-    lo, hi = body.bbox
-    pts = rng.uniform(lo - t, hi + t, size=(n_mc, body.dim))
+    lo, hi = body.bbox[0] - t, body.bbox[1] + t
+    with np.errstate(over="ignore"):
+        if not np.isfinite(hi - lo).all():
+            raise UnsupportedCheck(f"the bbox inflated by t = {t} exceeds the float range")
+    pts = rng.uniform(lo, hi, size=(n_mc, body.dim))
     in_x = np.asarray(body.membership(pts))
     in_xt = in_x | (np.asarray(dist(pts)) <= t)
     n_in = int(np.count_nonzero(in_x))

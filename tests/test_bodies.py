@@ -394,6 +394,23 @@ def test_exclusion_of_nearly_concentric_balls_tests_each_ball():
     assert exclusion(outer, make_ball([0.0, 0.0], 1.0), 1.0).distance is None
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_exclusion_annulus_tolerance_scales_with_the_outer_radius(scale):
+    # at scale 1e-12 a hole 9e-13 off center is no annulus: its distance
+    # would read 1e-13 at the hole's center, a point 1e-12 from the body
+    outer = make_ball([0.0, 0.0], 2.0 * scale)
+
+    def carve(offset):
+        hole = make_ball([offset, 0.0], scale)
+        return exclusion(outer, hole, outer.exact_volume - hole.exact_volume)
+
+    assert carve(0.9 * scale).distance is None
+    # centers 1e-14 of the radius apart are an annulus at every scale
+    near = carve(1e-14 * scale)
+    np.testing.assert_allclose(near.distance(np.array([[0.0, 0.0], [3.0 * scale, 0.0]])),
+                               [scale, scale])
+
+
 def test_shell_is_set_for_balls_and_exactly_concentric_ball_exclusions():
     c = [0.5, -1.0, 2.0]
     ball = make_ball(c, 2.0)

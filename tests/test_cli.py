@@ -731,6 +731,34 @@ def test_diagnose_skips_a_certificate_check_no_draw_resolves(tmp_path):
     assert "n_mc = 200" in skipped["reason"] and "t = 1.0" in skipped["reason"]
 
 
+BALL_3D = {"kind": "ball", "center": [0, 0, 0], "radius": 1}
+RADIAL_NAN = "radial local conductance is not finite at h = 1e-10"
+
+
+@pytest.mark.parametrize("body,setting,skipped", [
+    # the inflated bbox's width overflows, which rng.uniform refuses
+    (ANNULUS_BODY, {"t_grid": [1e308]},
+     {"certificate_soundness(t=1e+308)":
+      "the bbox inflated by t = 1e+308 exceeds the float range"}),
+    # scipy.special.chndtr is NaN at two radial nodes near the sphere
+    (BALL_3D, {"h_override": 1e-10},
+     {"stationary_failure": RADIAL_NAN, "expected_trials": RADIAL_NAN,
+      "grid_tv": "grid oracle is 2-D only"}),
+    # the escape bound's argument r / sqrt(h) is inf, its tail 0
+    (ANNULUS_BODY, {"r_grid": [1e308]}, {}),
+], ids=["t_grid", "h_override", "r_grid"])
+def test_diagnose_reports_extreme_finite_settings(tmp_path, body, setting, skipped):
+    cfg = write_config(tmp_path, {
+        "body": body, "plan": ANNULUS_PLAN,
+        "diagnose": {"seed": 7, "n_mc": 20000, "r_grid": [0.25, 0.5], "t_grid": [0.5],
+                     **setting},
+    })
+    out = tmp_path / "report.json"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    assert {c["name"]: c["reason"] for c in checks if c["status"] == "skipped"} == skipped
+
+
 @pytest.mark.parametrize("n_cells", [200_000, 10**12])
 def test_diagnose_refuses_more_cells_than_the_grid_occupies(tmp_path, monkeypatch,
                                                            n_cells):

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
-from scipy.spatial import cKDTree
 
 from inandout import bodies, diagnostics, planner, specfun
 from inandout.diagnostics import (
@@ -464,7 +463,7 @@ def test_grid_diagnostics_hold_no_resolution_squared_temporary(annulus):
     # quadrature the y-blurred bitmap (400 x 672 floats), one block of
     # band rows and three 64-row buffers (4.3 MB; 6.0 MB with a whole
     # band), and grid TV the occupied cells' angles and the samples'
-    # cells (2.2 MB).
+    # cells and angles (1.7 MB).
     p = planner.plan(ANNULUS_PLAN_INPUTS)
     peak, oracle = traced_peak(lambda: GridOracle(annulus, resolution=400))
     assert peak < 1.0e6
@@ -753,111 +752,12 @@ def test_grid_tv_validation(unit_disk):
         grid_tv_check(simplex_3d(), np.zeros((100, 3)), 4)
 
 
-def nearest_occupied_tv(body, oracle, samples, n_cells):
-    """grid_tv_check as it grouped points before every grid cell had a label.
-
-    Only occupied cells are sorted and split; a point in a free cell
-    goes to the group of the nearest occupied cell center.
-    """
-    occ = np.argwhere(oracle.bitmap)
-    centers = oracle.lo + (occ + 0.5) * oracle.step
-    lo, hi = body.bbox
-    rel = centers - (lo + hi) / 2.0
-    order = np.lexsort((np.hypot(rel[:, 0], rel[:, 1]),
-                        np.arctan2(rel[:, 1], rel[:, 0])))
-    group = np.empty(len(occ), dtype=int)
-    for g, chunk in enumerate(np.array_split(order, n_cells)):
-        group[chunk] = g
-    exact = np.bincount(group, minlength=n_cells) / len(occ)
-    r = oracle.resolution
-    flat_to_occ = -np.ones(r * r, dtype=int)
-    flat_to_occ[occ[:, 0] * r + occ[:, 1]] = np.arange(len(occ))
-    ij = oracle.cell_index(samples)
-    idx = flat_to_occ[ij[:, 0] * r + ij[:, 1]]
-    missing = idx < 0
-    if np.any(missing):
-        idx[missing] = cKDTree(centers).query(samples[missing])[1]
-    n = len(samples)
-    counts = np.bincount(group[idx], minlength=n_cells)
-    chi2 = math.fsum((counts - n * exact) ** 2 / (n * exact))
-    return dict(tv_estimate=0.5 * math.fsum(np.abs(counts / n - exact)),
-                chi2_statistic=chi2,
-                p_value=specfun.gamma_q((n_cells - 1) / 2.0, chi2 / 2.0))
-
-
-@pytest.mark.parametrize("fixture,resolution,n_cells", [
-    ("annulus", 400, 16),
-    ("unit_disk", 400, 7),
-    ("l_shape", 101, 13),
-    ("cross", 64, 10),
-])
-def test_grid_tv_counts_occupied_cells_as_the_nearest_occupied_grouping(
-        request, fixture, resolution, n_cells):
-    # every point lies in an occupied cell, where the cell labels must
-    # reproduce the occupied-only grouping bit for bit
-    body = request.getfixturevalue(fixture)
-    oracle = GridOracle(body, resolution=resolution)
-    pts = bitmap_uniform(oracle, make_rng(41), 20_000)
-    got = dataclasses.asdict(grid_tv_check(body, pts, n_cells, oracle=oracle))
-    ref = nearest_occupied_tv(body, oracle, pts, n_cells)
-    assert {k: got[k] for k in ref} == ref
-
-
 def two_strips():
     # two boxes with a free strip between them across the bbox center,
-    # so the cells first in (angle, radius) order are free
+    # so the cells at the smallest angles are free
     a = bodies.make_box([0.0, 0.0], [3.0, 1.0])
     b = bodies.make_box([0.0, 2.0], [3.0, 3.0])
     return bodies.union([a, b], 6.0)
-
-
-@pytest.mark.parametrize("make_body", [two_strips, None])
-def test_grid_tv_counts_a_free_cell_with_the_occupied_cell_before_it(
-        annulus, make_body):
-    body = make_body() if make_body else annulus
-    oracle = GridOracle(body, resolution=30)
-    lo, hi = body.bbox
-    gx, gy = np.meshgrid(oracle.xs, oracle.ys, indexing="ij")
-    centers = np.column_stack([gx.ravel(), gy.ravel()])
-    rel = centers - (lo + hi) / 2.0
-    order = np.lexsort((np.hypot(rel[:, 0], rel[:, 1]),
-                        np.arctan2(rel[:, 1], rel[:, 0])))
-    occupied = oracle.bitmap.ravel()[order]
-    assert occupied[0] == (make_body is None)
-    runs = np.array_split(order[occupied], 8)
-    # 2 (g + 1) points in run g make the chi-square tell the runs apart
-    base = np.repeat(centers[[run[0] for run in runs]], 2 * np.arange(1, 9), axis=0)
-
-    def check(cell):
-        return grid_tv_check(body, np.vstack([base, centers[cell]]), 8, oracle=oracle)
-
-    by_run = [check(run[0]) for run in runs]
-    assert len({res.chi2_statistic for res in by_run}) == 8
-    run_of = {cell: g for g, run in enumerate(runs) for cell in run}
-    for k in np.flatnonzero(~occupied):
-        before = np.flatnonzero(occupied[:k])
-        # free cells ahead of every occupied one go with the last run
-        g = run_of[order[before[-1]]] if before.size else 7
-        assert check(order[k]) == by_run[g]
-
-
-def sorted_cell_labels(oracle, center, n_cells):
-    """grid_tv's cell labels by sorting the grid: the order that defines them."""
-    rx = (oracle.xs - center[0])[:, None]
-    ry = (oracle.ys - center[1])[None, :]
-    order = np.lexsort((np.hypot(rx, ry).ravel(), np.arctan2(ry, rx).ravel()))
-    sizes = [len(run) for run in np.array_split(np.arange(oracle.n_occupied), n_cells)]
-    # rank of the last occupied cell at or before each cell; -1 before
-    # the first one picks the last run
-    rank = np.cumsum(oracle.bitmap.ravel()[order]) - 1
-    label = np.empty(oracle.resolution**2, dtype=int)
-    label[order] = np.repeat(np.arange(n_cells), sizes)[rank]
-    # whether a run start shares its angle with a cell next to it in order
-    angle = np.arctan2(ry, rx).ravel()[order]
-    starts = np.flatnonzero(np.diff(label[order], prepend=-1) != 0)
-    neighbors = np.clip(np.concatenate([starts - 1, starts + 1]), 0, len(order) - 1)
-    tied = np.isin(angle[starts], angle[neighbors])
-    return label, bool(tied.any())
 
 
 def off_center_hole():
@@ -866,33 +766,121 @@ def off_center_hole():
     return bodies.exclusion(disk, hole, disk.exact_volume - hole.exact_volume)
 
 
+SECTOR_BODIES = {"two_strips": two_strips, "off_center_hole": off_center_hole,
+                 "triangle": triangle}
+
+
+def sector_body(request, name):
+    return SECTOR_BODIES[name]() if name in SECTOR_BODIES else request.getfixturevalue(name)
+
+
+def cell_angles(oracle):
+    """Every grid cell's center angle around the bbox center, (resolution, resolution)."""
+    center = (oracle.lo + oracle.hi) / 2.0
+    return np.arctan2(oracle.ys[None, :] - center[1], oracle.xs[:, None] - center[0])
+
+
+def brute_force_sectors(oracle, n_cells):
+    """(exact law, sector of every grid cell) of grid_tv's sector rule, by masks.
+
+    The occupied cells' sorted angles are split with np.array_split; the
+    distinct first angles of the runs that lie above the smallest angle
+    start the sectors, and sector k holds every cell, occupied or free,
+    whose angle is at least its start and below the next sector's.
+    """
+    angle = cell_angles(oracle)
+    occupied = np.sort(angle[oracle.bitmap])
+    starts = sorted({run[0] for run in np.array_split(occupied, n_cells)
+                     if run[0] > occupied[0]})
+    bounds = [-np.inf, *starts, np.inf]
+    sector = np.full(angle.shape, -1)
+    exact = []
+    for k in range(len(bounds) - 1):
+        mask = (angle >= bounds[k]) & (angle < bounds[k + 1])
+        sector[mask] = k
+        exact.append(np.count_nonzero(mask & oracle.bitmap) / oracle.n_occupied)
+    return np.array(exact), sector
+
+
+def brute_force_tv(oracle, samples, n_cells):
+    """grid_tv_check's result fields, each sample counted in its brute-force sector."""
+    exact, sector = brute_force_sectors(oracle, n_cells)
+    ij = oracle.cell_index(samples)
+    counts = np.bincount(sector[ij[:, 0], ij[:, 1]], minlength=exact.size)
+    n = len(samples)
+    chi2 = math.fsum((counts - n * exact) ** 2 / (n * exact))
+    return dict(tv_estimate=0.5 * math.fsum(np.abs(counts / n - exact)),
+                chi2_statistic=chi2,
+                p_value=specfun.gamma_q((exact.size - 1) / 2.0, chi2 / 2.0),
+                n_cells=exact.size, n_samples=n)
+
+
 @pytest.mark.parametrize("name", ["annulus", "unit_disk", "two_strips",
                                   "off_center_hole", "triangle"])
-def test_cell_labels_equal_those_of_the_sorted_grid(request, name):
+def test_grid_tv_sectors_equal_the_brute_force_rule(request, name):
     # even and odd resolutions put many cells at exactly one angle (the
-    # axes and diagonals through the center); every n_cells splits the
-    # occupied cells at other ranks
-    makers = {"two_strips": two_strips, "off_center_hole": off_center_hole,
-              "triangle": triangle}
-    body = makers[name]() if name in makers else request.getfixturevalue(name)
+    # axes and diagonals through the center); every n_cells cuts the
+    # occupied cells at other ranks.  The masks cost one pass over the
+    # grid per sector, so the largest n_cells stop at resolution 101.
+    body = sector_body(request, name)
     lo, hi = body.bbox
-    center = (lo + hi) / 2.0
-    ties = 0
     rng = np.random.default_rng(0)
     for resolution in (4, 5, 8, 13, 30, 31, 64, 101, 400):
         oracle = GridOracle(body, resolution=resolution)
         m = oracle.n_occupied
-        every = np.arange(resolution**2)
-        # a sample's cells: a random subset, with repeats and out of order
-        some = rng.integers(0, resolution**2, size=max(10, resolution**2 // 7))
-        for n_cells in sorted({2, 3, 16, m // 3, m - 1, m} & set(range(2, m + 1))):
-            want, tied = sorted_cell_labels(oracle, center, n_cells)
-            first = np.array([run[0] for run in np.array_split(np.arange(m), n_cells)])
-            for cells in (every, some):
-                got = diagnostics._cell_labels(oracle, center, first, cells)
-                assert got.tolist() == want[cells].tolist(), (resolution, n_cells)
-            ties += tied
-    assert ties >= 10
+        every = np.indices((resolution, resolution)).reshape(2, -1).T
+        wanted = {2, 3, 16} | ({m - 1, m} if resolution <= 101 else set())
+        for n_cells in sorted(wanted & set(range(2, m + 1))):
+            want_exact, want_sector = brute_force_sectors(oracle, n_cells)
+            exact, sector = diagnostics._sectors(oracle, n_cells, every)
+            assert exact.tolist() == want_exact.tolist(), (resolution, n_cells)
+            assert sector.tolist() == want_sector.ravel().tolist(), (resolution, n_cells)
+            # points of the bbox and around it, clipped to the grid, end to end
+            pts = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo),
+                              size=(max(5 * n_cells, 500), 2))
+            got = dataclasses.asdict(grid_tv_check(body, pts, n_cells, oracle=oracle))
+            assert got.pop("verdict") in (SATISFIED, VIOLATED)
+            assert got == brute_force_tv(oracle, pts, n_cells), (resolution, n_cells)
+
+
+@pytest.mark.parametrize("name", ["annulus", "unit_disk", "off_center_hole"])
+def test_grid_tv_sectors_keep_each_ray_whole_and_near_equal(request, name):
+    body = sector_body(request, name)
+    ties = 0
+    for resolution in (4, 5, 8, 13, 30, 31, 64, 101):
+        oracle = GridOracle(body, resolution=resolution)
+        m = oracle.n_occupied
+        every = np.indices((resolution, resolution)).reshape(2, -1).T
+        angle = cell_angles(oracle).ravel()
+        order = np.argsort(angle, kind="stable")
+        same = np.diff(angle[order]) == 0.0
+        # L: the most occupied cells at one angle
+        _, at_angle = np.unique(angle[oracle.bitmap.ravel()], return_counts=True)
+        longest = at_angle.max()
+        ties += longest > 1
+        for n_cells in sorted({2, 3, 7, 16, m // 3, m - 1, m} & set(range(2, m + 1))):
+            exact, sector = diagnostics._sectors(oracle, n_cells, every)
+            # all cells at one angle, occupied or free, share a sector
+            assert np.all(np.diff(sector[order])[same] == 0), (resolution, n_cells)
+            sizes = np.rint(exact * m)
+            assert sizes.sum() == m and sizes.min() >= 1
+            assert np.all(np.abs(sizes - m / n_cells) < longest + 1), (resolution, n_cells)
+    assert ties >= 4
+
+
+def test_grid_tv_reports_the_number_of_sectors_used(unit_disk):
+    # at 8 x 8 the disk's 52 occupied cells lie on 44 angles (3 cells on
+    # each half-diagonal): asking for one cell per sector leaves 44 sectors
+    oracle = GridOracle(unit_disk, resolution=8)
+    m = oracle.n_occupied
+    n_angles = np.unique(cell_angles(oracle)[oracle.bitmap]).size
+    assert n_angles < m
+    pts = bitmap_uniform(oracle, make_rng(7), 5 * m)
+    res = grid_tv_check(unit_disk, pts, m, oracle=oracle)
+    assert res.n_cells == n_angles
+    assert res.p_value == specfun.gamma_q((n_angles - 1) / 2.0, res.chi2_statistic / 2.0)
+    # when no runs merge, n_cells is the number asked for
+    assert grid_tv_check(unit_disk, pts, 16, oracle=oracle).n_cells == 16
 
 
 def test_only_a_body_without_a_distance_builds_the_kd_tree(annulus, monkeypatch):
@@ -951,6 +939,9 @@ def test_enlarged_ratio_annulus_fills_hole(annulus):
 def test_enlarged_ratio_validation(unit_disk):
     with pytest.raises(ValueError):
         certificate_soundness_check(unit_disk, -0.1, 100, make_rng(1))
+    # NaN is no dilation, not a bbox too wide for floats
+    with pytest.raises(ValueError, match="nonnegative, got nan"):
+        certificate_soundness_check(unit_disk, math.nan, 100, make_rng(1))
 
 
 @pytest.mark.parametrize("fixture", ["unit_disk", "unit_square", "annulus",

@@ -1,13 +1,17 @@
-"""Every public function and class of the package has a caller.
+"""Every public function and class of the package has a caller, and
+every private one has a use.
 
-A name counts as called when it appears in the package's code outside
-its own def or class line, anywhere in the benchmark scripts (which look
-some names up by string), or in PAPER_CHECKS, which maps each
-paper-verification name that only tests call to a test that calls it.
-Docstrings and comments of the package do not count as callers.
+A public name counts as called when it appears in the package's code
+outside its own def or class line, anywhere in the benchmark scripts
+(which look some names up by string), or in PAPER_CHECKS, which maps
+each paper-verification name that only tests call to a test that calls
+it.  A private module-level function, class or constant must appear in
+the package's code besides its definition.  Docstrings and comments of
+the package do not count as callers.
 """
 
 import ast
+import collections
 import inspect
 import io
 import re
@@ -45,21 +49,43 @@ def public_names():
             and obj.__module__ == m.__name__]
 
 
-def package_code_names() -> set:
-    """Identifiers in the package's code, leaving out each def and class name."""
-    names = set()
-    for path in sorted((ROOT / "src" / "inandout").glob("*.py")):
+def package_code_names() -> collections.Counter:
+    """How often each identifier appears in the package's code, leaving
+    out each def and class name."""
+    names = collections.Counter()
+    for path in PACKAGE_FILES:
         previous = None
         source = io.StringIO(path.read_text(encoding="utf-8"))
         for tok in tokenize.generate_tokens(source.readline):
             if tok.type == tokenize.NAME and previous not in ("def", "class"):
-                names.add(tok.string)
+                names[tok.string] += 1
             previous = tok.string
     return names
 
 
+def private_definitions() -> list:
+    """(module, name, is_constant) of each private module-level function,
+    class and assigned name of the package; dunder names are left out."""
+    found = []
+    for path in PACKAGE_FILES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [(node.name, False)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [(n.id, True) for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [(path.stem, name, constant) for name, constant in defined
+                      if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
 PUBLIC = public_names()
+PACKAGE_FILES = sorted((ROOT / "src" / "inandout").glob("*.py"))
 CODE_NAMES = package_code_names()
+PRIVATE = private_definitions()
 BENCH_TEXT = "\n".join(p.read_text(encoding="utf-8")
                        for p in sorted((ROOT / "bench").glob("*.py")))
 
@@ -83,3 +109,14 @@ def test_paper_check_entry_names_a_test_that_calls_it(name):
              if isinstance(node, ast.FunctionDef)}
     assert test in funcs, f"{path} has no test {test}"
     assert re.search(rf"\b{name}\b", ast.get_source_segment(source, funcs[test]))
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, n, _ in PRIVATE],
+                         ids=[f"{m}.{n}" for m, n, _ in PRIVATE])
+def test_private_name_is_used(module, name):
+    # an assignment's own target is one of the counted names; a def or
+    # class name is not
+    definitions = sum(c for _, n, c in PRIVATE if n == name)
+    assert CODE_NAMES[name] > definitions, (
+        f"{module}.{name} is named nowhere in the package besides its definition: "
+        f"delete it")
