@@ -38,12 +38,12 @@ from .planner import INNER_MC, RESOLUTION, Plan, step_size_regime, trial_floor
 SATISFIED = "satisfied"
 VIOLATED = "violated_beyond_3se"
 # Cell centers per membership call of GridOracle, grid rows per block of
-# the quadrature and of grid_tv's angles, and band rows per block of the
-# quadrature's first product: blocks keep every temporary of a 2-D check
-# far below one float per grid cell.
+# the quadrature's two products and of grid_tv's angles, and padded
+# columns per strip of the quadrature: blocks keep every temporary of a
+# 2-D check far below one float per grid cell.
 ORACLE_BLOCK_POINTS = 8192
-GRID_BLOCK_ROWS = 64
-GRID_BLOCK_COLS = 384
+GRID_BLOCK_ROWS = 128
+GRID_BLOCK_COLS = 224
 RADIAL_NODES = 2**15 + 1  # nodes of the radial quadrature; every other is the coarse rule
 TV_LEVEL = 0.01    # grid_tv is violated when its p-value falls below this
 
@@ -288,34 +288,6 @@ def _gaussian_band(n_cells: int, pad: int, step: float, h: float) -> np.ndarray:
     return sliding_window_view(w, n_cells)[:, ::-1]
 
 
-def _blur_along_y(bitmap: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """bitmap @ cols.T, made a block of bitmap rows by a block of band rows at a time.
-
-    The bitmap's float rows are made GRID_BLOCK_ROWS at a time and the
-    band rows copied GRID_BLOCK_COLS at a time into one buffer.  BLAS
-    does not promise that a block of a product rounds as the same
-    entries of the whole.  With OpenBLAS, blocks of 384 band rows gave
-    every entry the bits of the whole band at resolutions 101 to 400, at
-    1 and 2 threads; blocks of 256 moved the last bit of 200 entries at
-    resolution 200, and blocks of 64 of thousands.  At 800 and 1600 a
-    few hundred far-tail entries (below 1e-16) of the last columns move
-    in the last bit, as the bitmap's row blocks already move others
-    against one whole product; the annulus results keep their bits.
-    """
-    n, r = cols.shape
-    c = GRID_BLOCK_COLS
-    blurred = np.empty((r, n))
-    # a contiguous copy of the band rows keeps the product on BLAS
-    band_buf = np.empty((min(c, n), r))
-    for j in range(0, n, c):
-        band = band_buf[:min(c, n - j)]
-        np.copyto(band, cols[j:j + c])
-        for i in range(0, r, GRID_BLOCK_ROWS):
-            np.matmul(bitmap[i:i + GRID_BLOCK_ROWS].astype(float), band.T,
-                      out=blurred[i:i + GRID_BLOCK_ROWS, j:j + c])
-    return blurred
-
-
 def _padding(N: int) -> tuple:
     """(z, cuts): the padding of the per-iteration quadratures at threshold N.
 
@@ -344,43 +316,55 @@ def _grid_failure_and_trials(oracle: GridOracle, h: float, N: int) -> tuple:
     _padding).
 
     ell is rows @ (bitmap @ cols.T), rows and cols being the Gaussian
-    bands of the two axes, views of one weight vector each.
-    _blur_along_y makes the bitmap blurred along y, which is held whole
-    (resolution x padded columns): the results' bits rest on this order
-    of the two products and on sums taken GRID_BLOCK_ROWS padded rows at
-    a time, which a fused loop would change.  The padded grid is reduced
-    GRID_BLOCK_ROWS rows at a time, each block's band rows copied into
-    one buffer and the elementwise steps done in place in buffers reused
-    from block to block, so no other array grows with resolution^2.  The
-    elementwise steps and sums round as on whole arrays.
+    bands of the two axes, views of one weight vector each.  The padded
+    grid is walked in strips of GRID_BLOCK_COLS padded columns: a strip
+    is the bitmap blurred along y, resolution x GRID_BLOCK_COLS floats,
+    made GRID_BLOCK_ROWS bitmap rows at a time from a copy of the
+    strip's band rows; it is then blurred along x GRID_BLOCK_ROWS padded
+    rows at a time, and each such tile is reduced in place to its three
+    sums.  The results' bits rest on this tile order.  One scratch
+    buffer, reused from strip to strip, holds the strip's band rows and
+    the bitmap rows as floats while the strip is made, then each tile's
+    band rows and its three elementwise steps, so no array grows with
+    resolution^2 and the y-blurred bitmap never exists whole.
     """
     r = oracle.resolution
     z = _padding(N)[0]
     rows, cols = (_gaussian_band(r, math.ceil(z * math.sqrt(h) / s), s, h)
                   for s in oracle.step)
-    b = GRID_BLOCK_ROWS
-    blurred = _blur_along_y(oracle.bitmap, cols)
-    # a contiguous copy of each block of band rows keeps the product on BLAS
-    band_buf = np.empty((b, r))
-    ell_buf, t_buf, e_buf = (np.empty((b, cols.shape[0])) for _ in range(3))
+    b, w = GRID_BLOCK_ROWS, min(GRID_BLOCK_COLS, cols.shape[0])
+    strip_buf = np.empty(r * w)
+    scratch = np.empty(max((w + b) * r, b * (r + 3 * w)))
     mass, failure, trials = [], [], []
-    for k in range(0, rows.shape[0], b):
-        m = min(b, rows.shape[0] - k)
-        ell, t, e, band = ell_buf[:m], t_buf[:m], e_buf[:m], band_buf[:m]
-        np.copyto(band, rows[k:k + m])
-        np.matmul(band, blurred, out=ell)
-        np.minimum(ell, 1.0, out=ell)
-        mass.append(ell.sum())
-        # t = N log1p(-ell) = log (1 - ell)^N; ell == 1 gives exactly 0
-        np.negative(ell, out=t)
-        with np.errstate(divide="ignore"):
-            np.log1p(t, out=t)
-        t *= N
-        np.exp(t, out=e)
-        e *= ell
-        failure.append(e.sum())
-        np.expm1(t, out=t)
-        trials.append(-t.sum())
+    for j in range(0, cols.shape[0], w):
+        n = min(w, cols.shape[0] - j)
+        strip = strip_buf[:r * n].reshape(r, n)
+        # contiguous copies keep both products on BLAS
+        band = scratch[:n * r].reshape(n, r)
+        np.copyto(band, cols[j:j + n])
+        for i in range(0, r, b):
+            bits = oracle.bitmap[i:i + b]
+            flt = scratch[n * r:n * r + bits.size].reshape(bits.shape)
+            np.copyto(flt, bits)
+            np.matmul(flt, band.T, out=strip[i:i + b])
+        for k in range(0, rows.shape[0], b):
+            m = min(b, rows.shape[0] - k)
+            band = scratch[:m * r].reshape(m, r)
+            ell, t, e = scratch[m * r:m * (r + 3 * n)].reshape(3, m, n)
+            np.copyto(band, rows[k:k + m])
+            np.matmul(band, strip, out=ell)
+            np.minimum(ell, 1.0, out=ell)
+            mass.append(ell.sum())
+            # t = N log1p(-ell) = log (1 - ell)^N; ell == 1 gives exactly 0
+            np.negative(ell, out=t)
+            with np.errstate(divide="ignore"):
+                np.log1p(t, out=t)
+            t *= N
+            np.exp(t, out=e)
+            e *= ell
+            failure.append(e.sum())
+            np.expm1(t, out=t)
+            trials.append(-t.sum())
     total = math.fsum(mass)
     return (math.fsum(failure) / total, math.fsum(trials) / total,
             rows.shape[0] * cols.shape[0])
@@ -585,8 +569,10 @@ def _sectors(oracle: GridOracle, n_cells: int, ij: np.ndarray) -> tuple:
     center = (oracle.lo + oracle.hi) / 2.0
     rx, ry = oracle.xs - center[0], oracle.ys - center[1]
     # the given cells' angles before the occupied cells' array exists, so
-    # their temporaries do not add to its peak
+    # their temporaries, and the cells once the caller holds them no more,
+    # do not add to its peak
     cell_angle = np.arctan2(ry[ij[:, 1]], rx[ij[:, 0]])
+    del ij
     angle = np.empty(oracle.n_occupied)
     filled = 0
     for i in range(0, oracle.resolution, GRID_BLOCK_ROWS):
@@ -617,7 +603,9 @@ def grid_tv_check(body: Body, samples, n_cells: int,
     merge at a tied angle.  A sample counts in the sector of its own
     (clipped) cell's center angle, whether that cell is occupied or
     free.  Reports the half-L1 distance between empirical and exact
-    sector histograms and a chi-square goodness-of-fit p-value.
+    sector histograms and a chi-square goodness-of-fit p-value.  When
+    every occupied cell lies at one angle, one sector is left and the
+    chi-square has no degrees of freedom: a ValueError.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] < 5 * n_cells:
@@ -632,6 +620,9 @@ def grid_tv_check(body: Body, samples, n_cells: int,
         raise ValueError("more cells requested than occupied grid cells")
 
     exact, sector = _sectors(oracle, n_cells, oracle.cell_index(samples))
+    if exact.size == 1:
+        raise ValueError("every occupied grid cell lies at one angle from the bbox "
+                         "center, which leaves one sector and no degrees of freedom")
     n = samples.shape[0]
     counts = np.bincount(sector, minlength=exact.size)
     tv = 0.5 * math.fsum(np.abs(counts / n - exact))

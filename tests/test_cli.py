@@ -788,6 +788,29 @@ def test_diagnose_refuses_more_cells_than_the_grid_occupies(tmp_path, monkeypatc
     assert sizes == []
 
 
+def test_diagnose_names_why_grid_tv_has_one_sector(tmp_path):
+    # at resolution 5 the body's two occupied cells lie on one ray from
+    # the bbox center; gamma_q used to refuse the chi-square's zero
+    # degrees of freedom with a message that did not name the cause
+    boxes = [([0.6, 0.45], [1.0, 0.55]), ([0.0, 0.0], [0.01, 0.01]),
+             ([0.0, 0.99], [0.01, 1.0])]
+    cfg = write_config(tmp_path, {
+        "body": {"kind": "union", "volume": 0.0402,
+                 "parts": [{"kind": "box", "lo": lo, "hi": hi} for lo, hi in boxes]},
+        "plan": ANNULUS_PLAN,
+        "diagnose": {"seed": 7, "n_mc": 200, "r_grid": [0.25], "t_grid": [0.5],
+                     "resolution": 5, "n_cells": 2},
+    })
+    out = tmp_path / "report.json"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
+    checks = {c["name"]: c for c in
+              json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    assert checks["grid_tv"] == {
+        "name": "grid_tv", "status": "hypothesis_violation",
+        "reason": "every occupied grid cell lies at one angle from the bbox center, "
+                  "which leaves one sector and no degrees of freedom"}
+
+
 # ------------------------------------------------------------ I/O paths
 
 

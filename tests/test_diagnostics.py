@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from inandout import bodies, diagnostics, planner, specfun
+from inandout import bodies, cli, diagnostics, planner, specfun
 from inandout.diagnostics import (
     SATISFIED,
     VIOLATED,
@@ -359,23 +359,26 @@ def test_padding_leaves_out_at_most_its_cuts(N):
 
 
 def whole_array_failure_and_trials(oracle, h, N):
-    """_grid_failure_and_trials as it was computed before its buffers:
-    a whole contiguous band per axis, the whole bitmap as floats, and a
-    fresh array for every step of each block of 64 padded rows."""
+    """_grid_failure_and_trials in its tile order, with a whole contiguous
+    band per axis and a fresh array for every step: strips of 224 padded
+    columns, each the bitmap blurred along y 128 bitmap rows at a time,
+    reduced in tiles of 128 padded rows."""
     r = oracle.resolution
     z = max(8.0, math.sqrt(2.0 * math.log(1e6 * N)))
     pads = [math.ceil(z * math.sqrt(h) / s) for s in oracle.step]
     rows, cols = (np.ascontiguousarray(diagnostics._gaussian_band(r, pad, step, h))
                   for pad, step in zip(pads, oracle.step))
-    blurred = oracle.bitmap.astype(float) @ cols.T
     mass, failure, trials = [], [], []
-    for k in range(0, rows.shape[0], 64):
-        ell = np.minimum(rows[k:k + 64] @ blurred, 1.0)
-        with np.errstate(divide="ignore"):
-            t = N * np.log1p(-ell)
-        mass.append(ell.sum())
-        failure.append((ell * np.exp(t)).sum())
-        trials.append(-np.expm1(t).sum())
+    for j in range(0, cols.shape[0], 224):
+        strip = np.concatenate([oracle.bitmap[i:i + 128].astype(float) @ cols[j:j + 224].T
+                                for i in range(0, r, 128)])
+        for k in range(0, rows.shape[0], 128):
+            ell = np.minimum(rows[k:k + 128] @ strip, 1.0)
+            with np.errstate(divide="ignore"):
+                t = N * np.log1p(-ell)
+            mass.append(ell.sum())
+            failure.append((ell * np.exp(t)).sum())
+            trials.append(-np.expm1(t).sum())
     total = math.fsum(mass)
     return (math.fsum(failure) / total, math.fsum(trials) / total,
             rows.shape[0] * cols.shape[0])
@@ -395,22 +398,45 @@ def test_grid_quadrature_keeps_the_bits_of_the_whole_array_formulation(
     assert got == whole_array_failure_and_trials(oracle, p.h, p.N)
 
 
-@pytest.mark.parametrize("fixture,resolution", [
-    ("annulus", 400), ("annulus", 200), ("flat_box", 150)])
-def test_blur_blocks_keep_the_bits_of_the_whole_band(annulus, fixture, resolution):
-    # the blurred bitmap as it was made with a whole contiguous band;
-    # blocks of 256 band rows moved the last bit of 200 of its entries at
-    # resolution 200, the coarse grid of a default diagnose
-    body = annulus if fixture == "annulus" else bodies.make_box([0.0, 0.0], [2.0, 0.7])
+def interval_mass(x, lo, hi, h):
+    """The N(0, h) mass of [lo, hi] seen from each point of x, free of cancellation.
+
+    Right of the interval both erfc terms are small, left of it their
+    mirror images are, and inside it the two tails are."""
+    c = 1.0 / math.sqrt(2.0 * h)
+    return np.where(
+        x > hi, 0.5 * (special.erfc((x - hi) * c) - special.erfc((x - lo) * c)),
+        np.where(x < lo, 0.5 * (special.erfc((lo - x) * c) - special.erfc((hi - x) * c)),
+                 1.0 - 0.5 * (special.erfc((x - lo) * c) + special.erfc((hi - x) * c))))
+
+
+@pytest.mark.parametrize("resolution", [7, 101, 150, 400])
+def test_grid_quadrature_matches_the_exact_sums_on_a_grid_aligned_box(resolution):
+    # the bitmap of a grid-aligned box is the whole box, so the grid's
+    # ell at a padded cell center is the product of the exact interval
+    # masses along each axis: the failure and trial sums over those
+    # nodes do not rest on any order of the products or the sums.  The
+    # box's two axes have a step and a pad each; at 400 the padded grid
+    # is 672 x 1174 nodes, 6 strips of 4 or 6 tiles.
+    body = bodies.make_box([0.0, 0.0], [2.0, 0.7])
     p = planner.plan(ANNULUS_PLAN_INPUTS)
     oracle = GridOracle(body, resolution=resolution)
-    z = max(8.0, math.sqrt(2.0 * math.log(1e6 * p.N)))
-    pad = math.ceil(z * math.sqrt(p.h) / oracle.step[1])
-    cols = diagnostics._gaussian_band(resolution, pad, oracle.step[1], p.h)
-    whole = np.ascontiguousarray(cols).T
-    want = np.concatenate([oracle.bitmap[i:i + 64].astype(float) @ whole
-                           for i in range(0, resolution, 64)])
-    assert np.array_equal(diagnostics._blur_along_y(oracle.bitmap, cols), want)
+    assert oracle.n_occupied == resolution**2
+    z = diagnostics._padding(p.N)[0]
+    masses = []
+    for lo, hi, step in zip(oracle.lo, oracle.hi, oracle.step):
+        pad = math.ceil(z * math.sqrt(p.h) / step)
+        x = lo + (np.arange(resolution + 2 * pad) - pad + 0.5) * step
+        masses.append(interval_mass(x, lo, hi, p.h))
+    ell = np.minimum(np.multiply.outer(*masses), 1.0).ravel()
+    with np.errstate(divide="ignore"):
+        t = p.N * np.log1p(-ell)
+    total = math.fsum(ell)
+    want = (math.fsum(ell * np.exp(t)) / total, -math.fsum(np.expm1(t)) / total)
+    failure, trials, n = diagnostics._grid_failure_and_trials(oracle, p.h, p.N)
+    assert n == ell.size
+    assert failure == pytest.approx(want[0], rel=1e-13, abs=0.0)
+    assert trials == pytest.approx(want[1], rel=1e-13, abs=0.0)
 
 
 def one_call_bitmap(body, oracle):
@@ -455,30 +481,40 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_grid_diagnostics_hold_no_resolution_squared_temporary(annulus):
+def test_grid_diagnostics_hold_no_resolution_squared_temporary(annulus, tmp_path):
     # at resolution 400 one float per grid cell is 1.28 MB.  Whole-grid
     # temporaries took the peaks to 7.7 MB (the oracle), 7.8 MB (the
-    # quadrature pair) and 6.6 MB (grid TV).  Without them the oracle
-    # holds its boolean bitmap and one 8400-point block (0.6 MB), the
-    # quadrature the y-blurred bitmap (400 x 672 floats), one block of
-    # band rows and three 64-row buffers (4.3 MB; 6.0 MB with a whole
-    # band), and grid TV the occupied cells' angles and the samples'
-    # cells and angles (1.7 MB).
+    # quadrature pair) and 6.6 MB (grid TV), and the y-blurred bitmap
+    # held whole (400 x 672 floats) to 3.6 MB (the quadrature pair).
+    # Without them the oracle holds its boolean bitmap and one 8400-point
+    # block (0.6 MB), the quadrature one 400 x 224 strip and one scratch
+    # buffer for the strip's band rows and the bitmap rows, then a tile's
+    # band rows and its three buffers (1.9 MB), and grid TV the occupied
+    # cells' angles and the samples' cell angles (1.7 MB).
     p = planner.plan(ANNULUS_PLAN_INPUTS)
     peak, oracle = traced_peak(lambda: GridOracle(annulus, resolution=400))
     assert peak < 1.0e6
     peak, _ = traced_peak(lambda: per_iteration_checks(annulus, p, 10, make_rng(1),
                                                        oracle=oracle))
-    assert peak < 5.0e6
+    assert peak < 2.2e6
     pts = diagnostics.uniform_reference(annulus, make_rng(2), 20_000)
     peak, _ = traced_peak(lambda: grid_tv_check(annulus, pts, 16, oracle=oracle))
-    assert peak < 3.0e6
-    # at 800 the blurred bitmap is 8.6 MB and a whole band 8.6 MB more
-    # (19.2 MB); with a block of band rows the quadrature peaks at 11.5 MB
-    oracle = GridOracle(annulus, resolution=800)
-    peak, _ = traced_peak(lambda: per_iteration_checks(annulus, p, 10, make_rng(1),
-                                                       oracle=oracle))
-    assert peak < 13.0e6
+    assert peak < 2.0e6
+    # the strip and the scratch buffer grow linearly in the resolution:
+    # 3.7 MB at 800 and 7.5 MB at 1600, where the whole y-blurred
+    # bitmap took the quadrature pair to 11.5 MB and 40.2 MB
+    for resolution, bound in ((800, 5.0e6), (1600, 9.0e6)):
+        oracle = GridOracle(annulus, resolution=resolution)
+        peak, _ = traced_peak(lambda: per_iteration_checks(
+            annulus, p, 10, make_rng(1), oracle=oracle))
+        assert peak < bound, resolution
+    # a whole diagnose on the README annulus config peaks in grid TV
+    # (2.2 MB; 3.8 MB with the whole y-blurred bitmap)
+    config = Path(__file__).parents[1] / "bench" / "configs" / "annulus.json"
+    args = ["diagnose", "--config", str(config), "--out", str(tmp_path / "report.json")]
+    peak, code = traced_peak(lambda: cli.main(args))
+    assert code == cli.EXIT_OK
+    assert peak < 2.5e6
 
 
 @pytest.mark.parametrize("n_cells,pad,step,h", [
@@ -505,10 +541,12 @@ def test_grid_quadrature_keeps_the_bits_at_each_blas_thread_count(threads):
     # it reads when it loads: the whole-array comparison runs in a fresh
     # interpreter per count, on a square grid at an even and an odd
     # resolution and on the flat box's two bands, whose blocks leave a
-    # remainder
-    test = (f"{__file__}::"
-            "test_grid_quadrature_keeps_the_bits_of_the_whole_array_formulation")
-    cases = [f"{test}[{case}]" for case in ("annulus-400", "annulus-101", "flat_box-150")]
+    # remainder, and so does the exact witness on the flat box
+    pinned = (f"{__file__}::"
+              "test_grid_quadrature_keeps_the_bits_of_the_whole_array_formulation")
+    witness = f"{__file__}::test_grid_quadrature_matches_the_exact_sums_on_a_grid_aligned_box"
+    cases = [*(f"{pinned}[{case}]" for case in ("annulus-400", "annulus-101", "flat_box-150")),
+             *(f"{witness}[{resolution}]" for resolution in (101, 400))]
     path = (str(Path(diagnostics.__file__).parents[1]), os.environ.get("PYTHONPATH"))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
            "PYTHONPATH": os.pathsep.join(filter(None, path))}
@@ -516,7 +554,7 @@ def test_grid_quadrature_keeps_the_bits_at_each_blas_thread_count(threads):
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *cases],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "3 passed" in proc.stdout
+    assert "5 passed" in proc.stdout
 
 
 BALL10_PLAN_INPUTS = PlanInputs(q=2, eps=0.2, M=1, C_PI=4, alpha=1.0, beta=1.0, n=10)
@@ -881,6 +919,21 @@ def test_grid_tv_reports_the_number_of_sectors_used(unit_disk):
     assert res.p_value == specfun.gamma_q((n_angles - 1) / 2.0, res.chi2_statistic / 2.0)
     # when no runs merge, n_cells is the number asked for
     assert grid_tv_check(unit_disk, pts, 16, oracle=oracle).n_cells == 16
+
+
+def test_grid_tv_refuses_a_single_sector():
+    # at resolution 5 the two occupied cells, (0.7, 0.5) and (0.9, 0.5),
+    # both lie at angle 0 around (0.5, 0.5): one sector, a chi-square
+    # with no degrees of freedom
+    body = bodies.union([bodies.make_box([0.6, 0.45], [1.0, 0.55]),
+                         bodies.make_box([0.0, 0.0], [0.01, 0.01]),
+                         bodies.make_box([0.0, 0.99], [0.01, 1.0])], 0.0402)
+    oracle = GridOracle(body, resolution=5)
+    assert oracle.n_occupied == 2
+    pts = np.tile([[0.7, 0.5], [0.9, 0.5]], (5, 1))
+    with pytest.raises(ValueError, match="every occupied grid cell lies at one angle "
+                                         "from the bbox center"):
+        grid_tv_check(body, pts, 2, oracle=oracle)
 
 
 def test_only_a_body_without_a_distance_builds_the_kd_tree(annulus, monkeypatch):
