@@ -19,6 +19,12 @@ change from half the nodes plus the same padding cut; other bodies
 keep a nested Monte Carlo, which resolves failure mass only down to
 1/n_mc.  The uniform reference points of the checks are drawn exactly
 in the radius for a shell body and by bbox rejection otherwise.
+
+The escape, certificate and grid TV checks draw and reduce their points
+ORACLE_BLOCK_POINTS rows at a time, each draw in the order and with the
+bits of one whole call, so beyond the drawn reference points themselves
+no array of theirs grows with n_mc; their counts are integers and keep
+their bits.
 """
 
 from __future__ import annotations
@@ -37,10 +43,11 @@ from .planner import INNER_MC, RESOLUTION, Plan, step_size_regime, trial_floor
 
 SATISFIED = "satisfied"
 VIOLATED = "violated_beyond_3se"
-# Cell centers per membership call of GridOracle, grid rows per block of
-# the quadrature's two products and of grid_tv's angles, and padded
-# columns per strip of the quadrature: blocks keep every temporary of a
-# 2-D check far below one float per grid cell.
+# Points per membership or distance call (GridOracle's cell centers, the
+# Monte Carlo checks' draws), grid rows per block of the quadrature's two
+# products and of grid_tv's angles, and padded columns per strip of the
+# quadrature: blocks keep every temporary of a 2-D check far below one
+# float per grid cell, and of a Monte Carlo check far below one per draw.
 ORACLE_BLOCK_POINTS = 8192
 GRID_BLOCK_ROWS = 128
 GRID_BLOCK_COLS = 224
@@ -176,19 +183,22 @@ def uniform_reference(body: Body, rng: np.random.Generator, size: int) -> np.nda
     direction g / |g| from g = rng.standard_normal((size, n)), then
     u = rng.random(size) and rho = (r_in^n + u (r_out^n - r_in^n))^(1/n),
     taken as r_out (t + u (1 - t))^(1/n) with t = (r_in / r_out)^n so no
-    power overflows.  Any other body falls back to sample_uniform's
-    bbox rejection.
+    power overflows.  g is drawn whole and becomes the points; the
+    uniforms are drawn and applied ORACLE_BLOCK_POINTS rows at a time,
+    after all of g, with the bits of one call.  Any other body falls
+    back to sample_uniform's bbox rejection.
     """
     if body.shell is None:
         return sample_uniform(body, rng, size)
     c, r_in, r_out = body.shell
     n = body.dim
     g = rng.standard_normal((size, n))
-    u = rng.random(size)
     t = (r_in / r_out) ** n
-    rho = r_out * (t + u * (1.0 - t)) ** (1.0 / n)
-    g *= (rho / _radius(g, 0.0))[:, None]
-    g += c
+    for i in range(0, size, ORACLE_BLOCK_POINTS):
+        x = g[i:i + ORACLE_BLOCK_POINTS]
+        rho = r_out * (t + rng.random(x.shape[0]) * (1.0 - t)) ** (1.0 / n)
+        x *= (rho / _radius(x, 0.0))[:, None]
+        x += c
     return g
 
 
@@ -216,7 +226,10 @@ def stationary_escape_check(body: Body, h: float, r: float, n_mc: int,
     Draws X uniform on the body (uniform_reference), forms
     Y = X + sqrt(h) Z, and compares the empirical frequency of
     dist(Y, body) > r against alpha (n+1) Q_{2n}(r / sqrt(h)).  Requires
-    h within the base cap of planner.step_size_regime.
+    h within the base cap of planner.step_size_regime.  The X are drawn
+    whole; the Z are drawn after them and Y is formed and measured
+    ORACLE_BLOCK_POINTS rows at a time, so beyond the X no array grows
+    with n_mc.
     """
     if body.growth is None:
         raise ValueError("body has no growth certificate")
@@ -230,8 +243,11 @@ def stationary_escape_check(body: Body, h: float, r: float, n_mc: int,
         raise ValueError(f"step size {h} violates the base regime cap {h_cap}")
     dist, note = _require_distance(body, oracle)
     xs = uniform_reference(body, rng, n_mc)
-    ys = xs + math.sqrt(h) * rng.standard_normal((n_mc, n))
-    escapes = int(np.count_nonzero(np.asarray(dist(ys)) > r))
+    escapes = 0
+    for i in range(0, n_mc, ORACLE_BLOCK_POINTS):
+        x = xs[i:i + ORACLE_BLOCK_POINTS]
+        ys = x + math.sqrt(h) * rng.standard_normal(x.shape)
+        escapes += int(np.count_nonzero(np.asarray(dist(ys)) > r))
     p = escapes / n_mc
     se = math.sqrt(p * (1.0 - p) / n_mc)
     bound = body.growth.alpha * (n + 1) * specfun.chi_tail(2 * n, r / math.sqrt(h))
@@ -424,8 +440,9 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
 
     A 2-D body is integrated on a grid (the oracle's, else one of
     resolution RESOLUTION): the local conductance ell = 1_K * phi_h is
-    exact up to the bitmap's discretisation, and a resolution below 4
-    has no grid of half the resolution and is a ValueError.  Above 2-D,
+    exact up to the bitmap's discretisation.  A resolution below 4 has
+    no grid of half the resolution, and a body may have no cell center
+    on that grid: either is a ValueError that names it.  Above 2-D,
     a body with a shell (a make_ball ball or a concentric make_ball
     exclusion) is integrated in the radius: ell is exact in closed form
     and the integrals are 1-D.  Either quadrature's record has as
@@ -465,8 +482,16 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
                 raise ValueError(
                     f"grid quadrature needs resolution >= 4 to measure its error on a "
                     f"grid of half the resolution, got {r}")
+            try:
+                half = GridOracle(body, r // 2)
+            except ValueError as e:  # its bitmap is empty
+                raise ValueError(
+                    f"grid quadrature measures its error as the change from a grid of "
+                    f"half the resolution, and no cell center of the resolution-{r // 2} "
+                    f"grid lies inside the body (the resolution-{r} grid holds "
+                    f"{oracle.n_occupied})") from e
             *values, n = _grid_failure_and_trials(oracle, p.h, p.N)
-            *coarse, _ = _grid_failure_and_trials(GridOracle(body, r // 2), p.h, p.N)
+            *coarse, _ = _grid_failure_and_trials(half, p.h, p.N)
             source = (f"grid quadrature of the local conductance on {n} padded "
                       f"cells (resolution {r}); the error is the change from "
                       f"resolution {r // 2}")
@@ -552,8 +577,14 @@ class TvCheckResult:
         self.verdict = SATISFIED if self.p_value >= TV_LEVEL else VIOLATED
 
 
-def _sectors(oracle: GridOracle, n_cells: int, ij: np.ndarray) -> tuple:
-    """(exact law, sector of each cell of ij): grid_tv's sectors.
+def _offsets(oracle: GridOracle) -> tuple:
+    """(x, y): the cell centers' offsets from the bbox center along each axis."""
+    center = (oracle.lo + oracle.hi) / 2.0
+    return oracle.xs - center[0], oracle.ys - center[1]
+
+
+def _sectors(oracle: GridOracle, n_cells: int) -> tuple:
+    """(exact law, cuts): grid_tv's sectors.
 
     The center angles of the occupied cells around the bbox center,
     filled a block of GRID_BLOCK_ROWS rows at a time, are sorted and
@@ -562,17 +593,11 @@ def _sectors(oracle: GridOracle, n_cells: int, ij: np.ndarray) -> tuple:
     sectors, so all cells at one angle share a sector, every sector
     holds at least one occupied cell, and runs that start at one angle
     merge.  The exact law is each sector's share of the occupied cells.
-    A cell of ij (rows of (i, j) indices, occupied or free) is in the
-    sector of its center's angle, and in the first sector when that
-    angle is below every start.
+    A cell, occupied or free, whose center lies at angle a is in sector
+    np.searchsorted(cuts, a, side="right"): the sector of that angle,
+    and the first sector when a is below every start.
     """
-    center = (oracle.lo + oracle.hi) / 2.0
-    rx, ry = oracle.xs - center[0], oracle.ys - center[1]
-    # the given cells' angles before the occupied cells' array exists, so
-    # their temporaries, and the cells once the caller holds them no more,
-    # do not add to its peak
-    cell_angle = np.arctan2(ry[ij[:, 1]], rx[ij[:, 0]])
-    del ij
+    rx, ry = _offsets(oracle)
     angle = np.empty(oracle.n_occupied)
     filled = 0
     for i in range(0, oracle.resolution, GRID_BLOCK_ROWS):
@@ -587,7 +612,7 @@ def _sectors(oracle: GridOracle, n_cells: int, ij: np.ndarray) -> tuple:
     start = angle[np.arange(n_cells) * q + np.minimum(np.arange(n_cells), extra)]
     cuts = start[1:][start[1:] > start[:-1]]
     exact = np.diff(np.searchsorted(angle, cuts), prepend=0, append=angle.size) / angle.size
-    return exact, np.searchsorted(cuts, cell_angle, side="right")
+    return exact, cuts
 
 
 def grid_tv_check(body: Body, samples, n_cells: int,
@@ -602,10 +627,12 @@ def grid_tv_check(body: Body, samples, n_cells: int,
     n_cells is the number of sectors used, fewer than asked when runs
     merge at a tied angle.  A sample counts in the sector of its own
     (clipped) cell's center angle, whether that cell is occupied or
-    free.  Reports the half-L1 distance between empirical and exact
-    sector histograms and a chi-square goodness-of-fit p-value.  When
-    every occupied cell lies at one angle, one sector is left and the
-    chi-square has no degrees of freedom: a ValueError.
+    free; the samples are indexed, angled and counted
+    ORACLE_BLOCK_POINTS at a time, so beyond the samples no array grows
+    with their number.  Reports the half-L1 distance between empirical
+    and exact sector histograms and a chi-square goodness-of-fit
+    p-value.  When every occupied cell lies at one angle, one sector is
+    left and the chi-square has no degrees of freedom: a ValueError.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] < 5 * n_cells:
@@ -619,12 +646,17 @@ def grid_tv_check(body: Body, samples, n_cells: int,
     if n_cells > oracle.n_occupied:
         raise ValueError("more cells requested than occupied grid cells")
 
-    exact, sector = _sectors(oracle, n_cells, oracle.cell_index(samples))
+    exact, cuts = _sectors(oracle, n_cells)
     if exact.size == 1:
         raise ValueError("every occupied grid cell lies at one angle from the bbox "
                          "center, which leaves one sector and no degrees of freedom")
     n = samples.shape[0]
-    counts = np.bincount(sector, minlength=exact.size)
+    rx, ry = _offsets(oracle)
+    counts = np.zeros(exact.size, dtype=np.intp)
+    for i in range(0, n, ORACLE_BLOCK_POINTS):
+        ij = oracle.cell_index(samples[i:i + ORACLE_BLOCK_POINTS])
+        sector = np.searchsorted(cuts, np.arctan2(ry[ij[:, 1]], rx[ij[:, 0]]), side="right")
+        counts += np.bincount(sector, minlength=exact.size)
     tv = 0.5 * math.fsum(np.abs(counts / n - exact))
     chi2 = math.fsum((counts - n * exact) ** 2 / (n * exact))
     p_value = specfun.gamma_q((exact.size - 1) / 2.0, chi2 / 2.0)
@@ -646,7 +678,9 @@ def certificate_soundness_check(body: Body, t: float, n_mc: int,
     bbox inflated by t, classifies points by distance (in X_t iff dist
     <= t; in X via membership) and takes the count ratio.  The std
     error accounts for the nesting of the two events; it is exactly
-    zero at t = 0.  When the inflated bbox is wider than the float
+    zero at t = 0.  The points are drawn, classified and counted
+    ORACLE_BLOCK_POINTS rows at a time, with the bits of one draw, so no
+    array grows with n_mc.  When the inflated bbox is wider than the float
     range (its width overflows), or when no draw lands in the body, as
     in high dimension, the check is unsupported at this t and n_mc.
     """
@@ -661,11 +695,12 @@ def certificate_soundness_check(body: Body, t: float, n_mc: int,
     with np.errstate(over="ignore"):
         if not np.isfinite(hi - lo).all():
             raise UnsupportedCheck(f"the bbox inflated by t = {t} exceeds the float range")
-    pts = rng.uniform(lo, hi, size=(n_mc, body.dim))
-    in_x = np.asarray(body.membership(pts))
-    in_xt = in_x | (np.asarray(dist(pts)) <= t)
-    n_in = int(np.count_nonzero(in_x))
-    n_t = int(np.count_nonzero(in_xt))
+    n_in = n_t = 0
+    for i in range(0, n_mc, ORACLE_BLOCK_POINTS):
+        pts = rng.uniform(lo, hi, size=(min(ORACLE_BLOCK_POINTS, n_mc - i), body.dim))
+        in_x = np.asarray(body.membership(pts))
+        n_in += int(np.count_nonzero(in_x))
+        n_t += int(np.count_nonzero(in_x | (np.asarray(dist(pts)) <= t)))
     if n_in == 0:
         raise UnsupportedCheck(
             f"none of the n_mc = {n_mc} uniform draws in the bbox inflated by "

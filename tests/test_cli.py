@@ -788,19 +788,25 @@ def test_diagnose_refuses_more_cells_than_the_grid_occupies(tmp_path, monkeypatc
     assert sizes == []
 
 
+# a box right of the bbox center and two specks in its left corners,
+# diagnosed at resolution 5: two occupied cells, at one angle from the
+# bbox center, and none on the resolution-2 grid
+THREE_BOXES = {
+    "body": {"kind": "union", "volume": 0.0402,
+             "parts": [{"kind": "box", "lo": lo, "hi": hi} for lo, hi in (
+                 ([0.6, 0.45], [1.0, 0.55]), ([0.0, 0.0], [0.01, 0.01]),
+                 ([0.0, 0.99], [0.01, 1.0]))]},
+    "plan": ANNULUS_PLAN,
+    "diagnose": {"seed": 7, "n_mc": 200, "r_grid": [0.25], "t_grid": [0.5],
+                 "resolution": 5, "n_cells": 2},
+}
+
+
 def test_diagnose_names_why_grid_tv_has_one_sector(tmp_path):
     # at resolution 5 the body's two occupied cells lie on one ray from
     # the bbox center; gamma_q used to refuse the chi-square's zero
     # degrees of freedom with a message that did not name the cause
-    boxes = [([0.6, 0.45], [1.0, 0.55]), ([0.0, 0.0], [0.01, 0.01]),
-             ([0.0, 0.99], [0.01, 1.0])]
-    cfg = write_config(tmp_path, {
-        "body": {"kind": "union", "volume": 0.0402,
-                 "parts": [{"kind": "box", "lo": lo, "hi": hi} for lo, hi in boxes]},
-        "plan": ANNULUS_PLAN,
-        "diagnose": {"seed": 7, "n_mc": 200, "r_grid": [0.25], "t_grid": [0.5],
-                     "resolution": 5, "n_cells": 2},
-    })
+    cfg = write_config(tmp_path, THREE_BOXES)
     out = tmp_path / "report.json"
     assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
     checks = {c["name"]: c for c in
@@ -809,6 +815,23 @@ def test_diagnose_names_why_grid_tv_has_one_sector(tmp_path):
         "name": "grid_tv", "status": "hypothesis_violation",
         "reason": "every occupied grid cell lies at one angle from the bbox center, "
                   "which leaves one sector and no degrees of freedom"}
+
+
+def test_diagnose_names_the_empty_grid_of_half_the_resolution(tmp_path):
+    # the body's resolution-5 grid holds two cell centers, its
+    # resolution-2 grid, on which the grid quadrature measures its
+    # error, none
+    cfg = write_config(tmp_path, THREE_BOXES)
+    out = tmp_path / "report.json"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
+    checks = {c["name"]: c for c in
+              json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    reason = ("grid quadrature measures its error as the change from a grid of half "
+              "the resolution, and no cell center of the resolution-2 grid lies inside "
+              "the body (the resolution-5 grid holds 2)")
+    for name in ("stationary_failure", "expected_trials"):
+        assert checks[name] == {"name": name, "status": "hypothesis_violation",
+                                "reason": reason}
 
 
 # ------------------------------------------------------------ I/O paths

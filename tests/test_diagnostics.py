@@ -77,6 +77,18 @@ def box_minus_ball_plan():
                                    beta=g.beta, n=3))
 
 
+def three_boxes():
+    """A box right of the bbox center and two specks in its left corners.
+
+    At resolution 5 only the two cells right of the center, (0.7, 0.5)
+    and (0.9, 0.5), are occupied, both at angle 0 around (0.5, 0.5); at
+    resolution 2 no cell center lies inside.
+    """
+    return bodies.union([bodies.make_box([0.6, 0.45], [1.0, 0.55]),
+                         bodies.make_box([0.0, 0.0], [0.01, 0.01]),
+                         bodies.make_box([0.0, 0.99], [0.01, 1.0])], 0.0402)
+
+
 def exact_per_iteration_values(r_lo: float, r_hi: float, h: float, N: int,
                                n: int = 2) -> tuple:
     """(failure mass, expected trials) on the shell r_lo <= |x| <= r_hi in n dimensions.
@@ -347,6 +359,23 @@ def test_grid_quadrature_needs_a_coarser_grid(annulus, resolution):
         per_iteration_checks(annulus, p, 10, make_rng(1), oracle=oracle)
 
 
+def test_grid_quadrature_names_an_empty_grid_of_half_the_resolution():
+    body = three_boxes()
+    g = body.growth
+    p = planner.plan(PlanInputs(q=2, eps=0.2, M=1, C_PI=4, alpha=g.alpha, beta=g.beta,
+                                n=2))
+    oracle = GridOracle(body, resolution=5)
+    assert oracle.n_occupied == 2
+    with pytest.raises(ValueError, match="^no grid cell center lies inside the body$"):
+        GridOracle(body, resolution=2)
+    with pytest.raises(ValueError) as err:
+        per_iteration_checks(body, p, 10, make_rng(1), oracle=oracle)
+    assert str(err.value) == (
+        "grid quadrature measures its error as the change from a grid of half the "
+        "resolution, and no cell center of the resolution-2 grid lies inside the body "
+        "(the resolution-5 grid holds 2)")
+
+
 @pytest.mark.parametrize("N", [1, 10**5, 736_000_000, 56_300_000_000, 10**18])
 def test_padding_leaves_out_at_most_its_cuts(N):
     # every point of a 2-D body lies at least z sqrt(h) inside the padded
@@ -490,7 +519,8 @@ def test_grid_diagnostics_hold_no_resolution_squared_temporary(annulus, tmp_path
     # block (0.6 MB), the quadrature one 400 x 224 strip and one scratch
     # buffer for the strip's band rows and the bitmap rows, then a tile's
     # band rows and its three buffers (1.9 MB), and grid TV the occupied
-    # cells' angles and the samples' cell angles (1.7 MB).
+    # cells' angles (1.56 MB; 1.72 MB with the samples' cell angles
+    # whole).
     p = planner.plan(ANNULUS_PLAN_INPUTS)
     peak, oracle = traced_peak(lambda: GridOracle(annulus, resolution=400))
     assert peak < 1.0e6
@@ -509,12 +539,13 @@ def test_grid_diagnostics_hold_no_resolution_squared_temporary(annulus, tmp_path
             annulus, p, 10, make_rng(1), oracle=oracle))
         assert peak < bound, resolution
     # a whole diagnose on the README annulus config peaks in grid TV
-    # (2.2 MB; 3.8 MB with the whole y-blurred bitmap)
+    # (2.12 MB; 2.25 MB with every array of n_mc rows whole, 3.8 MB with
+    # the whole y-blurred bitmap)
     config = Path(__file__).parents[1] / "bench" / "configs" / "annulus.json"
     args = ["diagnose", "--config", str(config), "--out", str(tmp_path / "report.json")]
     peak, code = traced_peak(lambda: cli.main(args))
     assert code == cli.EXIT_OK
-    assert peak < 2.5e6
+    assert peak < 2.2e6
 
 
 @pytest.mark.parametrize("n_cells,pad,step,h", [
@@ -840,6 +871,12 @@ def brute_force_sectors(oracle, n_cells):
     return np.array(exact), sector
 
 
+def sectors_of_every_cell(oracle, n_cells):
+    """(exact law, sector of every grid cell in row-major order) from _sectors's cuts."""
+    exact, cuts = diagnostics._sectors(oracle, n_cells)
+    return exact, np.searchsorted(cuts, cell_angles(oracle).ravel(), side="right")
+
+
 def brute_force_tv(oracle, samples, n_cells):
     """grid_tv_check's result fields, each sample counted in its brute-force sector."""
     exact, sector = brute_force_sectors(oracle, n_cells)
@@ -866,11 +903,10 @@ def test_grid_tv_sectors_equal_the_brute_force_rule(request, name):
     for resolution in (4, 5, 8, 13, 30, 31, 64, 101, 400):
         oracle = GridOracle(body, resolution=resolution)
         m = oracle.n_occupied
-        every = np.indices((resolution, resolution)).reshape(2, -1).T
         wanted = {2, 3, 16} | ({m - 1, m} if resolution <= 101 else set())
         for n_cells in sorted(wanted & set(range(2, m + 1))):
             want_exact, want_sector = brute_force_sectors(oracle, n_cells)
-            exact, sector = diagnostics._sectors(oracle, n_cells, every)
+            exact, sector = sectors_of_every_cell(oracle, n_cells)
             assert exact.tolist() == want_exact.tolist(), (resolution, n_cells)
             assert sector.tolist() == want_sector.ravel().tolist(), (resolution, n_cells)
             # points of the bbox and around it, clipped to the grid, end to end
@@ -888,7 +924,6 @@ def test_grid_tv_sectors_keep_each_ray_whole_and_near_equal(request, name):
     for resolution in (4, 5, 8, 13, 30, 31, 64, 101):
         oracle = GridOracle(body, resolution=resolution)
         m = oracle.n_occupied
-        every = np.indices((resolution, resolution)).reshape(2, -1).T
         angle = cell_angles(oracle).ravel()
         order = np.argsort(angle, kind="stable")
         same = np.diff(angle[order]) == 0.0
@@ -897,7 +932,7 @@ def test_grid_tv_sectors_keep_each_ray_whole_and_near_equal(request, name):
         longest = at_angle.max()
         ties += longest > 1
         for n_cells in sorted({2, 3, 7, 16, m // 3, m - 1, m} & set(range(2, m + 1))):
-            exact, sector = diagnostics._sectors(oracle, n_cells, every)
+            exact, sector = sectors_of_every_cell(oracle, n_cells)
             # all cells at one angle, occupied or free, share a sector
             assert np.all(np.diff(sector[order])[same] == 0), (resolution, n_cells)
             sizes = np.rint(exact * m)
@@ -925,9 +960,7 @@ def test_grid_tv_refuses_a_single_sector():
     # at resolution 5 the two occupied cells, (0.7, 0.5) and (0.9, 0.5),
     # both lie at angle 0 around (0.5, 0.5): one sector, a chi-square
     # with no degrees of freedom
-    body = bodies.union([bodies.make_box([0.6, 0.45], [1.0, 0.55]),
-                         bodies.make_box([0.0, 0.0], [0.01, 0.01]),
-                         bodies.make_box([0.0, 0.99], [0.01, 1.0])], 0.0402)
+    body = three_boxes()
     oracle = GridOracle(body, resolution=5)
     assert oracle.n_occupied == 2
     pts = np.tile([[0.7, 0.5], [0.9, 0.5]], (5, 1))
@@ -1009,6 +1042,133 @@ def test_certificates_hold_empirically(request, fixture, t):
 def test_certificate_check_on_gridded_polytope():
     chk = certificate_soundness_check(triangle(), 0.5, 40_000, make_rng(18))
     assert chk.verdict == SATISFIED
+
+
+# ------------------------------------------- blocks of the Monte Carlo checks
+
+
+B = diagnostics.ORACLE_BLOCK_POINTS
+
+
+def whole_array_uniform_reference(body, rng, size):
+    """uniform_reference with the uniforms drawn and applied in one call."""
+    if body.shell is None:
+        return bodies.sample_uniform(body, rng, size)
+    c, r_in, r_out = body.shell
+    n = body.dim
+    g = rng.standard_normal((size, n))
+    u = rng.random(size)
+    t = (r_in / r_out) ** n
+    rho = r_out * (t + u * (1.0 - t)) ** (1.0 / n)
+    g *= (rho / bodies._radius(g, 0.0))[:, None]
+    g += c
+    return g
+
+
+def whole_array_escape(body, h, r, n_mc, rng, dist):
+    """(empirical, mc_std_error) of the escape check with every array of n_mc rows whole."""
+    xs = whole_array_uniform_reference(body, rng, n_mc)
+    ys = xs + math.sqrt(h) * rng.standard_normal((n_mc, body.dim))
+    p = int(np.count_nonzero(np.asarray(dist(ys)) > r)) / n_mc
+    return p, math.sqrt(p * (1.0 - p) / n_mc)
+
+
+def whole_array_certificate(body, t, n_mc, rng, dist):
+    """(n_in, n_t) of the certificate check with every array of n_mc rows whole."""
+    pts = rng.uniform(body.bbox[0] - t, body.bbox[1] + t, size=(n_mc, body.dim))
+    in_x = np.asarray(body.membership(pts))
+    in_xt = in_x | (np.asarray(dist(pts)) <= t)
+    return int(np.count_nonzero(in_x)), int(np.count_nonzero(in_xt))
+
+
+def whole_array_tv_counts(oracle, samples, n_cells):
+    """The sector counts of grid_tv_check with every sample's cell and angle at once."""
+    exact, cuts = diagnostics._sectors(oracle, n_cells)
+    center = (oracle.lo + oracle.hi) / 2.0
+    ij = oracle.cell_index(samples)
+    angle = np.arctan2(oracle.ys[ij[:, 1]] - center[1], oracle.xs[ij[:, 0]] - center[0])
+    return exact, np.bincount(np.searchsorted(cuts, angle, side="right"),
+                              minlength=exact.size)
+
+
+# name -> (body, dilation t of the certificate check)
+BLOCK_BODIES = {
+    # a shell with an analytic distance
+    "annulus": lambda request: (request.getfixturevalue("annulus"), 0.5),
+    # bbox rejection, and the grid oracle's KD-tree distance
+    "triangle": lambda request: (triangle(), 0.1),
+    # a shell whose radius takes np.add.reduce's pairwise sum
+    "ball10": lambda request: (bodies.make_ball([0.1] * 10, 1.0), 0.5),
+}
+
+
+@pytest.mark.parametrize("n_mc", [1, 5, B, 2 * B + 5], ids=["1", "5", "B", "2B+5"])
+@pytest.mark.parametrize("name", list(BLOCK_BODIES))
+def test_monte_carlo_blocks_keep_the_bits_of_whole_arrays(request, name, n_mc):
+    body, t = BLOCK_BODIES[name](request)
+    oracle = GridOracle(body, resolution=101) if body.dim == 2 else None
+    dist = body.distance if body.distance is not None else oracle.distance
+    h = planner.step_size_regime(body.dim, body.growth.beta).base_cap
+    # a tenth of a step's spread: about a third of the planar draws and
+    # 8% of the 10-D ones escape, so a block counted twice or not at all
+    # moves the count
+    r = math.sqrt(h) / 10.0
+
+    got = diagnostics.uniform_reference(body, make_rng(1), n_mc)
+    assert np.array_equal(got, whole_array_uniform_reference(body, make_rng(1), n_mc))
+
+    chk = stationary_escape_check(body, h, r, n_mc, make_rng(2), oracle=oracle)
+    assert (chk.empirical, chk.mc_std_error) == whole_array_escape(body, h, r, n_mc,
+                                                                   make_rng(2), dist)
+    n_in, n_t = whole_array_certificate(body, t, n_mc, make_rng(3), dist)
+    if n_in == 0:
+        with pytest.raises(UnsupportedCheck, match="landed inside the body"):
+            certificate_soundness_check(body, t, n_mc, make_rng(3), oracle=oracle)
+    else:
+        chk = certificate_soundness_check(body, t, n_mc, make_rng(3), oracle=oracle)
+        assert chk.empirical == n_t / n_in
+        assert chk.mc_std_error == chk.empirical * math.sqrt(max(1 / n_in - 1 / n_t, 0))
+    if n_mc == 2 * B + 5:
+        assert 0 < n_in < n_t < n_mc
+
+    if oracle is not None:
+        # grid_tv needs 5 samples per sector; points around the bbox
+        # reach cells that the grid clips
+        lo, hi = body.bbox
+        pts = make_rng(4).uniform(lo - 0.1, hi + 0.1, size=(max(n_mc, 10), 2))
+        for n_cells in (2, 7):
+            if 5 * n_cells > len(pts):
+                continue
+            exact, counts = whole_array_tv_counts(oracle, pts, n_cells)
+            got = grid_tv_check(body, pts, n_cells, oracle=oracle)
+            n = len(pts)
+            assert got.tv_estimate == 0.5 * math.fsum(np.abs(counts / n - exact))
+            assert got.chi2_statistic == math.fsum((counts - n * exact) ** 2 / (n * exact))
+            assert got.p_value == specfun.gamma_q((exact.size - 1) / 2.0,
+                                                  got.chi2_statistic / 2.0)
+            assert got.n_samples == n and got.n_cells == exact.size
+
+
+def test_monte_carlo_checks_hold_no_n_mc_sized_temporary(annulus):
+    # one float per draw is 1.6 MB at n_mc 200,000, and the escape
+    # check's drawn points are 3.2 MB.  With every array of n_mc rows
+    # whole the escape, certificate and grid TV checks peaked at 12.8,
+    # 9.8 and 8.0 MB.  In blocks the escape check holds the points and
+    # one block (3.6 MB), the certificate check one block (0.40 MB), and
+    # grid TV the occupied cells' angles at resolution 400 (1.56 MB); the
+    # last two read the same at n_mc 20,000.
+    p = planner.plan(ANNULUS_PLAN_INPUTS)
+    oracle = GridOracle(annulus, resolution=400)
+    for n_mc in (20_000, 200_000):
+        peak, _ = traced_peak(lambda: stationary_escape_check(
+            annulus, p.h, 0.25, n_mc, make_rng(1), oracle=oracle))
+        assert peak < 16 * n_mc + 1.0e6, n_mc
+        peak, _ = traced_peak(lambda: certificate_soundness_check(
+            annulus, 0.5, n_mc, make_rng(2), oracle=oracle))
+        assert peak < 0.6e6, n_mc
+        pts = diagnostics.uniform_reference(annulus, make_rng(3), n_mc)
+        peak, _ = traced_peak(lambda: grid_tv_check(annulus, pts, 16, oracle=oracle))
+        assert peak < 1.8e6, n_mc
 
 
 # ------------------------------------------------------------ slope fit
