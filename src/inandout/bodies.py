@@ -131,21 +131,42 @@ class Body:
                 f"exact volume must be positive and finite, got {self.exact_volume}")
 
 
-def _radius(pts, center) -> np.ndarray:
-    # Euclidean distance to center: the bits of
-    # np.linalg.norm(..., axis=-1), without its dispatch
+def _squared_radius(pts, center) -> np.ndarray:
+    # squared Euclidean distance to center: the sum whose root has the
+    # bits of np.linalg.norm(..., axis=-1)
     d = np.asarray(pts, dtype=float) - center
     d *= d
     n = d.shape[-1]
     if n >= 8:
-        return np.sqrt(np.add.reduce(d, axis=-1))
+        return np.add.reduce(d, axis=-1)
     # np.add.reduce adds fewer than 8 terms in order (from 8 on it sums
     # pairwise), so adding the columns gives its bits without its inner
     # loop over each row
     s = d[..., 0]
     for k in range(1, n):
         s = s + d[..., k]
-    return np.sqrt(s)
+    return s
+
+
+def _radius(pts, center) -> np.ndarray:
+    # Euclidean distance to center: the bits of
+    # np.linalg.norm(..., axis=-1), without its dispatch
+    return np.sqrt(_squared_radius(pts, center))
+
+
+def _squared_bound(r: float) -> float:
+    # The largest double s with sqrt(s) <= r.  IEEE sqrt is correctly
+    # rounded, hence monotone, so for every sum of squares s (inf and
+    # NaN included) `s <= _squared_bound(r)` is `sqrt(s) <= r`, and
+    # `s >= nextafter(_squared_bound(nextafter(r, 0)), inf)` is
+    # `sqrt(s) >= r`: a ball's radius test without the root.  r * r
+    # alone would not do: at r = 1, s = 1 + 2**-52 has sqrt(s) = 1.0.
+    s = r * r
+    while math.sqrt(s) > r:
+        s = math.nextafter(s, 0.0)
+    while math.sqrt(math.nextafter(s, math.inf)) <= r:
+        s = math.nextafter(s, math.inf)
+    return s
 
 
 def unit_ball_volume(n: int) -> float:
@@ -162,9 +183,10 @@ def make_ball(center, radius: float) -> Body:
         raise ValueError(f"radius must be positive, got {radius}")
     n = center.shape[0]
     r = float(radius)
+    r2 = _squared_bound(r)
 
     def membership(pts):
-        return _radius(pts, center) <= r
+        return _squared_radius(pts, center) <= r2
 
     def interior(pts):
         return _radius(pts, center) < r
@@ -410,11 +432,15 @@ def exclusion(outer: Body, hole: Body, remaining_volume: float) -> Body:
     balls = c_out is not None and c_in is not None
     concentric = balls and np.array_equal(c_out, c_in)
     if concentric:
-        # two make_ball tests around one center: one radius serves both,
-        # with the same bits as the two tests
+        # two make_ball tests around one center: one squared radius
+        # serves both, against the exact bounds of rho <= r_out and
+        # rho >= r_in, with the booleans of the two tests
+        lo = math.nextafter(_squared_bound(math.nextafter(r_in, 0.0)), math.inf)
+        hi = _squared_bound(r_out)
+
         def membership(pts):
-            rho = _radius(pts, c_out)
-            return (rho <= r_out) & (rho >= r_in)
+            s = _squared_radius(pts, c_out)
+            return (s <= hi) & (s >= lo)
     else:
         def membership(pts):
             return outer_mem(pts) & ~hole_int(pts)

@@ -21,12 +21,26 @@ buffering changes no output.
 
 The chain works a window of iterations ahead, on the assumption that
 each in-step keeps its first proposal: from x it adds the next normals
-in turn into out-step points and first proposals, and tests the
-window's first proposals in one membership call.  Each in-step then
-takes its first proposal from the window; up to the first miss every
-point is, bit for bit, the one a step-by-step chain computes, and the
-iteration that misses ends the window.  The chain's `membership_calls`
-and `membership_points` count one call of _WINDOW points per window.
+in turn into out-step points and first proposals, in one buffer the
+chain reuses from window to window, and tests the window's first
+proposals in one membership call.  Each in-step then takes its first
+proposal from the window; up to the first miss every point is, bit for
+bit, the one a step-by-step chain computes, and the iteration that
+misses ends the window.  The window's rows are consumed at once: a miss
+at its j-th iteration consumes the 2 (j + 1) rows up to its first
+proposal before its in-step draws on, and a window without a miss
+consumes its 2 m rows, m iterations, at its end.  The chain's
+`membership_calls` and `membership_points` count one call of _WINDOW
+points per window.
+
+Every iteration, a window hit included, makes exactly one call of
+`backward_step`, looked up in this module's namespace when called.  The
+calls are how the chain is observed from outside: the benchmark's
+tracer (bench/tracing.py) and the tests' `attempts` fixture wrap the
+name and read each call's attempt count.  A hit costs that call and
+nothing more, since a handed-in hit returns at once.  The contract
+holds until the chain keeps these counts itself (the per-chain
+`RunStats` that ROADMAP.md plans).
 """
 
 from __future__ import annotations
@@ -99,8 +113,11 @@ _MAX_ROWS = 4096
 # Iterations a chain works out ahead, assuming every first proposal
 # hits, with all their first proposals tested in one membership call.
 # Most first proposals hit (93% on a 10-D ball, 82% on the README
-# annulus), so a window serves several iterations; 16 measured faster
-# than 8 or 64.  Outputs do not depend on it.
+# annulus), so a window serves several iterations.  Against 16, chains
+# on the benchmark plans (T 2000, 16 rounds alternated in one process on
+# a 2-core x86-64 machine) took 1.16x (10-D ball) and 1.09x (annulus)
+# as long per iteration with windows of 8, and 0.97x and 1.02x with 24
+# or 32.  Outputs do not depend on it.
 _WINDOW = 16
 # The in-step's first block after a missed proposal, and its largest.
 # One call costs about as much as testing a hundred points in a batch,
@@ -186,21 +203,24 @@ def backward_step(y: np.ndarray, h: float, N: int, body: Body,
     stream of its own that draws only the rows it tests, or a chain's
     normal stream, which must be drawn for h.  A chain passes
     `first=(point, hit)`, its window's first proposal from y and whether
-    it is inside the body, with its row already consumed: a hit is
-    returned as it is, and a miss goes on from attempt 2.  Proposals are
+    it is inside the body.  A handed-in hit is returned as it is,
+    `(point, 1)`, unchecked: neither y, h, N nor the stream is looked at,
+    for the chain has checked h and N once and drawn its stream for h.
+    A handed-in miss, its row already consumed, is checked as a call
+    without `first` is and goes on from attempt 2.  Proposals are
     tested in blocks of 1, 4, 8, ... up to 1024 (from 4 after a handed-in
     miss), one membership call per block.  Only the proposals up to the
     first hit are consumed, so the point, `attempts` and the stream
     position are those of testing one proposal at a time, while the body
     sees points past the hit.
     """
+    if first is not None and first[1]:
+        return first[0], 1
     _check_step(h, N)
     y = np.asarray(y, dtype=float)
     normals = rng if isinstance(rng, _Normals) else _Normals(rng, y.shape[0], h)
     if h != normals.h:
         raise ValueError(f"stream draws steps of size {normals.h}, asked for {h}")
-    if first is not None and first[1]:
-        return first[0], 1
     k, block = (0, 1) if first is None else (1, _FIRST_BLOCK)
     while k < N:
         m = min(block, N - k)
@@ -229,35 +249,42 @@ def _run_chain(body: Body, x0, h: float, T: int, N: int,
         raise ValueError(f"iteration count must be >= 0, got {T}")
     _check_step(h, N)
     normals = _Normals(rng, body.dim, h)
+    # row 0 is x, row 2j + 1 the j-th out-step point and row 2j + 2 its
+    # first proposal, as if every first proposal before it hit
+    win = np.empty((2 * _WINDOW + 1, body.dim))
+    ys, firsts = win[1::2], win[2::2]
     total = i = 0
     while i < T:
         # the rest of the run takes at least 2 rows per iteration, and
         # its last window peeks up to 2 _WINDOW rows past them
         normals.wanted = 2 * (T - i + _WINDOW)
-        # row 0 is x, row 2j + 1 the j-th out-step point and row 2j + 2
-        # its first proposal, as if every first proposal before it hit
-        win = np.empty((2 * _WINDOW + 1, body.dim))
         win[0] = x
         win[1:] = normals.peek(2 * _WINDOW)
         np.add.accumulate(win, axis=0, out=win)
-        hits = body.membership(win[2::2])
+        hits = body.membership(firsts).tolist()
         normals.membership_calls += 1
         normals.membership_points += _WINDOW
-        for j in range(min(_WINDOW, T - i)):
-            y = win[2 * j + 1]
-            normals.skip(2)
-            xn, k = backward_step(y, h, N, body, normals,
-                                  first=(win[2 * j + 2], hits[j]))
-            total += k
-            if xn is None:
-                return RunResult(status=FAILURE, point=None, failed_at=i, y_at_failure=y,
-                                 iterations=i + 1, total_trials=total,
-                                 membership_calls=normals.membership_calls,
-                                 membership_points=normals.membership_points)
-            x, i = xn, i + 1
-            if k > 1:  # past the first miss the window's points are not the chain's
+        m = min(_WINDOW, T - i)
+        for j, y, first, hit in zip(range(m), ys, firsts, hits):
+            if not hit:
+                normals.skip(2 * (j + 1))
+            x, k = backward_step(y, h, N, body, normals, first=(first, hit))
+            if not hit:  # past the first miss the window's points are not the chain's
+                total += j + k
+                if x is None:
+                    return RunResult(status=FAILURE, point=None, failed_at=i + j,
+                                     y_at_failure=y.copy(), iterations=i + j + 1,
+                                     total_trials=total,
+                                     membership_calls=normals.membership_calls,
+                                     membership_points=normals.membership_points)
+                i += j + 1
                 break
-    return RunResult(status=SUCCESS, point=x, failed_at=None, y_at_failure=None,
+        else:
+            normals.skip(2 * m)
+            total += m
+            i += m
+    # the point may be a row of the window, which the result must not share
+    return RunResult(status=SUCCESS, point=x.copy(), failed_at=None, y_at_failure=None,
                      iterations=T, total_trials=total,
                      membership_calls=normals.membership_calls,
                      membership_points=normals.membership_points)

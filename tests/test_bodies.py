@@ -374,6 +374,67 @@ def test_concentric_exclusion_membership_at_and_beside_both_radii():
     assert not got[-2:].any()
 
 
+def ulps_around(x, k):
+    """x and the doubles up to k ulps either side of it, ascending."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[:0:-1] + above)
+
+
+SQUARED_BOUND_RADII = [0.5, 1.0, 0.75, 1 / 3, 1.3522987986828883, 1e-160, 1e150,
+                       *np.random.default_rng(31).uniform(0.01, 10.0, 6)]
+
+
+@pytest.mark.parametrize("r", SQUARED_BOUND_RADII)
+def test_squared_bounds_are_the_exact_root_tests(r):
+    # a ball tests its squared radius s against _squared_bound(r), and an
+    # annulus its hole against the next double above the bound of the
+    # radius just below r_in; on every s near r * r they must be the
+    # root's tests, which r * r itself is not at r = 1 (s = 1 + 2**-52
+    # has root 1.0)
+    outer = bodies._squared_bound(r)
+    inner = math.nextafter(bodies._squared_bound(math.nextafter(r, 0.0)), math.inf)
+    s = np.concatenate([ulps_around(r * r, 64), ulps_around(outer, 4),
+                        ulps_around(inner, 4), [0.0, np.inf, np.nan]])
+    assert (s <= outer).tolist() == (np.sqrt(s) <= r).tolist()
+    assert (s >= inner).tolist() == (np.sqrt(s) >= r).tolist()
+    assert math.sqrt(outer) <= r < math.sqrt(math.nextafter(outer, math.inf))
+    assert math.sqrt(math.nextafter(inner, 0.0)) < r <= math.sqrt(inner)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_balls_and_annuli_keep_the_root_tests_beside_their_spheres(n):
+    # points whose computed radius is within a few ulps of each sphere,
+    # and points with NaN and infinite coordinates: a ball and a
+    # concentric annulus give the booleans of comparing the root
+    rng = np.random.default_rng(n)
+    center = rng.uniform(-1.0, 1.0, n)
+    units = rng.standard_normal((500, n))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    specials = np.array([np.nan, np.inf, -np.inf])
+    odd = np.full((6, n), 0.5)
+    odd[:3, -1] = specials       # one coordinate
+    odd[3:] = specials[:, None]  # every coordinate
+    r_in, r_out = 1 / 3, 1.3522987986828883
+    ball, hole = make_ball(center, r_out), make_ball(center, r_in)
+    annulus = exclusion(ball, hole, ball.exact_volume - hole.exact_volume)
+    assert annulus.shell is not None
+    for r in (r_in, r_out):
+        scales = ulps_around(r, 8)
+        pts = center + (scales[:, None, None] * units).reshape(-1, n)
+        pts = np.concatenate([pts, odd])
+        rho = bodies._radius(pts, center)
+        assert np.isin(ulps_around(r, 2), rho).all()
+        for body, want in ((ball, rho <= r_out), (hole, rho <= r_in),
+                           (annulus, (rho <= r_out) & (rho >= r_in))):
+            assert body.membership(pts).tolist() == want.tolist()
+            one = np.r_[0:len(pts):97, -6:0]
+            assert [bool(body.membership(p)) for p in pts[one]] == want[one].tolist()
+        assert not annulus.membership(odd).any()
+
+
 def test_exclusion_of_nearly_concentric_balls_tests_each_ball():
     # centers 1e-13 apart: a shared radius would misplace points that
     # lie between the two hole circles

@@ -217,16 +217,31 @@ def _chain_outcome(res):
        st.integers(0, 2**64 - 1))
 def test_chain_does_not_depend_on_the_window(name, T, N, h, seed):
     # a window of one iteration tests each first proposal alone; longer
-    # ones test ahead past misses, and none may change an output
+    # ones test ahead past misses, and none may change an output, nor
+    # the one in-step call per iteration through which the chain is
+    # observed: its attempt counts, in order
     body, x0 = KERNEL_BODIES[name]
     plan = planner.Plan(eps_prime=0.1, eta=0.025, T=T, S=100.0, h=h, N=N,
                         T0=0, T_tilde=0.0)
-    outcomes = []
+    outcomes, attempts = [], []
+    step = sampler.backward_step
     for window in (1, 2, 16, 64):
+        seen = []
+
+        def spy(*args, **kwargs):
+            out = step(*args, **kwargs)
+            seen.append(out[1])
+            return out
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sampler, "_WINDOW", window)
-            outcomes.append(_chain_outcome(sampler.run_in_and_out(body, x0, plan, seed)))
+            mp.setattr(sampler, "backward_step", spy)
+            res = sampler.run_in_and_out(body, x0, plan, seed)
+        assert (len(seen), sum(seen)) == (res.iterations, res.total_trials)
+        outcomes.append(_chain_outcome(res))
+        attempts.append(seen)
     assert outcomes[1:] == outcomes[:-1]
+    assert attempts[1:] == attempts[:-1]
 
 
 # ------------------------------------------------ combinator certificates

@@ -206,6 +206,13 @@ def test_backward_step_validation(unit_disk):
     # a chain's stream is drawn for one step size
     with pytest.raises(ValueError):
         backward_step(np.zeros(2), 0.2, 5, unit_disk, sampler._Normals(rng, 2, 0.1))
+    # a handed-in miss is checked as a call without one is
+    miss = (np.array([2.0, 0.0]), False)
+    with pytest.raises(ValueError, match="step size must be positive"):
+        backward_step(np.zeros(2), 0.0, 5, unit_disk, rng, first=miss)
+    with pytest.raises(ValueError, match="stream draws steps of size"):
+        backward_step(np.zeros(2), 0.2, 5, unit_disk, sampler._Normals(rng, 2, 0.1),
+                      first=miss)
 
 
 # -------------------------------------------------------------- chains
@@ -346,6 +353,32 @@ def test_single_chain_ensemble_reduces_to_plain_run(annulus, attempts):
     assert ens.summary == {"n_chains": 1, "failure_fraction": 0.0,
                            "mean_total_trials": float(direct.total_trials),
                            "max_total_trials": direct.total_trials}
+
+
+@pytest.mark.parametrize("name,h,N,status", [
+    ("annulus", 0.01, 50, SUCCESS),   # T = 37 ends inside a window
+    ("thin_box", 0.25, 1, FAILURE),   # the chains fail at a window miss
+])
+def test_returned_points_own_their_data(request, name, h, N, status):
+    # each chain reuses one window buffer; its returned point or failing
+    # out-step point is a copy, equal to that of the chain run alone
+    body = request.getfixturevalue(name)
+    p = small_plan(37, h, N)
+    ens = run_ensemble(body, lambda g: bodies.sample_uniform(body, g), p, 7, 2024)
+    arrays = []
+    for c, res in enumerate(ens.results):
+        assert res.status == status
+        rng = make_rng(derive_seed(2024, c))
+        alone = sampler._run_chain(body, bodies.sample_uniform(body, rng), h, 37, N, rng)
+        for got, want in ((res.point, alone.point), (res.y_at_failure, alone.y_at_failure)):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.owndata
+                arrays.append(got)
+    assert len(arrays) == 7
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[:i])
 
 
 def test_ensemble_reproducible_and_summary_consistent(annulus, attempts):
