@@ -34,18 +34,29 @@ consumes its 2 m rows, m iterations, at its end.  The chain's
 points per window.
 
 Every iteration, a window hit included, makes exactly one call of
-`backward_step`, looked up in this module's namespace when called.  The
-calls are how the chain is observed from outside: the benchmark's
-tracer (bench/tracing.py) and the tests' `attempts` fixture wrap the
-name and read each call's attempt count.  A hit costs that call and
-nothing more, since a handed-in hit returns at once.  The contract
-holds until the chain keeps these counts itself (the per-chain
-`RunStats` that ROADMAP.md plans).
+`backward_step`, looked up in this module's namespace when called, in
+the process that runs the chain.  The calls are how the chain is
+observed from outside: the benchmark's tracer (bench/tracing.py) and the
+tests' `attempts` fixture wrap the name and read each call's attempt
+count.  A hit costs that call and nothing more, since a handed-in hit
+returns at once.  The contract holds until the chain keeps these counts
+itself (the per-chain `RunStats` that ROADMAP.md plans).
+
+An ensemble splits its chains across processes, one per usable core
+(`run_ensemble`).  Each chain's stream depends only on the master seed
+and its index, so the split changes no output.  A wrapper sees only the
+calls made in its own process, so while `backward_step` is bound to
+anything but this module's function the ensemble runs in the caller's
+process alone, and an observer sees every chain.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -238,6 +249,11 @@ def backward_step(y: np.ndarray, h: float, N: int, body: Body,
     return None, N
 
 
+# The in-step as this module defines it; an ensemble splits across
+# processes only while the module's name is bound to it.
+_BACKWARD_STEP = backward_step
+
+
 def _run_chain(body: Body, x0, h: float, T: int, N: int,
                rng: np.random.Generator) -> RunResult:
     x = np.asarray(x0, dtype=float)
@@ -310,15 +326,36 @@ def run_ensemble(body: Body, warm_start: Callable[[np.random.Generator], np.ndar
 
     Chain c uses the generator keyed by derive_seed(seed, c) for both
     its warm-start draw and the chain itself, so any subset of chains
-    reproduces identically regardless of execution order.
+    reproduces identically regardless of execution order or process.
+
+    The chains run in P = min(n_chains, usable cores) processes.  The
+    caller's process runs chains 0, P, 2P, ... and each of P - 1 forked
+    workers runs the chains c = w (mod P), w = 1 .. P - 1, and sends
+    their results back through a pipe; each result lands at its chain
+    index.  P is 1, and the chains run in order in the caller's process,
+    when the platform has no `os.fork` or `os.sched_getaffinity` or when
+    `backward_step` is observed (see the module docstring).
+
+    A split ensemble raises what the serial one would: the exception of
+    the lowest chain index that raised, in either process.  A worker
+    that ends before reporting a chain raises RuntimeError, with its
+    wait status, at that chain.  On every way out, an exception or an
+    interrupt included, the workers still running are killed and every
+    worker is waited for.
     """
     if n_chains < 1:
         raise ValueError(f"need at least one chain, got {n_chains}")
-    results = []
-    for c in range(n_chains):
+
+    def chain(c: int) -> RunResult:
         rng = make_rng(derive_seed(seed, c))
         x0 = warm_start(rng)
-        results.append(_run_chain(body, x0, plan.h, plan.T, plan.N, rng))
+        return _run_chain(body, x0, plan.h, plan.T, plan.N, rng)
+
+    P = _processes(n_chains)
+    if P == 1:
+        results = [chain(c) for c in range(n_chains)]
+    else:
+        results = _run_split(chain, n_chains, P)
     failures = sum(1 for r in results if r.status != SUCCESS)
     totals = [r.total_trials for r in results]
     summary = {
@@ -328,6 +365,145 @@ def run_ensemble(body: Body, warm_start: Callable[[np.random.Generator], np.ndar
         "max_total_trials": max(totals),
     }
     return EnsembleResult(results=results, summary=summary)
+
+
+def _processes(n_chains: int) -> int:
+    if (backward_step is not _BACKWARD_STEP or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(n_chains, len(os.sched_getaffinity(0)))
+
+
+def _run_split(chain: Callable[[int], RunResult], n_chains: int, P: int) -> list:
+    results = [None] * n_chains
+    raised = []  # (chain index, exception) of each chain known to have raised
+    workers = []
+    try:
+        for w in range(1, P):
+            workers.append(_Worker(chain, range(w, n_chains, P)))
+        end = n_chains  # the lowest chain index known to have raised
+        for c in range(0, n_chains, P):
+            if c > end:
+                break
+            try:
+                results[c] = chain(c)
+            except Exception as exc:
+                raised.append((c, exc))
+                end = c
+                break
+            for worker in workers:  # keep the pipes from filling up
+                worker.receive(results, n_chains, block=False)
+                end = min(end, worker.raised[0] if worker.raised else n_chains)
+        # the serial loop stops at the first chain that raises, so only
+        # the chains below it have to report
+        for worker in workers:
+            worker.receive(results, end, block=True)
+            if worker.raised:
+                raised.append(worker.raised)
+                end = min(end, worker.raised[0])
+    finally:
+        for worker in workers:
+            worker.reap()
+    if raised:
+        raise min(raised, key=lambda r: r[0])[1]
+    return results
+
+
+class _Worker:
+    """A forked process that runs the chains `indices` in order.
+
+    It sends one message per chain through a pipe, each a pickled
+    (index, RunResult, None) prefixed by its length in 8 bytes, and
+    stops after a chain that raised, whose message is (index, None,
+    exception).  It leaves only through os._exit, so it runs none of
+    the caller's `finally` or `atexit` code and flushes none of its
+    buffers.
+    """
+
+    __slots__ = ("pid", "fd", "indices", "buf", "got", "raised")
+
+    def __init__(self, chain: Callable[[int], RunResult], indices: range):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                # garbage the caller left is not the worker's to finalize
+                gc.freeze()
+                os.close(r)
+                _work(chain, indices, w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        self.pid, self.fd, self.indices = pid, r, indices
+        self.buf = bytearray()
+        self.got = 0  # chains reported
+        self.raised = None  # (index, exception) of the chain that raised
+
+    def receive(self, results: list, end: int, block: bool):
+        """Reads messages until every chain below `end` has reported;
+        without `block`, only as far as the pipe holds data."""
+        os.set_blocking(self.fd, block)
+        while (self.raised is None and self.got < len(self.indices)
+               and self.indices[self.got] < end):
+            try:
+                data = os.read(self.fd, 1 << 16)
+            except BlockingIOError:
+                return
+            if not data:
+                _, status = os.waitpid(self.pid, 0)
+                self.pid = None
+                self.raised = (self.indices[self.got], RuntimeError(
+                    f"the worker running chain {self.indices[self.got]} ended "
+                    f"with wait status {status} before reporting it"))
+                return
+            self.buf += data
+            while len(self.buf) >= 8:
+                size = 8 + int.from_bytes(self.buf[:8], "little")
+                if len(self.buf) < size:
+                    break
+                c, result, exc = pickle.loads(self.buf[8:size])
+                del self.buf[:size]
+                self.got += 1
+                if exc is not None:
+                    self.raised = (c, exc)
+                    break
+                # unpickled arrays share the message's bytes
+                for name in ("point", "y_at_failure"):
+                    a = getattr(result, name)
+                    if a is not None:
+                        setattr(result, name, a.copy())
+                results[c] = result
+
+    def reap(self):
+        os.close(self.fd)
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
+def _work(chain: Callable[[int], RunResult], indices: range, fd: int):
+    for c in indices:
+        try:
+            message = (c, chain(c), None)
+        except BaseException as exc:  # MemoryError and interrupts included
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"chain {c} raised {exc!r}")
+            message = (c, None, exc)
+        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        view = memoryview(len(data).to_bytes(8, "little") + data)
+        while view:
+            view = view[os.write(fd, view):]
+        if message[2] is not None:
+            return
 
 
 def failure_rate_by_iteration(results) -> np.ndarray:

@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -484,6 +485,30 @@ def test_out_of_memory_is_exit_2(tmp_path, capsys, monkeypatch, command, module,
     err = capsys.readouterr().err
     assert err == f"config error: out of memory: {error or 'an allocation failed'}\n"
     assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="an ensemble splits across processes only with fork and "
+                           "2 usable cores")
+def test_out_of_memory_in_a_chain_worker_is_exit_2(tmp_path, capsys, monkeypatch):
+    # the warm starts of chains 1 and 3 run in a forked worker, which
+    # sends its MemoryError back to the caller
+    me, draw = os.getpid(), bodies.sample_uniform
+
+    def sample_uniform(body, rng, *args):
+        if os.getpid() != me:
+            raise MemoryError("Unable to allocate 1.00 TiB")
+        return draw(body, rng, *args)
+
+    monkeypatch.setattr(bodies, "sample_uniform", sample_uniform)
+    cfg = write_config(tmp_path, sample_config(n_chains=4))
+    out = tmp_path / "out"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == "config error: out of memory: Unable to allocate 1.00 TiB\n"
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ------------------------------------------------------------- diagnose

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -466,3 +468,124 @@ def test_ensemble_validation(annulus):
     with pytest.raises(ValueError):
         run_ensemble(annulus, lambda g: bodies.sample_uniform(annulus, g),
                      small_plan(1, 0.01, 10), 0, 1)
+
+
+# -------------------------------------------------------- process split
+
+
+def observed(monkeypatch):
+    """Bind `sampler.backward_step` to a pass-through wrapper, which keeps
+    an ensemble in the caller's process."""
+    step = sampler.backward_step
+    monkeypatch.setattr(sampler, "backward_step", lambda *a, **k: step(*a, **k))
+
+
+def outcome(ens):
+    return ens.summary, [
+        (r.status, None if r.point is None else r.point.tobytes(),
+         None if r.y_at_failure is None else r.y_at_failure.tobytes(), r.failed_at,
+         r.iterations, r.total_trials, r.membership_calls, r.membership_points)
+        for r in ens.results]
+
+
+@pytest.mark.parametrize("name,h,N", [
+    ("annulus", 0.01, 50),
+    ("thin_box", 0.25, 1),   # every chain fails
+])
+@pytest.mark.parametrize("n_chains", [1, 2, 3, 7, 30])
+def test_split_ensemble_equals_the_serial_one(request, monkeypatch, name, h, N, n_chains):
+    body = request.getfixturevalue(name)
+    ws = lambda g: bodies.sample_uniform(body, g)
+    split = run_ensemble(body, ws, small_plan(37, h, N), n_chains, 2024)
+    observed(monkeypatch)
+    serial = run_ensemble(body, ws, small_plan(37, h, N), n_chains, 2024)
+    assert outcome(split) == outcome(serial)
+
+
+two_cores = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="an ensemble splits across processes only with fork and 2 usable cores")
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@two_cores
+def test_ensemble_splits_unless_the_in_step_is_observed(annulus, tmp_path, monkeypatch):
+    log = tmp_path / "pids"
+
+    def warm_start(g):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        return bodies.sample_uniform(annulus, g)
+
+    run_ensemble(annulus, warm_start, small_plan(5, 0.01, 50), 4, 1)
+    pids = log.read_text(encoding="utf-8").split()
+    assert len(pids) == 4 and len(set(pids)) == 2 and str(os.getpid()) in pids
+    log.unlink()
+    observed(monkeypatch)
+    run_ensemble(annulus, warm_start, small_plan(5, 0.01, 50), 4, 1)
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * 4
+    no_children_left()
+
+
+def by_process(annulus, caller, worker):
+    """A warm start that calls caller(k) in the caller's process and
+    worker(k) in a worker, k counting that process's warm starts."""
+    me, count = os.getpid(), [0]
+
+    def warm_start(g):
+        count[0] += 1
+        (caller if os.getpid() == me else worker)(count[0])
+        return bodies.sample_uniform(annulus, g)
+
+    return warm_start
+
+
+def fail(message, at=1, kind=ValueError):
+    def act(k):
+        if k >= at:
+            raise kind(message)
+    return act
+
+
+@two_cores
+@pytest.mark.parametrize("caller,worker,expected,match", [
+    (fail("unused", at=99), fail("unused", at=99), None, None),
+    # chain 1 raises in the worker while the caller still runs chains
+    (fail("unused", at=99), fail("worker"), ValueError, "worker"),
+    # chain 0 raises in the caller while the worker runs a long chain
+    (fail("caller"), lambda k: None, ValueError, "caller"),
+    (fail("caller", kind=KeyboardInterrupt), lambda k: None, KeyboardInterrupt, "caller"),
+    # both raise: the lowest chain index wins, as in the serial loop
+    (fail("caller", at=2), fail("worker"), ValueError, "worker"),
+    (fail("caller"), fail("worker"), ValueError, "caller"),
+    # a worker that dies before reporting its first chain
+    (fail("unused", at=99), lambda k: os.kill(os.getpid(), signal.SIGKILL),
+     RuntimeError, f"chain 1 ended with wait status {signal.SIGKILL}"),
+])
+def test_split_ensemble_errors_and_clean_up(annulus, time_limit, caller, worker,
+                                            expected, match):
+    # the long chains take minutes; an error or a dead worker must end the run at once
+    T = 10**7 if expected in (ValueError, KeyboardInterrupt) and match == "caller" else 5
+    ws = by_process(annulus, caller, worker)
+    with time_limit(20):
+        if expected is None:
+            ens = run_ensemble(annulus, ws, small_plan(T, 0.01, 10**6), 4, 3)
+            assert len(ens.results) == 4
+        else:
+            with pytest.raises(expected, match=match):
+                run_ensemble(annulus, ws, small_plan(T, 0.01, 10**6), 4, 3)
+    no_children_left()
+
+
+@two_cores
+def test_split_ensemble_reaps_its_workers_on_a_timeout(annulus, time_limit):
+    ws = by_process(annulus, lambda k: None, lambda k: None)
+    with pytest.raises(TimeoutError):
+        with time_limit(1):
+            run_ensemble(annulus, ws, small_plan(10**7, 0.01, 10**6), 2, 3)
+    no_children_left()
