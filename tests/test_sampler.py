@@ -502,6 +502,19 @@ def test_split_ensemble_equals_the_serial_one(request, monkeypatch, name, h, N, 
     assert outcome(split) == outcome(serial)
 
 
+def test_split_ensemble_passes_results_larger_than_one_pipe_read(monkeypatch):
+    # each 10,000-D point pickles to about 80 KB, more than a 64 KiB pipe
+    # read, so a worker's message reaches the caller in pieces
+    n = 10_000
+    box = bodies.make_box(np.zeros(n), np.ones(n))
+    ws = lambda g: np.full(n, 0.5)
+    plan = small_plan(1, 1.0 / (2 * n), 10)
+    split = run_ensemble(box, ws, plan, 4, 5)
+    assert [r.status for r in split.results] == [SUCCESS] * 4
+    observed(monkeypatch)
+    assert outcome(split) == outcome(run_ensemble(box, ws, plan, 4, 5))
+
+
 two_cores = pytest.mark.skipif(
     not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
     or len(os.sched_getaffinity(0)) < 2,
