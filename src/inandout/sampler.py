@@ -42,12 +42,15 @@ count.  A hit costs that call and nothing more, since a handed-in hit
 returns at once.  The contract holds until the chain keeps these counts
 itself (the per-chain `RunStats` that ROADMAP.md plans).
 
-An ensemble splits its chains across processes, one per usable core
-(`run_ensemble`).  Each chain's stream depends only on the master seed
-and its index, so the split changes no output.  A wrapper sees only the
+An ensemble splits its chains across P processes, one per usable core
+(`run_ensemble`), in one loop for every P: with P = 1 it makes no
+worker and runs every chain in the caller's process.  Workers send each
+result through a `multiprocessing.connection` pipe, which frames and
+pickles it.  Each chain's stream depends only on the master seed and
+its index, so the split changes no output.  A wrapper sees only the
 calls made in its own process, so while `backward_step` is bound to
-anything but this module's function the ensemble runs in the caller's
-process alone, and an observer sees every chain.
+anything but this module's function P is 1, and an observer sees every
+chain.
 """
 
 from __future__ import annotations
@@ -328,15 +331,16 @@ def run_ensemble(body: Body, warm_start: Callable[[np.random.Generator], np.ndar
     its warm-start draw and the chain itself, so any subset of chains
     reproduces identically regardless of execution order or process.
 
-    The chains run in P = min(n_chains, usable cores) processes.  The
-    caller's process runs chains 0, P, 2P, ... and each of P - 1 forked
-    workers runs the chains c = w (mod P), w = 1 .. P - 1, and sends
-    their results back through a pipe; each result lands at its chain
-    index.  P is 1, and the chains run in order in the caller's process,
-    when the platform has no `os.fork` or `os.sched_getaffinity` or when
+    The chains run in P = min(n_chains, usable cores) processes, in
+    one loop for every P.  The caller's process runs chains 0, P, 2P,
+    ... and each of P - 1 forked workers runs the chains c = w (mod P),
+    w = 1 .. P - 1, and sends their results back through a pipe; each
+    result lands at its chain index.  P is 1, so the loop makes no
+    worker and runs every chain in order in the caller's process, when
+    the platform has no `os.fork` or `os.sched_getaffinity` or when
     `backward_step` is observed (see the module docstring).
 
-    A split ensemble raises what the serial one would: the exception of
+    An ensemble raises what chains run in order would: the exception of
     the lowest chain index that raised, in either process.  A worker
     that ends before reporting a chain raises RuntimeError, with its
     wait status, at that chain.  On every way out, an exception or an
@@ -351,11 +355,7 @@ def run_ensemble(body: Body, warm_start: Callable[[np.random.Generator], np.ndar
         x0 = warm_start(rng)
         return _run_chain(body, x0, plan.h, plan.T, plan.N, rng)
 
-    P = _processes(n_chains)
-    if P == 1:
-        results = [chain(c) for c in range(n_chains)]
-    else:
-        results = _run_split(chain, n_chains, P)
+    results = _run_split(chain, n_chains, _processes(n_chains))
     failures = sum(1 for r in results if r.status != SUCCESS)
     totals = [r.total_trials for r in results]
     summary = {
@@ -394,8 +394,8 @@ def _run_split(chain: Callable[[int], RunResult], n_chains: int, P: int) -> list
             for worker in workers:  # keep the pipes from filling up
                 worker.receive(results, n_chains, block=False)
                 end = min(end, worker.raised[0] if worker.raised else n_chains)
-        # the serial loop stops at the first chain that raises, so only
-        # the chains below it have to report
+        # chains run in order would stop at the first that raises, so
+        # only the chains below it have to report
         for worker in workers:
             worker.receive(results, end, block=True)
             if worker.raised:
@@ -412,96 +412,88 @@ def _run_split(chain: Callable[[int], RunResult], n_chains: int, P: int) -> list
 class _Worker:
     """A forked process that runs the chains `indices` in order.
 
-    It sends one message per chain through a pipe, each a pickled
-    (index, RunResult, None) prefixed by its length in 8 bytes, and
+    It sends one message per chain through a one-way
+    `multiprocessing.connection` pipe, (index, RunResult, None), and
     stops after a chain that raised, whose message is (index, None,
     exception).  It leaves only through os._exit, so it runs none of
     the caller's `finally` or `atexit` code and flushes none of its
     buffers.
     """
 
-    __slots__ = ("pid", "fd", "indices", "buf", "got", "raised")
+    __slots__ = ("pid", "conn", "indices", "raised")
 
     def __init__(self, chain: Callable[[int], RunResult], indices: range):
-        r, w = os.pipe()
+        # imported here: plan, diagnose and one-process ensembles never
+        # make a worker, and multiprocessing costs them its import
+        from multiprocessing.connection import Pipe
+
+        r, w = Pipe(duplex=False)
         try:
             pid = os.fork()
         except BaseException:
-            os.close(r)
-            os.close(w)
+            r.close()
+            w.close()
             raise
         if pid == 0:
             code = 1
             try:
                 # garbage the caller left is not the worker's to finalize
                 gc.freeze()
-                os.close(r)
+                r.close()
                 _work(chain, indices, w)
                 code = 0
             finally:
                 os._exit(code)
-        os.close(w)
-        self.pid, self.fd, self.indices = pid, r, indices
-        self.buf = bytearray()
-        self.got = 0  # chains reported
+        w.close()
+        self.pid, self.conn = pid, r
+        self.indices = indices  # the chains still to report
         self.raised = None  # (index, exception) of the chain that raised
 
     def receive(self, results: list, end: int, block: bool):
         """Reads messages until every chain below `end` has reported;
-        without `block`, only as far as the pipe holds data."""
-        os.set_blocking(self.fd, block)
-        while (self.raised is None and self.got < len(self.indices)
-               and self.indices[self.got] < end):
-            try:
-                data = os.read(self.fd, 1 << 16)
-            except BlockingIOError:
+        without `block`, only while a message has begun to arrive."""
+        while self.raised is None and self.indices and self.indices[0] < end:
+            if not block and not self.conn.poll():
                 return
-            if not data:
+            try:
+                c, result, exc = self.conn.recv()
+            except (EOFError, OSError):  # OSError: the end came mid-message
                 _, status = os.waitpid(self.pid, 0)
                 self.pid = None
-                self.raised = (self.indices[self.got], RuntimeError(
-                    f"the worker running chain {self.indices[self.got]} ended "
+                self.raised = (self.indices[0], RuntimeError(
+                    f"the worker running chain {self.indices[0]} ended "
                     f"with wait status {status} before reporting it"))
                 return
-            self.buf += data
-            while len(self.buf) >= 8:
-                size = 8 + int.from_bytes(self.buf[:8], "little")
-                if len(self.buf) < size:
-                    break
-                c, result, exc = pickle.loads(self.buf[8:size])
-                del self.buf[:size]
-                self.got += 1
-                if exc is not None:
-                    self.raised = (c, exc)
-                    break
-                # unpickled arrays share the message's bytes
-                for name in ("point", "y_at_failure"):
-                    a = getattr(result, name)
-                    if a is not None:
-                        setattr(result, name, a.copy())
-                results[c] = result
+            self.indices = self.indices[1:]
+            if exc is not None:
+                self.raised = (c, exc)
+                return
+            # unpickled arrays share the message's bytes
+            for name in ("point", "y_at_failure"):
+                a = getattr(result, name)
+                if a is not None:
+                    setattr(result, name, a.copy())
+            results[c] = result
 
     def reap(self):
-        os.close(self.fd)
+        self.conn.close()
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
 
 
-def _work(chain: Callable[[int], RunResult], indices: range, fd: int):
+def _work(chain: Callable[[int], RunResult], indices: range, conn):
     for c in indices:
         try:
             message = (c, chain(c), None)
         except BaseException as exc:  # MemoryError and interrupts included
             try:
+                # send pickles the exception but never unpickles it
                 pickle.loads(pickle.dumps(exc))
             except Exception:
                 exc = RuntimeError(f"chain {c} raised {exc!r}")
             message = (c, None, exc)
-        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-        view = memoryview(len(data).to_bytes(8, "little") + data)
-        while view:
-            view = view[os.write(fd, view):]
+        conn.send(message)
         if message[2] is not None:
             return
 

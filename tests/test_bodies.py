@@ -248,6 +248,33 @@ def test_exclusion_keeps_hole_boundary(annulus):
     assert not bool(annulus.membership(np.array([0.0, 0.0])))
 
 
+def test_exclusion_of_a_box_hole_keeps_its_boundary():
+    # the box's interior test carves the hole: its faces and corners stay
+    outer, hole = make_box([-2.0, -2.0], [2.0, 2.0]), make_box([-1.0, -1.0], [1.0, 1.0])
+    carved = exclusion(outer, hole, 12.0)
+    below = np.nextafter(1.0, 0.0)
+    pts = np.array([[1.0, 0.0], [-1.0, 0.5], [0.3, -1.0], [1.0, 1.0], [-1.0, -1.0],
+                    [1.5, 0.0], [2.0, 2.0],
+                    [0.0, 0.0], [below, 0.0], [0.5, -below], [below, below]])
+    want = [True] * 7 + [False] * 4
+    assert carved.membership(pts).tolist() == want
+    assert [bool(carved.membership(p)) for p in pts] == want
+
+
+def test_exclusion_of_an_annulus_hole_keeps_both_its_circles(annulus):
+    # the annulus's own interior test carves the hole: the open ring
+    # 1/2 < r < 1 goes, both circles and the disk inside them stay
+    outer = make_ball([0.0, 0.0], 2.0)
+    carved = exclusion(outer, annulus, outer.exact_volume - annulus.exact_volume)
+    pts = np.array([[1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [0.5, 0.0], [0.3, -0.4],
+                    [0.0, 0.0], [0.25, 0.0], [1.5, 0.0], [2.0, 0.0],
+                    [0.75, 0.0], [0.0, np.nextafter(1.0, 0.0)],
+                    [np.nextafter(0.5, 1.0), 0.0], [0.6, 0.6]])
+    want = [True] * 9 + [False] * 4
+    assert carved.membership(pts).tolist() == want
+    assert [bool(carved.membership(p)) for p in pts] == want
+
+
 def test_exclusion_validation(unit_disk):
     hole = make_ball([0.0, 0.0], 0.5)
     with pytest.raises(ValueError):

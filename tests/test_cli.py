@@ -930,15 +930,21 @@ SQUARE_POLYTOPE = {"kind": "polytope", "A": [[1, 0], [-1, 0], [0, 1], [0, -1]],
                    "b": [1, 1, 1, 1], "inner_center": [0, 0], "inner_radius": 1}
 
 
-def modules_loaded(code):
-    """(inandout submodules, SCIPY_MODULES) that `code` loads in a fresh interpreter."""
+def all_modules_loaded(code):
+    """Every module that `code` loads in a fresh interpreter."""
     probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     names = json.loads(proc.stdout.splitlines()[-1])
     assert "inandout" in names
+    return set(names)
+
+
+def modules_loaded(code):
+    """(inandout submodules, SCIPY_MODULES) that `code` loads in a fresh interpreter."""
+    names = all_modules_loaded(code)
     return ({m.split(".", 1)[1] for m in names if m.startswith("inandout.")},
-            set(names) & set(SCIPY_MODULES))
+            names & set(SCIPY_MODULES))
 
 
 CLI = {"cli", "bodies", "planner"}
@@ -980,6 +986,26 @@ def test_start_up_loads_only_the_scipy_a_command_calls(tmp_path, run, modules, s
             argv += ["--out", str(tmp_path / "out")]
         run = f"from inandout import cli\nassert cli.main({argv!r}) == 0"
     assert modules_loaded(run) == (modules, scipy)
+
+
+BENCH_ANNULUS = os.path.join(os.path.dirname(__file__), "..", "bench", "configs",
+                             "annulus.json")
+
+
+@pytest.mark.parametrize("argv,splits", [
+    (["plan"], False),
+    (["diagnose", "--out", "{tmp}/report.json"], False),
+    (["sample", "--out", "{tmp}/one", "--chains", "1"], False),
+    pytest.param(["sample", "--out", "{tmp}/two", "--chains", "2"], True, marks=pytest.mark.skipif(
+        not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+        or len(os.sched_getaffinity(0)) < 2,
+        reason="a 2-chain ensemble splits across processes only with fork and "
+               "2 usable cores")),
+], ids=["plan", "diagnose", "sample-1-chain", "sample-2-chains"])
+def test_only_a_splitting_ensemble_loads_multiprocessing(tmp_path, argv, splits):
+    argv = [argv[0], "--config", BENCH_ANNULUS, *(a.format(tmp=tmp_path) for a in argv[1:])]
+    run = f"from inandout import cli\nassert cli.main({argv!r}) == 0"
+    assert ("multiprocessing" in all_modules_loaded(run)) == splits
 
 
 def test_every_submodule_resolves_on_the_bare_package():

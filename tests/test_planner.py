@@ -64,6 +64,21 @@ def test_consistency_catches_short_run():
     assert not rep.ok
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"S": 2.0}, "failure budget S = 2.0 below 3"),
+    ({"h": 0.75}, "step size h = 0.75 above 1/2"),
+    ({"h": 0.3}, "step size h = 0.3 above 1/(2n)"),  # n = 2
+    ({"N": 1000}, "trial threshold N = 1000 below floor "),
+], ids=["S-below-3", "h-above-half", "h-above-half-over-n", "N-below-floor"])
+def test_consistency_names_each_broken_constraint(change, message):
+    # a hand-altered plan; the z < 2 check cannot fire for validated
+    # PlanInputs, whose z is at least 77
+    p = planner.plan(BASE)
+    rep = planner.check_plan_consistency(dataclasses.replace(p, **change), BASE)
+    assert not rep.ok
+    assert any(v.startswith(message) for v in rep.violations), rep.violations
+
+
 def test_fixed_point_inequality_arithmetic():
     # z = 3: y = 2 z log z = 6.5917, and y / log y = 3.4945 >= z
     z = 3.0

@@ -596,6 +596,29 @@ def test_split_ensemble_errors_and_clean_up(annulus, time_limit, caller, worker,
 
 
 @two_cores
+def test_split_ensemble_reports_a_worker_that_dies_mid_message(time_limit):
+    # chain 1's 80 KB point overfills the worker's 64 KiB pipe, which the
+    # caller reads only once the worker has died in the write
+    n = 10_000
+    box = bodies.make_box(np.zeros(n), np.ones(n))
+    me = os.getpid()
+
+    def warm_start(g):
+        if os.getpid() == me:
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        else:
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+        return np.full(n, 0.5)
+
+    with time_limit(20):
+        with pytest.raises(RuntimeError,
+                           match=f"chain 1 ended with wait status {signal.SIGALRM}"):
+            run_ensemble(box, warm_start, small_plan(1, 1.0 / (2 * n), 10), 2, 5)
+    no_children_left()
+
+
+@two_cores
 def test_split_ensemble_reaps_its_workers_on_a_timeout(annulus, time_limit):
     ws = by_process(annulus, lambda k: None, lambda k: None)
     with pytest.raises(TimeoutError):
