@@ -22,7 +22,9 @@ Their error is the change from a grid of half the resolution, so they
 resolve a failure mass of order 1e-10 against its bound of order 1e-6,
 which no feasible Monte Carlo sample could.  The bounds assume
 step-size regimes; out-of-regime requests are refused rather than
-silently reported.
+silently reported.  Above 2-D only a ball or a concentric shell has a
+failure and trial route (a 1-D radial integral); `inandout diagnose`
+records the two checks as skipped for any other body.
 """
 
 import dataclasses
@@ -44,10 +46,9 @@ for i, r in enumerate((0.25, 0.5, 1.0)):
           f"bound {chk.theoretical_bound:.3e}  -> {chk.verdict}")
 
 # exhausting N attempts is rarer than 3/S, and attempts per in-step stay
-# near 1 for a fat body; both from one grid of the local conductance (a
-# 2-D body takes no Monte Carlo sample here, so n_mc and rng go unused)
-rng = sampler.make_rng(sampler.derive_seed(200, 0))
-fail, trials = diagnostics.per_iteration_checks(disk, plan, 4_000, rng)
+# near 1 for a fat body; both from one grid of the local conductance,
+# which takes no random draw
+fail, trials = diagnostics.per_iteration_checks(disk, plan)
 print(f"\nfailure:      grid {fail.empirical:.4e} +- {fail.mc_std_error:.1e}  "
       f"bound {fail.theoretical_bound:.3e}  -> {fail.verdict}")
 print(f"trials:       grid {trials.empirical:.4f} +- {trials.mc_std_error:.1e}  "
@@ -67,7 +68,6 @@ except ValueError as e:
 
 # the same refusal protects the per-iteration bounds when N is too small
 try:
-    diagnostics.per_iteration_checks(disk, dataclasses.replace(plan, N=10),
-                                     100, sampler.make_rng(1))
+    diagnostics.per_iteration_checks(disk, dataclasses.replace(plan, N=10))
 except ValueError as e:
     print(f"refused under-provisioned check: {e}")

@@ -208,11 +208,10 @@ _CONFIG = {
                    {"n_chains": 1, "seed": 0, "t_cap": None, "n_cap": None}),
     # escape distances must be positive, dilations may be zero
     "diagnose": _object(
-        {"seed": _SEED, "n_mc": _COUNT, "inner_mc": _COUNT, "resolution": _integer(2),
+        {"seed": _SEED, "n_mc": _COUNT, "resolution": _integer(2),
          "n_cells": _integer(2), "r_grid": _list(_POSITIVE),
          "t_grid": _list(_NONNEGATIVE), "h_override": _POSITIVE},
-        {"seed": 0, "n_mc": 20_000, "inner_mc": planner.INNER_MC,
-         "resolution": planner.RESOLUTION, "n_cells": 16,
+        {"seed": 0, "n_mc": 20_000, "resolution": planner.RESOLUTION, "n_cells": 16,
          "r_grid": [0.25, 0.5, 1.0], "t_grid": [0.1, 0.5, 1.0], "h_override": None}),
 }
 _PLAN_DOCUMENT = {
@@ -382,6 +381,11 @@ def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
         except ValueError as e:  # the bitmap is empty
             raise ConfigError(f"config.body: {e} at resolution "
                               f"{diag['resolution']}") from e
+    else:
+        # one draw refutes a false volume claim (EmptyBodyError), as the
+        # empty bitmap does in 2-D, even when every check is skipped
+        diagnostics.uniform_reference(
+            body, sampler.make_rng(sampler.derive_seed(seed, 200)), 1)
 
     records = []
     violated = False
@@ -430,10 +434,9 @@ def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
         run([f"stationary_escape(r={r})"],
             lambda r=r, rng=rng: [diagnostics.stationary_escape_check(
                 body, p.h, r, n_mc, rng, oracle=oracle).to_dict()])
-    rng = sampler.make_rng(sampler.derive_seed(seed, 200))
     run(["stationary_failure", "expected_trials"],
         lambda: [c.to_dict() for c in diagnostics.per_iteration_checks(
-            body, p, n_mc, rng, inner_mc=diag["inner_mc"], oracle=oracle)])
+            body, p, oracle=oracle)])
     for i, t in enumerate(diag["t_grid"]):
         rng = sampler.make_rng(sampler.derive_seed(seed, 400 + i))
         run([f"certificate_soundness(t={t})"],
@@ -463,7 +466,11 @@ def _read_samples(path: str, dim: int) -> np.ndarray:
             raise ConfigError(f"{where}: not valid JSON: {e}") from e
         if not isinstance(rec, dict):
             raise ConfigError(f"{where}: expected an object")
-        if rec.get("outcome") != "success":
+        outcome = rec.get("outcome")
+        if outcome not in ("success", "failure"):
+            raise ConfigError(f"{where}: outcome must be \"success\" or \"failure\", "
+                              f"got {outcome!r}")
+        if outcome == "failure":
             continue
         x = rec.get("x")
         try:
@@ -492,7 +499,7 @@ def cmd_diagnose(cfg: RunConfig, out_path: str, seed_override: Optional[int],
     report = {
         "checks": records,
         "environment": {
-            **{k: diag[k] for k in ("seed", "n_mc", "inner_mc", "resolution")},
+            **{k: diag[k] for k in ("seed", "n_mc", "resolution")},
             "h": p.h,
         },
     }

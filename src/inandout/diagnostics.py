@@ -15,10 +15,10 @@ resolution plus what its padding leaves out (_padding), which resolves
 failure mass far below the 3/S bound (about 3e-14 against 6.7e-7 on
 the annulus plan).  Above 2-D, a ball or a concentric shell (a body
 with a `shell`) is integrated in the radius instead, with its error the
-change from half the nodes plus the same padding cut; other bodies
-keep a nested Monte Carlo, which resolves failure mass only down to
-1/n_mc.  The uniform reference points of the checks are drawn exactly
-in the radius for a shell body and by bbox rejection otherwise.
+change from half the nodes plus the same padding cut; other bodies have
+no route, and both checks are unsupported there.  The uniform
+reference points of the checks are drawn exactly in the radius for a
+shell body and by bbox rejection otherwise.
 
 The escape, certificate and grid TV checks draw and reduce their points
 ORACLE_BLOCK_POINTS rows at a time, each draw in the order and with the
@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import specfun
 from .bodies import Body, _radius, sample_uniform, unit_ball_volume
-from .planner import INNER_MC, RESOLUTION, Plan, step_size_regime, trial_floor
+from .planner import RESOLUTION, Plan, step_size_regime, trial_floor
 
 SATISFIED = "satisfied"
 VIOLATED = "violated_beyond_3se"
@@ -79,15 +79,6 @@ class BoundCheck:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _mean_and_se(values: np.ndarray) -> tuple:
-    n = values.shape[0]
-    mean = math.fsum(values) / n
-    if n < 2:
-        return mean, 0.0
-    var = math.fsum((values - mean) ** 2) / (n - 1)
-    return mean, math.sqrt(var / n)
 
 
 class GridOracle:
@@ -267,7 +258,9 @@ def smoothed_conductance_samples(body: Body, h: float, n_outer: int,
 
     Outer points follow X uniform, Y = X + sqrt(h) Z; each inner
     estimate uses inner_mc fresh proposals.  Returns the n_outer
-    estimates in [0, 1].
+    estimates in [0, 1].  No package code calls it: bench/micro.py times
+    it and bench/tracing.py wraps it, and ROADMAP item 4 retires it
+    together with the benchmark's conductance metrics.
     """
     n = body.dim
     sqrt_h = math.sqrt(h)
@@ -427,9 +420,7 @@ def _radial_failure_and_trials(body: Body, h: float, N: int) -> tuple:
     return (*values, lo, hi)
 
 
-def per_iteration_checks(body: Body, p: Plan, n_mc: int,
-                         rng: np.random.Generator,
-                         inner_mc: int = INNER_MC,
+def per_iteration_checks(body: Body, p: Plan,
                          oracle: Optional[GridOracle] = None) -> tuple:
     """The (stationary_failure, expected_trials) checks of the per-iteration bounds.
 
@@ -447,20 +438,13 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
     exclusion) is integrated in the radius: ell is exact in closed form
     and the integrals are 1-D.  Either quadrature's record has as
     mc_std_error the change from its coarse rule (half the resolution,
-    half the nodes) plus the cut its padding leaves out (see _padding),
-    and n_mc, inner_mc and rng are not used.
+    half the nodes) plus the cut its padding leaves out (see _padding).
+    Neither takes a random draw.
 
-    Other bodies estimate the local conductance at n_mc smoothed-law
-    points, inner_mc proposals each, on one shared sample.  The nested
-    failure estimate is biased upward (convexity), i.e. toward a
-    stricter test, and a point with zero inner hits counts as a certain
-    failure.  For the trials, estimates below the inner resolution
-    1/inner_mc are clamped to it, so no point contributes more than
-    about inner_mc trials.  The escape check bounds the mass of the
-    region ell < 1/inner_mc, not its trials, which can be much of the
-    mean (0.69 of 2.22 on a 10-D unit ball plan, from 2.4e-5 of the
-    mass).  So the trials estimate is biased low by an amount its std
-    error does not include, as the record's note says.
+    Any other body is an UnsupportedCheck, raised after the hypotheses
+    are checked.  A Monte Carlo estimate there resolves failure mass
+    only down to one over its sample count, orders above 3/S, so it
+    could neither confirm nor refute the bound.
     """
     if body.growth is None:
         raise ValueError("body has no growth certificate")
@@ -473,62 +457,41 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
         raise ValueError(
             f"trial threshold {p.N} below the required 8 alpha S log S = {n_floor}"
         )
+    if body.dim > 2 and body.shell is None:
+        raise UnsupportedCheck(
+            f"no per-iteration quadrature for a {body.dim}-D body without a shell: "
+            f"only 2-D bodies (grid) and balls or concentric shells (radial) have one")
     bounds = (3.0 / p.S, 16.0 * alpha * math.log(p.S))
-    if body.dim == 2 or body.dim > 2 and body.shell is not None:
-        if body.dim == 2:
-            oracle = oracle or GridOracle(body)
-            r = oracle.resolution
-            if r < 4:
-                raise ValueError(
-                    f"grid quadrature needs resolution >= 4 to measure its error on a "
-                    f"grid of half the resolution, got {r}")
-            try:
-                half = GridOracle(body, r // 2)
-            except ValueError as e:  # its bitmap is empty
-                raise ValueError(
-                    f"grid quadrature measures its error as the change from a grid of "
-                    f"half the resolution, and no cell center of the resolution-{r // 2} "
-                    f"grid lies inside the body (the resolution-{r} grid holds "
-                    f"{oracle.n_occupied})") from e
-            *values, n = _grid_failure_and_trials(oracle, p.h, p.N)
-            *coarse, _ = _grid_failure_and_trials(half, p.h, p.N)
-            source = (f"grid quadrature of the local conductance on {n} padded "
-                      f"cells (resolution {r}); the error is the change from "
-                      f"resolution {r // 2}")
-        else:
-            values, coarse, lo, hi = _radial_failure_and_trials(body, p.h, p.N)
-            n = RADIAL_NODES
-            source = (f"radial quadrature of the exact local conductance on {n} "
-                      f"nodes in [{lo:.6g}, {hi:.6g}]; the error is the change from "
-                      f"{n // 2 + 1} nodes")
-        cuts = _padding(p.N)[1]
-        errors = [abs(v - c) + cut for v, c, cut in zip(values, coarse, cuts)]
-        notes = [f"{source}, plus at most {cut:.2g} left out beyond the z sqrt(h) padding"
-                 for cut in cuts]
+    if body.dim == 2:
+        oracle = oracle or GridOracle(body)
+        r = oracle.resolution
+        if r < 4:
+            raise ValueError(
+                f"grid quadrature needs resolution >= 4 to measure its error on a "
+                f"grid of half the resolution, got {r}")
+        try:
+            half = GridOracle(body, r // 2)
+        except ValueError as e:  # its bitmap is empty
+            raise ValueError(
+                f"grid quadrature measures its error as the change from a grid of "
+                f"half the resolution, and no cell center of the resolution-{r // 2} "
+                f"grid lies inside the body (the resolution-{r} grid holds "
+                f"{oracle.n_occupied})") from e
+        *values, n = _grid_failure_and_trials(oracle, p.h, p.N)
+        *coarse, _ = _grid_failure_and_trials(half, p.h, p.N)
+        source = (f"grid quadrature of the local conductance on {n} padded "
+                  f"cells (resolution {r}); the error is the change from "
+                  f"resolution {r // 2}")
     else:
-        n = n_mc
-        ell = smoothed_conductance_samples(body, p.h, n_mc, inner_mc, rng)
-        # estimates are multiples of 1/inner_mc: the zero-hit points are
-        # exactly the ones below the resolution floor
-        zero = ell == 0.0
-        source = (f"inner conductance from {inner_mc} proposals per point; "
-                  f"{np.count_nonzero(zero)}/{n_mc} outer points had zero inner hits")
-        # (1 - ell)^N in log space; ell == 0 contributes exactly 1
-        failure = np.ones(n_mc)
-        with np.errstate(divide="ignore"):
-            failure[~zero] = np.exp(p.N * np.log1p(-ell[~zero]))
-        # expected_trials_closed_form of each estimate clamped into (0, 1];
-        # an estimate of 1 gives -expm1(-inf) / 1 = 1 exactly
-        q = np.maximum(ell, 1.0 / inner_mc)
-        with np.errstate(divide="ignore"):
-            trials = -np.expm1(p.N * np.log1p(-q)) / q
-        values, errors = zip(_mean_and_se(failure), _mean_and_se(trials))
-        notes = (f"{source}; nested estimate is biased upward (conservative) and "
-                 f"resolves failure mass only down to 1/{n_mc} = {1.0 / n_mc:.2g}",
-                 f"{source}; these were clamped to the 1/{inner_mc} resolution floor, "
-                 f"so the estimate leaves out the trials of the region where the "
-                 f"local conductance is below 1/{inner_mc} and is biased low by an "
-                 f"amount its SE does not include")
+        values, coarse, lo, hi = _radial_failure_and_trials(body, p.h, p.N)
+        n = RADIAL_NODES
+        source = (f"radial quadrature of the exact local conductance on {n} "
+                  f"nodes in [{lo:.6g}, {hi:.6g}]; the error is the change from "
+                  f"{n // 2 + 1} nodes")
+    cuts = _padding(p.N)[1]
+    errors = [abs(v - c) + cut for v, c, cut in zip(values, coarse, cuts)]
+    notes = [f"{source}, plus at most {cut:.2g} left out beyond the z sqrt(h) padding"
+             for cut in cuts]
     return tuple(BoundCheck(name=name, empirical=value, theoretical_bound=bound,
                             mc_std_error=se, n_samples=n, note=note)
                  for name, value, bound, se, note in zip(
@@ -536,26 +499,22 @@ def per_iteration_checks(body: Body, p: Plan, n_mc: int,
                      notes))
 
 
-def stationary_failure_check(body: Body, p: Plan, n_mc: int,
-                             rng: np.random.Generator,
-                             inner_mc: int = INNER_MC) -> BoundCheck:
+def stationary_failure_check(body: Body, p: Plan) -> BoundCheck:
     """Failure mass <= 3/S: the first record of per_iteration_checks.
 
     bench/tracing.py wraps this name; a caller that needs both records
     calls per_iteration_checks once.
     """
-    return per_iteration_checks(body, p, n_mc, rng, inner_mc)[0]
+    return per_iteration_checks(body, p)[0]
 
 
-def expected_trials_check(body: Body, p: Plan, n_mc: int,
-                          rng: np.random.Generator,
-                          inner_mc: int = INNER_MC) -> BoundCheck:
+def expected_trials_check(body: Body, p: Plan) -> BoundCheck:
     """Mean in-step trials <= 16 alpha log S: the second record of per_iteration_checks.
 
     bench/tracing.py wraps this name; a caller that needs both records
     calls per_iteration_checks once.
     """
-    return per_iteration_checks(body, p, n_mc, rng, inner_mc)[1]
+    return per_iteration_checks(body, p)[1]
 
 
 @dataclass

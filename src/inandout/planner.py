@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 T_LIMIT = 2**31
-# Defaults of the `diagnose` settings that diagnostics' signatures share
-# with the CLI config; they sit here because every command loads this
-# module, and diagnostics only the command that runs it.
+# Default of the `diagnose` resolution, which diagnostics' signatures
+# share with the CLI config; it sits here because every command loads
+# this module, and diagnostics only the command that runs it.
 RESOLUTION = 400   # GridOracle cells per axis
-INNER_MC = 2_000   # proposals per outer point of the nested Monte Carlo
 
 
 class PlanOverflowError(ValueError):

@@ -79,7 +79,7 @@ def test_parse_config_rejects_unknown_keys():
     ("diagnose", "seed", True),
     ("diagnose", "n_mc", "abc"),
     ("diagnose", "n_mc", True),
-    ("diagnose", "inner_mc", True),
+    ("diagnose", "n_mc", 0),
     ("diagnose", "resolution", True),
     ("diagnose", "resolution", 1),
     ("diagnose", "n_cells", True),
@@ -121,7 +121,7 @@ def test_settings_defaults_filled_once():
     cfg = parse_config({})
     assert cfg.run_node == {"n_chains": 1, "seed": 0, "t_cap": None, "n_cap": None}
     assert cfg.diagnose_node == {
-        "seed": 0, "n_mc": 20_000, "inner_mc": 2_000, "resolution": 400,
+        "seed": 0, "n_mc": 20_000, "resolution": 400,
         "n_cells": 16, "r_grid": [0.25, 0.5, 1.0], "t_grid": [0.1, 0.5, 1.0],
         "h_override": None}
 
@@ -450,7 +450,7 @@ def test_empty_body_is_exit_2(tmp_path, capsys, time_limit, command, dim):
         "body": empty_exclusion(dim),
         "plan": {"q": 2, "eps": 0.2, "M": 1, "C_PI": 4},
         "run": {"n_chains": 2, "t_cap": 5, "n_cap": 10},
-        "diagnose": {"n_mc": 100, "inner_mc": 10, "r_grid": [0.5], "t_grid": [0.5]},
+        "diagnose": {"n_mc": 100, "r_grid": [0.5], "t_grid": [0.5]},
     })
     out = tmp_path / "out"
     with time_limit(30):
@@ -514,11 +514,16 @@ def test_out_of_memory_in_a_chain_worker_is_exit_2(tmp_path, capsys, monkeypatch
 # ------------------------------------------------------------- diagnose
 
 
+# the reason both per-iteration records give for a 3-D body without a shell
+CUBE_SKIP = ("no per-iteration quadrature for a 3-D body without a shell: only 2-D "
+             "bodies (grid) and balls or concentric shells (radial) have one")
+
+
 def diagnose_config(**diag):
     return {
         "body": ANNULUS_BODY,
         "plan": ANNULUS_PLAN,
-        "diagnose": {"seed": 7, "n_mc": 2000, "inner_mc": 300,
+        "diagnose": {"seed": 7, "n_mc": 2000,
                      "r_grid": [0.5], "t_grid": [0.5], "n_cells": 8, **diag},
     }
 
@@ -540,9 +545,10 @@ def test_diagnose_command_all_checks_pass(tmp_path, capsys):
 @pytest.mark.parametrize("doc,route", [
     (diagnose_config(n_mc=20_000), "grid quadrature"),
     ({"body": {"kind": "ball", "center": [0, 0, 0], "radius": 1.0}, "plan": ANNULUS_PLAN,
-      "diagnose": {"seed": 1, "n_mc": 2000, "inner_mc": 50}}, "radial quadrature"),
+      "diagnose": {"seed": 1, "n_mc": 2000}}, "radial quadrature"),
+    # a body without a shell has no per-iteration route
     ({"body": {"kind": "box", "lo": [-1, -1, -1], "hi": [1, 1, 1]}, "plan": ANNULUS_PLAN,
-      "diagnose": {"seed": 1, "n_mc": 2000, "inner_mc": 50}}, "inner conductance"),
+      "diagnose": {"seed": 1, "n_mc": 2000}}, CUBE_SKIP),
 ], ids=["grid", "radial", "nested"])
 def test_diagnose_command_reruns_byte_identical(tmp_path, capsys, doc, route):
     cfg = write_config(tmp_path, doc)
@@ -551,7 +557,12 @@ def test_diagnose_command_reruns_byte_identical(tmp_path, capsys, doc, route):
         assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert reports[0].read_bytes() == reports[1].read_bytes()
     checks = json.loads(reports[0].read_text(encoding="utf-8"))["checks"]
-    assert {c["name"]: c for c in checks}["stationary_failure"]["note"].startswith(route)
+    failure = {c["name"]: c for c in checks}["stationary_failure"]
+    if route == CUBE_SKIP:
+        assert failure == {"name": "stationary_failure", "status": "skipped",
+                           "reason": CUBE_SKIP}
+    else:
+        assert failure["note"].startswith(route)
 
 
 # failure mass and expected trials on the annulus plan from the exact
@@ -562,7 +573,7 @@ ANNULUS_EXACT = {"stationary_failure": 7.141308901383221e-11,
 
 def test_diagnose_per_iteration_records_are_grid_quadrature(tmp_path):
     # a 2-D body's failure and trial records integrate the local
-    # conductance on the diagnose grid; n_mc and inner_mc play no part
+    # conductance on the diagnose grid; n_mc plays no part
     cfg = write_config(tmp_path, diagnose_config())
     out = tmp_path / "report.json"
     assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -631,27 +642,6 @@ def test_diagnose_without_a_coarser_grid_is_a_hypothesis_violation(tmp_path,
         assert f"got {resolution}" in checks[name]["reason"]
 
 
-def test_diagnose_uses_n_mc_as_given_above_2d(tmp_path):
-    # the nested Monte Carlo of a 3-D body takes every one of the n_mc
-    # outer points (it was capped at 4000 before)
-    cfg = write_config(tmp_path, {
-        "body": {"kind": "box", "lo": [-1.0] * 3, "hi": [1.0] * 3},
-        "plan": {"q": 2, "eps": 0.2, "M": 1, "C_PI": 1},
-        "diagnose": {"seed": 1, "n_mc": 4500, "inner_mc": 1,
-                     "r_grid": [0.5], "t_grid": [0.5]},
-    })
-    out = tmp_path / "report.json"
-    # one inner proposal cannot resolve the failure bound, so the exit
-    # code is not asserted
-    main(["diagnose", "--config", cfg, "--out", str(out)])
-    checks = {c["name"]: c for c in
-              json.loads(out.read_text(encoding="utf-8"))["checks"]}
-    for name in ("stationary_failure", "expected_trials"):
-        assert checks[name]["status"] == "ran"
-        assert checks[name]["n_samples"] == 4500
-        assert "/4500 outer points had zero inner hits" in checks[name]["note"]
-
-
 def test_diagnose_command_uses_sample_file(tmp_path):
     run_cfg = write_config(tmp_path, sample_config(n_chains=200), "run.json")
     out = tmp_path / "runs"
@@ -681,6 +671,9 @@ GOOD_LINE = '{"chain": 0, "outcome": "success", "x": [0.75, 0.0]}'
     ('{"outcome": "success", "x": [0.75, NaN]}', "line 2: x needs 2"),
     ('{"outcome": "success", "x": [0.75, true]}', "line 2: x needs 2"),
     ('{"outcome": "success", "x": null}', "line 2: x needs 2"),
+    ('{"outcome": "sucess", "x": [50.0, 50.0]}',
+     'line 2: outcome must be "success" or "failure", got \'sucess\''),
+    ('{"x": [0.75, 0.0]}', 'line 2: outcome must be "success" or "failure", got None'),
 ])
 def test_diagnose_rejects_malformed_sample_file(tmp_path, capsys, bad_line, message):
     samples = tmp_path / "samples.jsonl"
@@ -721,7 +714,7 @@ def test_diagnose_command_skips_unsupported_in_5d(tmp_path):
     cfg = write_config(tmp_path, {
         "body": body,
         "plan": {"q": 2, "eps": 0.2, "M": 1, "C_PI": 1},
-        "diagnose": {"seed": 1, "n_mc": 400, "inner_mc": 200,
+        "diagnose": {"seed": 1, "n_mc": 400,
                      "r_grid": [0.5], "t_grid": [0.5]},
     })
     out = tmp_path / "report.json"
@@ -731,10 +724,56 @@ def test_diagnose_command_skips_unsupported_in_5d(tmp_path):
     assert status["stationary_escape(r=0.5)"] == "skipped"
     assert status["certificate_soundness(t=0.5)"] == "skipped"
     assert status["grid_tv"] == "skipped"
-    assert status["stationary_failure"] == "ran"
-    assert status["expected_trials"] == "ran"
+    assert status["stationary_failure"] == "skipped"
+    assert status["expected_trials"] == "skipped"
+    reason = {c["name"]: c.get("reason") for c in report["checks"]}
+    for name in ("stationary_failure", "expected_trials"):
+        assert reason[name].startswith("no per-iteration quadrature for a 5-D body "
+                                       "without a shell")
     ran = [c for c in report["checks"] if c["status"] == "ran"]
     assert all(c["verdict"] == "satisfied" for c in ran)
+
+
+def cube_config(**diag):
+    return {"body": BOX3_BODY, "plan": {"q": 2, "eps": 0.2, "M": 1, "C_PI": 4},
+            "diagnose": {"seed": 1, **diag}}
+
+
+def test_diagnose_gates_a_cube_before_it_skips_it(tmp_path):
+    # a bad h is a hypothesis violation for every body, routed or not
+    cube = cli.build_body(BOX3_BODY)
+    g = cube.growth
+    p = planner.plan(planner.PlanInputs(q=2, eps=0.2, M=1, C_PI=4, alpha=g.alpha,
+                                        beta=g.beta, n=3))
+    cap = planner.step_size_regime(3, g.beta, g.alpha, p.S).per_iteration_cap
+    cfg = write_config(tmp_path, cube_config(n_mc=2000, r_grid=[0.5], t_grid=[0.5],
+                                             h_override=2.0 * cap))
+    out = tmp_path / "report.json"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
+    checks = {c["name"]: c for c in json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    for name in ("stationary_failure", "expected_trials"):
+        assert checks[name]["status"] == "hypothesis_violation"
+        assert "per-iteration regime cap" in checks[name]["reason"]
+
+
+def test_diagnose_skips_the_cube_and_refuses_inner_mc(tmp_path, capsys):
+    # a correct convex body: a nested Monte Carlo at n_mc 100,000 and
+    # inner_mc 300 read its failure mass as 1.8e-4 against 3/S = 2.36e-7
+    cfg = write_config(tmp_path, cube_config(n_mc=100_000))
+    out = tmp_path / "report.json"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text(encoding="utf-8"))
+    checks = {c["name"]: c for c in report["checks"]}
+    for name in ("stationary_failure", "expected_trials"):
+        assert checks[name] == {"name": name, "status": "skipped", "reason": CUBE_SKIP}
+    assert all(c["verdict"] == "satisfied" for c in report["checks"] if c["status"] == "ran")
+    assert "inner_mc" not in report["environment"]
+    cfg = write_config(tmp_path, cube_config(n_mc=100_000, inner_mc=300))
+    out = tmp_path / "refused.json"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "config.diagnose" in err and "inner_mc" in err
+    assert not out.exists()
 
 
 def test_diagnose_skips_a_certificate_check_no_draw_resolves(tmp_path):
@@ -743,7 +782,7 @@ def test_diagnose_skips_a_certificate_check_no_draw_resolves(tmp_path):
     cfg = write_config(tmp_path, {
         "body": {"kind": "ball", "center": [0] * 10, "radius": 1.0},
         "plan": {"q": 2, "eps": 0.2, "M": 1, "C_PI": 4},
-        "diagnose": {"seed": 1, "n_mc": 200, "inner_mc": 20,
+        "diagnose": {"seed": 1, "n_mc": 200,
                      "r_grid": [0.5], "t_grid": [1.0]},
     })
     out = tmp_path / "report.json"
@@ -961,11 +1000,11 @@ DIAGNOSE = SAMPLE | {"diagnostics", "specfun"}
     (("sample", BALL10_BODY), SAMPLE, set()),
     (("diagnose", ANNULUS_BODY), DIAGNOSE, set()),
     # the radial quadrature's noncentral chi-square law
-    (("diagnose", BALL3_BODY, {"n_mc": 2000, "inner_mc": 50}), DIAGNOSE,
+    (("diagnose", BALL3_BODY, {"n_mc": 2000}), DIAGNOSE,
      {"scipy", "scipy.special"}),
-    # the nested Monte Carlo route and the escape bound's chi_tail(6, .);
-    # few draws keep it fast
-    (("diagnose", BOX3_BODY, {"n_mc": 2000, "inner_mc": 50}), DIAGNOSE, set()),
+    # the up-front draw and the escape bound's chi_tail(6, .); few draws
+    # keep it fast, and the per-iteration records are skipped
+    (("diagnose", BOX3_BODY, {"n_mc": 2000}), DIAGNOSE, set()),
     # linprog finds the polytope's bounding box; scipy.optimize itself
     # loads .special and .spatial
     (f"from inandout import cli\ncli.build_body({SQUARE_POLYTOPE!r})", CLI,

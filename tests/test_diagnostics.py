@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -65,7 +64,7 @@ SHELL_PLAN_INPUTS = PlanInputs(q=2, eps=0.2, M=1, C_PI=4, alpha=8.0 / 7.0,
 
 
 def box_minus_ball_3d():
-    """The cube [-1, 1]^3 minus an off-center ball: no shell, so the nested Monte Carlo."""
+    """The cube [-1, 1]^3 minus an off-center ball: no shell, so no per-iteration route."""
     box = bodies.make_box([-1.0] * 3, [1.0] * 3)
     hole = bodies.make_ball([0.03, 0.02, 0.0], 0.95)
     return bodies.exclusion(box, hole, box.exact_volume - hole.exact_volume)
@@ -298,8 +297,7 @@ ANNULUS_PLAN_INPUTS = PlanInputs(q=2, eps=0.2, M=1, C_PI=4, alpha=4.0 / 3.0,
 
 def test_failure_check_on_disk(unit_disk):
     p = planner.plan(DISK_PLAN_INPUTS)
-    chk = stationary_failure_check(unit_disk, p, n_mc=400, rng=make_rng(10),
-                                   inner_mc=2000)
+    chk = stationary_failure_check(unit_disk, p)
     assert chk.verdict == SATISFIED
     assert chk.theoretical_bound == 3.0 / p.S
     assert chk.empirical <= chk.theoretical_bound
@@ -311,8 +309,7 @@ def test_failure_check_on_disk(unit_disk):
 
 def test_trials_check_on_disk(unit_disk):
     p = planner.plan(DISK_PLAN_INPUTS)
-    chk = expected_trials_check(unit_disk, p, n_mc=400, rng=make_rng(11),
-                                inner_mc=2000)
+    chk = expected_trials_check(unit_disk, p)
     assert chk.verdict == SATISFIED
     assert chk.theoretical_bound == 16.0 * math.log(p.S)
     assert 1.0 <= chk.empirical <= chk.theoretical_bound
@@ -329,7 +326,7 @@ def test_grid_quadrature_matches_the_exact_radial_integral(request, fixture,
     body = request.getfixturevalue(fixture)
     p = planner.plan(inputs)
     exact = exact_per_iteration_values(r_lo, 1.0, p.h, p.N)
-    records = per_iteration_checks(body, p, 10, make_rng(1))
+    records = per_iteration_checks(body, p)
     for chk, value in zip(records, exact):
         assert chk.empirical == pytest.approx(value, rel=1e-3)
         # the change from half the resolution covers the actual error
@@ -341,11 +338,11 @@ def test_grid_quadrature_reuses_the_given_oracle_and_no_randomness(annulus):
     p = planner.plan(ANNULUS_PLAN_INPUTS)
     rng = make_rng(2)
     oracle = GridOracle(annulus, resolution=100)
-    failure, trials = per_iteration_checks(annulus, p, 10, rng, oracle=oracle)
+    failure, trials = per_iteration_checks(annulus, p, oracle=oracle)
     assert rng.random() == make_rng(2).random()    # no draw was taken
     assert "resolution 100" in failure.note and "resolution 50" in trials.note
     # a coarser grid, a larger error, the same value to its error
-    fine = per_iteration_checks(annulus, p, 10, rng)
+    fine = per_iteration_checks(annulus, p)
     for coarse, ref in zip((failure, trials), fine):
         assert coarse.mc_std_error > ref.mc_std_error
         assert abs(coarse.empirical - ref.empirical) <= 3.0 * coarse.mc_std_error
@@ -356,7 +353,7 @@ def test_grid_quadrature_needs_a_coarser_grid(annulus, resolution):
     p = planner.plan(ANNULUS_PLAN_INPUTS)
     oracle = GridOracle(annulus, resolution=resolution)
     with pytest.raises(ValueError, match="resolution >= 4"):
-        per_iteration_checks(annulus, p, 10, make_rng(1), oracle=oracle)
+        per_iteration_checks(annulus, p, oracle=oracle)
 
 
 def test_grid_quadrature_names_an_empty_grid_of_half_the_resolution():
@@ -369,7 +366,7 @@ def test_grid_quadrature_names_an_empty_grid_of_half_the_resolution():
     with pytest.raises(ValueError, match="^no grid cell center lies inside the body$"):
         GridOracle(body, resolution=2)
     with pytest.raises(ValueError) as err:
-        per_iteration_checks(body, p, 10, make_rng(1), oracle=oracle)
+        per_iteration_checks(body, p, oracle=oracle)
     assert str(err.value) == (
         "grid quadrature measures its error as the change from a grid of half the "
         "resolution, and no cell center of the resolution-2 grid lies inside the body "
@@ -524,8 +521,7 @@ def test_grid_diagnostics_hold_no_resolution_squared_temporary(annulus, tmp_path
     p = planner.plan(ANNULUS_PLAN_INPUTS)
     peak, oracle = traced_peak(lambda: GridOracle(annulus, resolution=400))
     assert peak < 1.0e6
-    peak, _ = traced_peak(lambda: per_iteration_checks(annulus, p, 10, make_rng(1),
-                                                       oracle=oracle))
+    peak, _ = traced_peak(lambda: per_iteration_checks(annulus, p, oracle=oracle))
     assert peak < 2.2e6
     pts = diagnostics.uniform_reference(annulus, make_rng(2), 20_000)
     peak, _ = traced_peak(lambda: grid_tv_check(annulus, pts, 16, oracle=oracle))
@@ -535,8 +531,7 @@ def test_grid_diagnostics_hold_no_resolution_squared_temporary(annulus, tmp_path
     # bitmap took the quadrature pair to 11.5 MB and 40.2 MB
     for resolution, bound in ((800, 5.0e6), (1600, 9.0e6)):
         oracle = GridOracle(annulus, resolution=resolution)
-        peak, _ = traced_peak(lambda: per_iteration_checks(
-            annulus, p, 10, make_rng(1), oracle=oracle))
+        peak, _ = traced_peak(lambda: per_iteration_checks(annulus, p, oracle=oracle))
         assert peak < bound, resolution
     # a whole diagnose on the README annulus config peaks in grid TV
     # (2.12 MB; 2.25 MB with every array of n_mc rows whole, 3.8 MB with
@@ -603,7 +598,7 @@ def test_radial_quadrature_matches_an_independent_integral(body, inputs, r_lo):
     p = planner.plan(inputs)
     exact = exact_per_iteration_values(r_lo, 1.0, p.h, p.N, n=body.dim)
     rng = make_rng(3)
-    records = per_iteration_checks(body, p, 10, rng)
+    records = per_iteration_checks(body, p)
     assert rng.random() == make_rng(3).random()    # no draw was taken
     # the nodes stop z sqrt(h) beyond the shell, which leaves out Y-mass
     # of at most 2e-6 / N: at most that much failure mass, 2e-6 trials.
@@ -633,7 +628,7 @@ def test_radial_quadrature_matches_the_disk_integral(unit_disk):
     exact = exact_per_iteration_values(0.0, 1.0, p.h, p.N)
     for value, other, want, left_out in zip(fine, coarse, exact, (2e-6 / p.N, 2e-6)):
         assert abs(value - want) <= abs(value - other) + left_out
-    assert "grid quadrature" in per_iteration_checks(unit_disk, p, 10, make_rng(1))[0].note
+    assert "grid quadrature" in per_iteration_checks(unit_disk, p)[0].note
 
 
 def test_radial_route_takes_only_shell_bodies_above_2d():
@@ -641,43 +636,21 @@ def test_radial_route_takes_only_shell_bodies_above_2d():
     ball = bodies.make_ball([0.0] * 3, 1.0)
     p = planner.plan(dataclasses.replace(SHELL_PLAN_INPUTS, alpha=1.0))
     wrapped = dataclasses.replace(ball, membership=lambda pts: ball.membership(pts))
-    plain, same = (per_iteration_checks(b, p, 200, make_rng(4), inner_mc=50)
-                   for b in (ball, wrapped))
+    plain, same = (per_iteration_checks(b, p) for b in (ball, wrapped))
     assert [c.to_dict() for c in plain] == [c.to_dict() for c in same]
     assert "radial quadrature" in plain[0].note
     box = bodies.make_box([-1.0] * 3, [1.0] * 3)
-    assert "zero inner hits" in per_iteration_checks(box, p, 200, make_rng(4),
-                                                     inner_mc=50)[0].note
-
-
-def test_trials_check_clamps_unresolvable_conductance():
-    # with a coarse inner estimate some smoothed-law points record zero
-    # hits; they must not each contribute ~N to the average
-    body = box_minus_ball_3d()
-    p = box_minus_ball_plan()
-    chk = expected_trials_check(body, p, n_mc=2000, rng=make_rng(30),
-                                inner_mc=300)
-    assert chk.n_samples == 2000
-    zero = re.search(r"(\d+)/2000 outer points had zero inner hits", chk.note)
-    assert int(zero.group(1)) > 0 and "clamped" in chk.note
-    # the clamp leaves the trials of the unresolved region out, a bias
-    # toward fewer trials that the SE does not cover, and the note says so
-    assert ("leaves out the trials of the region where the local conductance "
-            "is below 1/300" in chk.note)
-    assert "biased low by an amount its SE does not include" in chk.note
-    assert chk.empirical <= 300.0
-    assert chk.verdict == SATISFIED
-    assert chk.empirical < chk.theoretical_bound  # not saved by the SE
+    with pytest.raises(UnsupportedCheck, match="^no per-iteration quadrature for a "
+                       "3-D body without a shell"):
+        per_iteration_checks(box, p)
 
 
 def test_per_iteration_regime_gate(unit_disk):
     p = planner.plan(DISK_PLAN_INPUTS)
     with pytest.raises(ValueError, match="per-iteration regime"):
-        stationary_failure_check(unit_disk, dataclasses.replace(p, h=0.5),
-                                 n_mc=10, rng=make_rng(1))
+        stationary_failure_check(unit_disk, dataclasses.replace(p, h=0.5))
     with pytest.raises(ValueError, match="below the required"):
-        expected_trials_check(unit_disk, dataclasses.replace(p, N=10),
-                              n_mc=10, rng=make_rng(1))
+        expected_trials_check(unit_disk, dataclasses.replace(p, N=10))
 
 
 def test_per_iteration_gate_agrees_with_plan_consistency(annulus):
@@ -690,36 +663,28 @@ def test_per_iteration_gate_agrees_with_plan_consistency(annulus):
     assert p.h <= cap
     at_cap = dataclasses.replace(p, h=cap)
     assert planner.check_plan_consistency(at_cap, inputs).ok
-    per_iteration_checks(annulus, at_cap, n_mc=10, rng=make_rng(1), inner_mc=10)
+    per_iteration_checks(annulus, at_cap)
     above = dataclasses.replace(p, h=cap * (1.0 + 1e-9))
     assert any("per-iteration cap" in v for v in
                planner.check_plan_consistency(above, inputs).violations)
     with pytest.raises(ValueError, match="per-iteration regime"):
-        per_iteration_checks(annulus, above, n_mc=10, rng=make_rng(1), inner_mc=10)
+        per_iteration_checks(annulus, above)
 
 
-def test_per_iteration_checks_share_one_sample():
+def test_per_iteration_checks_share_one_sample(unit_disk):
+    # a body without a shell above 2-D has no route, in either wrapper
     body = box_minus_ball_3d()
     p = box_minus_ball_plan()
-    failure, trials = per_iteration_checks(body, p, 500, make_rng(21),
-                                           inner_mc=300)
-    assert "zero inner hits" in failure.note and failure.n_samples == 500
-    assert failure.to_dict() == stationary_failure_check(
-        body, p, 500, make_rng(21), inner_mc=300).to_dict()
-    assert trials.to_dict() == expected_trials_check(
-        body, p, 500, make_rng(21), inner_mc=300).to_dict()
-
-
-def test_monte_carlo_trials_are_the_closed_form_of_each_clamped_estimate():
-    # the record averages expected_trials_closed_form over the clamped
-    # estimates of the one conductance sample, one of them a zero-hit point
-    body = box_minus_ball_3d()
-    p = box_minus_ball_plan()
-    trials = expected_trials_check(body, p, 2000, make_rng(30), inner_mc=300)
-    ell = smoothed_conductance_samples(body, p.h, 2000, 300, make_rng(30))
-    assert np.count_nonzero(ell == 0.0) >= 1
-    want = [expected_trials_closed_form(max(e, 1.0 / 300), p.N) for e in ell]
-    assert trials.empirical == pytest.approx(math.fsum(want) / 2000, rel=1e-15)
+    for check in (per_iteration_checks, stationary_failure_check, expected_trials_check):
+        with pytest.raises(UnsupportedCheck, match="^no per-iteration quadrature for "
+                           "a 3-D body without a shell"):
+            check(body, p)
+    # on a grid body the wrappers are the records of one per_iteration_checks
+    p = planner.plan(DISK_PLAN_INPUTS)
+    failure, trials = per_iteration_checks(unit_disk, p)
+    assert "grid quadrature" in failure.note and failure.n_samples == trials.n_samples
+    assert failure.to_dict() == stationary_failure_check(unit_disk, p).to_dict()
+    assert trials.to_dict() == expected_trials_check(unit_disk, p).to_dict()
 
 
 def shell_at(n: int, center, r_in: float, r_out: float):
@@ -982,7 +947,7 @@ def test_only_a_body_without_a_distance_builds_the_kd_tree(annulus, monkeypatch)
     ij = oracle.cell_index(pts)
     assert not oracle.bitmap[ij[:, 0], ij[:, 1]].all()
     stationary_escape_check(annulus, p.h, 0.5, 2000, make_rng(4), oracle=oracle)
-    per_iteration_checks(annulus, p, 10, make_rng(5), oracle=oracle)
+    per_iteration_checks(annulus, p, oracle=oracle)
     certificate_soundness_check(annulus, 0.5, 2000, make_rng(6), oracle=oracle)
     grid_tv_check(annulus, pts, 16, oracle=oracle)
     with pytest.raises(AssertionError, match="KD-tree built"):
