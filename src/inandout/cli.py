@@ -108,11 +108,14 @@ def _number(sign: Optional[str] = None):
     return check
 
 
-def _list(check):
-    """Checker of a list whose every item passes check."""
+def _list(check, most: Optional[int] = None):
+    """Checker of a list whose every item passes check, of at most `most`
+    items if given."""
     def checked(value, where: str) -> list:
         if not isinstance(value, list):
             raise ConfigError(f"{where}: need a list, got {value!r}")
+        if most is not None and len(value) > most:
+            raise ConfigError(f"{where}: need at most {most} entries, got {len(value)}")
         return [check(v, f"{where}[{i}]") for i, v in enumerate(value)]
     return checked
 
@@ -206,11 +209,13 @@ _CONFIG = {
                     dict.fromkeys(_AUTO, "auto")),
     "run": _object({"n_chains": _COUNT, "seed": _SEED, "t_cap": _COUNT, "n_cap": _COUNT},
                    {"n_chains": 1, "seed": 0, "t_cap": None, "n_cap": None}),
-    # escape distances must be positive, dilations may be zero
+    # escape distances must be positive, dilations may be zero; at most
+    # 100 of each keeps their generator streams (derive_seed(seed, 100 + i)
+    # and 400 + i, see _diagnose_checks) off those keyed 200 and 500
     "diagnose": _object(
         {"seed": _SEED, "n_mc": _COUNT, "resolution": _integer(2),
-         "n_cells": _integer(2), "r_grid": _list(_POSITIVE),
-         "t_grid": _list(_NONNEGATIVE), "h_override": _POSITIVE},
+         "n_cells": _integer(2), "r_grid": _list(_POSITIVE, 100),
+         "t_grid": _list(_NONNEGATIVE, 100), "h_override": _POSITIVE},
         {"seed": 0, "n_mc": 20_000, "resolution": planner.RESOLUTION, "n_cells": 16,
          "r_grid": [0.25, 0.5, 1.0], "t_grid": [0.1, 0.5, 1.0], "h_override": None}),
 }

@@ -259,7 +259,7 @@ def smoothed_conductance_samples(body: Body, h: float, n_outer: int,
     Outer points follow X uniform, Y = X + sqrt(h) Z; each inner
     estimate uses inner_mc fresh proposals.  Returns the n_outer
     estimates in [0, 1].  No package code calls it: bench/micro.py times
-    it and bench/tracing.py wraps it, and ROADMAP item 4 retires it
+    it and bench/tracing.py wraps it, and ROADMAP item 3 retires it
     together with the benchmark's conductance metrics.
     """
     n = body.dim

@@ -43,14 +43,14 @@ returns at once.  The contract holds until the chain keeps these counts
 itself (the per-chain `RunStats` that ROADMAP.md plans).
 
 An ensemble splits its chains across P processes, one per usable core
-(`run_ensemble`), in one loop for every P: with P = 1 it makes no
-worker and runs every chain in the caller's process.  Workers send each
-result through a `multiprocessing.connection` pipe, which frames and
-pickles it.  Each chain's stream depends only on the master seed and
-its index, so the split changes no output.  A wrapper sees only the
-calls made in its own process, so while `backward_step` is bound to
-anything but this module's function P is 1, and an observer sees every
-chain.
+(`run_ensemble`), and every process runs its share in one loop,
+`_work`: with P = 1 the caller makes no worker and runs every chain.
+Each worker pickles its share's outcome into a plain `os.pipe` as one
+message, which the caller reads once its own share is done.  Each
+chain's stream depends only on the master seed and its index, so the
+split changes no output.  A wrapper sees only the calls made in its
+own process, so while `backward_step` is bound to anything but this
+module's function P is 1, and an observer sees every chain.
 """
 
 from __future__ import annotations
@@ -331,21 +331,26 @@ def run_ensemble(body: Body, warm_start: Callable[[np.random.Generator], np.ndar
     its warm-start draw and the chain itself, so any subset of chains
     reproduces identically regardless of execution order or process.
 
-    The chains run in P = min(n_chains, usable cores) processes, in
-    one loop for every P.  The caller's process runs chains 0, P, 2P,
-    ... and each of P - 1 forked workers runs the chains c = w (mod P),
-    w = 1 .. P - 1, and sends their results back through a pipe; each
-    result lands at its chain index.  P is 1, so the loop makes no
-    worker and runs every chain in order in the caller's process, when
+    The chains run in P = min(n_chains, usable cores) processes, each
+    in one loop over its share.  The caller's process runs chains 0, P,
+    2P, ... and each of P - 1 forked workers runs the chains c = w
+    (mod P), w = 1 .. P - 1, and sends back their results as one
+    message; each result lands at its chain index.  P is 1, so no worker
+    is made and every chain runs in order in the caller's process, when
     the platform has no `os.fork` or `os.sched_getaffinity` or when
     `backward_step` is observed (see the module docstring).
 
     An ensemble raises what chains run in order would: the exception of
-    the lowest chain index that raised, in either process.  A worker
-    that ends before reporting a chain raises RuntimeError, with its
-    wait status, at that chain.  On every way out, an exception or an
-    interrupt included, the workers still running are killed and every
-    worker is waited for.
+    the lowest chain index that raised, in any process.  A process stops
+    at its first chain that raises.  The caller reads the workers'
+    messages only once its own share has ended, so a worker's exception
+    is seen then, not between the caller's chains; and when the caller
+    raises at chain c, it still waits for each worker holding a chain
+    below c to finish or raise.  A worker that ends without its message,
+    killed or interrupted, raises RuntimeError with its wait status at
+    its first chain, since none of its results arrived.  On every way
+    out, an exception or an interrupt included, the workers still
+    running are killed and every worker is waited for.
     """
     if n_chains < 1:
         raise ValueError(f"need at least one chain, got {n_chains}")
@@ -376,126 +381,113 @@ def _processes(n_chains: int) -> int:
 
 def _run_split(chain: Callable[[int], RunResult], n_chains: int, P: int) -> list:
     results = [None] * n_chains
-    raised = []  # (chain index, exception) of each chain known to have raised
     workers = []
     try:
         for w in range(1, P):
             workers.append(_Worker(chain, range(w, n_chains, P)))
-        end = n_chains  # the lowest chain index known to have raised
-        for c in range(0, n_chains, P):
-            if c > end:
-                break
-            try:
-                results[c] = chain(c)
-            except Exception as exc:
-                raised.append((c, exc))
-                end = c
-                break
-            for worker in workers:  # keep the pipes from filling up
-                worker.receive(results, n_chains, block=False)
-                end = min(end, worker.raised[0] if worker.raised else n_chains)
+        # lowest: (index, exception) of the lowest chain known to have raised
+        done, lowest = _work(chain, range(0, n_chains, P))
+        results[:P * len(done):P] = done
         # chains run in order would stop at the first that raises, so
-        # only the chains below it have to report
-        for worker in workers:
-            worker.receive(results, end, block=True)
-            if worker.raised:
-                raised.append(worker.raised)
-                end = min(end, worker.raised[0])
+        # only the workers holding a chain below it have to report
+        for w, worker in enumerate(workers, 1):
+            if lowest is not None and w >= lowest[0]:
+                break
+            done, raised = worker.receive()
+            results[w:w + P * len(done):P] = done
+            if raised is not None and (lowest is None or raised[0] < lowest[0]):
+                lowest = raised
     finally:
         for worker in workers:
             worker.reap()
-    if raised:
-        raise min(raised, key=lambda r: r[0])[1]
+    if lowest is not None:
+        raise lowest[1]
     return results
 
 
 class _Worker:
-    """A forked process that runs the chains `indices` in order.
+    """A forked process that runs `_work` on the chains `indices`.
 
-    It sends one message per chain through a one-way
-    `multiprocessing.connection` pipe, (index, RunResult, None), and
-    stops after a chain that raised, whose message is (index, None,
-    exception).  It leaves only through os._exit, so it runs none of
-    the caller's `finally` or `atexit` code and flushes none of its
-    buffers.
+    It pickles `_work`'s outcome, (results, (index, exception) or None),
+    into a one-way pipe as its one message, which ends at EOF, and
+    leaves only through os._exit, so it runs none of the caller's
+    `finally` or `atexit` code and flushes none of its buffers.  An
+    exception that does not survive pickling is sent as RuntimeError.
+    An interrupt (a BaseException that is not an Exception) ends the
+    worker without a message; `receive` then reports the worker's wait
+    status at its first chain, as it does for a worker that dies.
     """
 
-    __slots__ = ("pid", "conn", "indices", "raised")
+    __slots__ = ("pid", "fd", "first")
 
     def __init__(self, chain: Callable[[int], RunResult], indices: range):
-        # imported here: plan, diagnose and one-process ensembles never
-        # make a worker, and multiprocessing costs them its import
-        from multiprocessing.connection import Pipe
-
-        r, w = Pipe(duplex=False)
+        r, w = os.pipe()
         try:
             pid = os.fork()
         except BaseException:
-            r.close()
-            w.close()
+            os.close(r)
+            os.close(w)
             raise
         if pid == 0:
             code = 1
             try:
                 # garbage the caller left is not the worker's to finalize
                 gc.freeze()
-                r.close()
-                _work(chain, indices, w)
+                os.close(r)
+                done, raised = _work(chain, indices)
+                if raised is not None:
+                    c, exc = raised
+                    try:
+                        # one that the caller cannot unpickle would read
+                        # as a worker that died
+                        pickle.loads(pickle.dumps(exc))
+                    except Exception:
+                        raised = (c, RuntimeError(f"chain {c} raised {exc!r}"))
+                with open(w, "wb") as f:
+                    pickle.dump((done, raised), f)
                 code = 0
             finally:
                 os._exit(code)
-        w.close()
-        self.pid, self.conn = pid, r
-        self.indices = indices  # the chains still to report
-        self.raised = None  # (index, exception) of the chain that raised
+        os.close(w)
+        self.pid, self.fd, self.first = pid, r, indices[0]
 
-    def receive(self, results: list, end: int, block: bool):
-        """Reads messages until every chain below `end` has reported;
-        without `block`, only while a message has begun to arrive."""
-        while self.raised is None and self.indices and self.indices[0] < end:
-            if not block and not self.conn.poll():
-                return
-            try:
-                c, result, exc = self.conn.recv()
-            except (EOFError, OSError):  # OSError: the end came mid-message
-                _, status = os.waitpid(self.pid, 0)
-                self.pid = None
-                self.raised = (self.indices[0], RuntimeError(
-                    f"the worker running chain {self.indices[0]} ended "
-                    f"with wait status {status} before reporting it"))
-                return
-            self.indices = self.indices[1:]
-            if exc is not None:
-                self.raised = (c, exc)
-                return
-            # unpickled arrays share the message's bytes
+    def receive(self) -> tuple:
+        """The worker's (results, (index, exception) or None), read to EOF."""
+        try:
+            with open(self.fd, "rb", closefd=False) as f:
+                done, raised = pickle.load(f)
+        except (EOFError, pickle.UnpicklingError):  # no message, or part of one
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            return [], (self.first, RuntimeError(
+                f"the worker running chain {self.first} ended "
+                f"with wait status {status} before reporting it"))
+        # an array unpickled under protocol 5 does not own its data
+        for result in done:
             for name in ("point", "y_at_failure"):
                 a = getattr(result, name)
                 if a is not None:
                     setattr(result, name, a.copy())
-            results[c] = result
+        return done, raised
 
     def reap(self):
-        self.conn.close()
+        os.close(self.fd)
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
 
 
-def _work(chain: Callable[[int], RunResult], indices: range, conn):
+def _work(chain: Callable[[int], RunResult], indices: range) -> tuple:
+    """Runs the chains `indices` in order, up to the first that raises an
+    Exception: (the results before it, (its index, exception) or None).
+    Interrupts propagate."""
+    results = []
     for c in indices:
         try:
-            message = (c, chain(c), None)
-        except BaseException as exc:  # MemoryError and interrupts included
-            try:
-                # send pickles the exception but never unpickles it
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                exc = RuntimeError(f"chain {c} raised {exc!r}")
-            message = (c, None, exc)
-        conn.send(message)
-        if message[2] is not None:
-            return
+            results.append(chain(c))
+        except Exception as exc:
+            return results, (c, exc)
+    return results, None
 
 
 def failure_rate_by_iteration(results) -> np.ndarray:

@@ -625,3 +625,59 @@ def test_split_ensemble_reaps_its_workers_on_a_timeout(annulus, time_limit):
         with time_limit(1):
             run_ensemble(annulus, ws, small_plan(10**7, 0.01, 10**6), 2, 3)
     no_children_left()
+
+
+@two_cores
+def test_split_ensemble_reports_a_worker_exception_that_cannot_be_pickled(annulus,
+                                                                         time_limit):
+    def worker(k):
+        raise ValueError(lambda: 0)
+
+    with time_limit(20):
+        with pytest.raises(RuntimeError, match=r"chain 1 raised ValueError\("):
+            run_ensemble(annulus, by_process(annulus, lambda k: None, worker),
+                         small_plan(5, 0.01, 10**6), 2, 3)
+    no_children_left()
+
+
+@two_cores
+def test_split_ensemble_reports_a_dead_worker_at_its_first_chain(annulus, time_limit,
+                                                                 monkeypatch):
+    # a worker reports its chains in one message, so when it dies at its
+    # second chain (3) none of its results arrive, its first (1) included
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def worker(k):
+        if k == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    with time_limit(20):
+        with pytest.raises(RuntimeError,
+                           match=f"chain 1 ended with wait status {signal.SIGKILL}"):
+            run_ensemble(annulus, by_process(annulus, lambda k: None, worker),
+                         small_plan(5, 0.01, 10**6), 4, 3)
+    no_children_left()
+
+
+@two_cores
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open file descriptors in /proc/self/fd")
+def test_split_ensembles_leave_no_fd_or_process_behind(annulus, time_limit):
+    cases = [
+        (lambda k: None, lambda k: None, None),
+        (lambda k: None, fail("worker"), ValueError),
+        (fail("caller"), lambda k: None, ValueError),
+        (lambda k: None, lambda k: os.kill(os.getpid(), signal.SIGKILL), RuntimeError),
+    ]
+    fds = len(os.listdir("/proc/self/fd"))
+    with time_limit(60):
+        for _ in range(5):
+            for caller, worker, expected in cases:
+                ws = by_process(annulus, caller, worker)
+                if expected is None:
+                    run_ensemble(annulus, ws, small_plan(5, 0.01, 10**6), 4, 3)
+                else:
+                    with pytest.raises(expected):
+                        run_ensemble(annulus, ws, small_plan(5, 0.01, 10**6), 4, 3)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    no_children_left()
