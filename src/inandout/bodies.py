@@ -174,6 +174,22 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
+def _ball_volume(n: int, r: float) -> float:
+    """Volume of an n-dimensional ball of radius r, inf past the float range.
+
+    The direct product is kept wherever it is finite; where a factor
+    overflows (gamma from n = 342 on, or r**n), the sum of logarithms
+    is used instead."""
+    try:
+        return unit_ball_volume(n) * r**n
+    except OverflowError:
+        try:
+            return math.exp(n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0 + 1.0)
+                            + n * math.log(r))
+        except OverflowError:
+            return math.inf
+
+
 def make_ball(center, radius: float) -> Body:
     """Closed Euclidean ball with the convex certificate (1, 1/radius)."""
     center = _freeze(center)
@@ -198,7 +214,7 @@ def make_ball(center, radius: float) -> Body:
         dim=n,
         membership=membership,
         bbox=(center - r, center + r),
-        exact_volume=unit_ball_volume(n) * r**n,
+        exact_volume=_ball_volume(n, r),
         growth=GrowthCertificate(1.0, 1.0 / r, GrowthSource.CONVEX),
         inner_ball=(center, r),
         interior=interior,
@@ -567,7 +583,7 @@ def _refute_volume_claim(body: Body, drawn: int):
     """Raise EmptyBodyError if drawn hitless bbox draws refute the body's volume."""
     claimed = body.exact_volume
     if claimed is None and body.inner_ball is not None:
-        claimed = unit_ball_volume(body.dim) * body.inner_ball[1] ** body.dim
+        claimed = _ball_volume(body.dim, body.inner_ball[1])
     if claimed is None:
         return
     lo, hi = body.bbox

@@ -10,7 +10,9 @@ Three subcommands share one JSON config format:
 
 Exit codes: 0 success / all bounds satisfied, 1 a bound or consistency
 check failed, 2 invalid config (an empty body, or work too large to
-allocate, included), 3 I/O failure.
+allocate, included), 3 I/O failure.  `diagnose` exits 1 exactly when a
+record of its report is a `hypothesis_violation` or has a verdict other
+than `satisfied`.
 
 Floats in every emitted document are formatted with 17 significant
 digits, which round-trips 64-bit values exactly and keeps reruns
@@ -210,8 +212,8 @@ _CONFIG = {
     "run": _object({"n_chains": _COUNT, "seed": _SEED, "t_cap": _COUNT, "n_cap": _COUNT},
                    {"n_chains": 1, "seed": 0, "t_cap": None, "n_cap": None}),
     # escape distances must be positive, dilations may be zero; at most
-    # 100 of each keeps their generator streams (derive_seed(seed, 100 + i)
-    # and 400 + i, see _diagnose_checks) off those keyed 200 and 500
+    # 100 of each keeps their generator streams (keys 100 + i and 400 + i
+    # of stream() in _diagnose_checks) off those keyed 200 and 500
     "diagnose": _object(
         {"seed": _SEED, "n_mc": _COUNT, "resolution": _integer(2),
          "n_cells": _integer(2), "r_grid": _list(_POSITIVE, 100),
@@ -304,6 +306,17 @@ def _load_json(path: str, what: str) -> dict:
 # ------------------------------------------------------------ commands
 
 
+def _emit(obj, path: Optional[str], what: str):
+    """Print obj as a canonical document, first written to path if one is given."""
+    doc = dumps_canonical(obj)
+    if path is not None:
+        try:
+            Path(path).write_text(doc + "\n", encoding="utf-8")
+        except OSError as e:
+            raise OSError(f"cannot write {what} {path}: {e}") from e
+    print(doc)
+
+
 def plan_document(inputs: planner.PlanInputs, p: planner.Plan,
                   report) -> dict:
     return {
@@ -316,13 +329,7 @@ def plan_document(inputs: planner.PlanInputs, p: planner.Plan,
 def cmd_plan(cfg: RunConfig, out_path: Optional[str]) -> int:
     inputs, _, p = resolve_run(cfg)
     report = planner.check_plan_consistency(p, inputs)
-    doc = dumps_canonical(plan_document(inputs, p, report))
-    if out_path:
-        try:
-            Path(out_path).write_text(doc + "\n", encoding="utf-8")
-        except OSError as e:
-            raise OSError(f"cannot write plan {out_path}: {e}") from e
-    print(doc)
+    _emit(plan_document(inputs, p, report), out_path or None, "plan")
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
@@ -374,11 +381,19 @@ def cmd_sample(cfg: RunConfig, out_dir: str, seed_override: Optional[int],
 
 
 def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
-                     samples: Optional[np.ndarray]) -> tuple:
-    """Run every applicable check; returns (records, any_violation)."""
+                     samples: Optional[np.ndarray]) -> list:
+    """The records of every applicable check, in order: the dicts a check
+    returns with status "ran", or one record per name of a check that was
+    skipped or whose hypotheses do not hold."""
     from . import diagnostics, sampler
 
     seed, n_mc, n_cells = diag["seed"], diag["n_mc"], diag["n_cells"]
+
+    def stream(key: int) -> np.random.Generator:
+        # keys: 100 + i for escape radius i, 200 for the draw above 2-D,
+        # 400 + i for dilation i and 500 for grid_tv
+        return sampler.make_rng(sampler.derive_seed(seed, key))
+
     oracle = None
     if body.dim == 2:
         try:
@@ -389,30 +404,11 @@ def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
     else:
         # one draw refutes a false volume claim (EmptyBodyError), as the
         # empty bitmap does in 2-D, even when every check is skipped
-        diagnostics.uniform_reference(
-            body, sampler.make_rng(sampler.derive_seed(seed, 200)), 1)
+        diagnostics.uniform_reference(body, stream(200), 1)
 
-    records = []
-    violated = False
-
-    def run(names, fn):
-        """Record the check dicts fn returns, one per name, or why none ran."""
-        nonlocal violated
-        try:
-            checks = fn()
-        except diagnostics.UnsupportedCheck as e:
-            records.extend({"name": name, "status": "skipped", "reason": str(e)}
-                           for name in names)
-            return
-        except ValueError as e:
-            records.extend({"name": name, "status": "hypothesis_violation",
-                            "reason": str(e)} for name in names)
-            violated = True
-            return
-        for check in checks:
-            records.append({**check, "status": "ran"})
-            if check["verdict"] != diagnostics.SATISFIED:
-                violated = True
+    def bound_check(check, *args):
+        """The run of a check that returns one BoundCheck."""
+        return lambda: [check(*args, oracle=oracle).to_dict()]
 
     def grid_tv():
         if oracle is None:
@@ -421,34 +417,38 @@ def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
             raise ValueError(f"config.diagnose.n_cells: {n_cells} is more than the "
                              f"{oracle.n_occupied} cells the body occupies at "
                              f"resolution {diag['resolution']}")
-        rng = sampler.make_rng(sampler.derive_seed(seed, 500))
+        pts, src = samples, "supplied sample file"
         if samples is None:
-            pts = diagnostics.uniform_reference(body, rng, max(n_mc, 5 * n_cells))
+            pts = diagnostics.uniform_reference(body, stream(500), max(n_mc, 5 * n_cells))
             route = "bbox rejection" if body.shell is None else "radial draw"
             src = f"exact-uniform reference ({route})"
-        else:
-            pts = samples
-            src = "supplied sample file"
         tv = diagnostics.grid_tv_check(body, pts, n_cells, oracle=oracle)
-        # "status" sits second, where run() puts it without moving it
+        # "status" sits second, where the record keeps it
         return [{"name": "grid_tv", "status": "ran", **dataclasses.asdict(tv),
                  "note": f"samples: {src}"}]
 
-    for i, r in enumerate(diag["r_grid"]):
-        rng = sampler.make_rng(sampler.derive_seed(seed, 100 + i))
-        run([f"stationary_escape(r={r})"],
-            lambda r=r, rng=rng: [diagnostics.stationary_escape_check(
-                body, p.h, r, n_mc, rng, oracle=oracle).to_dict()])
-    run(["stationary_failure", "expected_trials"],
-        lambda: [c.to_dict() for c in diagnostics.per_iteration_checks(
-            body, p, oracle=oracle)])
-    for i, t in enumerate(diag["t_grid"]):
-        rng = sampler.make_rng(sampler.derive_seed(seed, 400 + i))
-        run([f"certificate_soundness(t={t})"],
-            lambda t=t, rng=rng: [diagnostics.certificate_soundness_check(
-                body, t, n_mc, rng, oracle=oracle).to_dict()])
-    run(["grid_tv"], grid_tv)
-    return records, violated
+    table = [
+        *(([f"stationary_escape(r={r})"], bound_check(
+            diagnostics.stationary_escape_check, body, p.h, r, n_mc, stream(100 + i)))
+          for i, r in enumerate(diag["r_grid"])),
+        (["stationary_failure", "expected_trials"],
+         lambda: [c.to_dict() for c in diagnostics.per_iteration_checks(
+             body, p, oracle=oracle)]),
+        *(([f"certificate_soundness(t={t})"], bound_check(
+            diagnostics.certificate_soundness_check, body, t, n_mc, stream(400 + i)))
+          for i, t in enumerate(diag["t_grid"])),
+        (["grid_tv"], grid_tv),
+    ]
+    records = []
+    for names, run in table:
+        try:
+            records += [{**check, "status": "ran"} for check in run()]
+        except (diagnostics.UnsupportedCheck, ValueError) as e:
+            status = ("skipped" if isinstance(e, diagnostics.UnsupportedCheck)
+                      else "hypothesis_violation")
+            records += [{"name": name, "status": status, "reason": str(e)}
+                        for name in names]
+    return records
 
 
 def _read_samples(path: str, dim: int) -> np.ndarray:
@@ -500,21 +500,13 @@ def cmd_diagnose(cfg: RunConfig, out_path: str, seed_override: Optional[int],
         p = dataclasses.replace(p, h=float(diag["h_override"]))
 
     samples = None if samples_path is None else _read_samples(samples_path, body.dim)
-    records, violated = _diagnose_checks(body, p, diag, samples)
-    report = {
-        "checks": records,
-        "environment": {
-            **{k: diag[k] for k in ("seed", "n_mc", "resolution")},
-            "h": p.h,
-        },
-    }
-    doc = dumps_canonical(report)
-    try:
-        Path(out_path).write_text(doc + "\n", encoding="utf-8")
-    except OSError as e:
-        raise OSError(f"cannot write report {out_path}: {e}") from e
-    print(doc)
-    return EXIT_CHECK_FAILED if violated else EXIT_OK
+    records = _diagnose_checks(body, p, diag, samples)
+    env = {**{k: diag[k] for k in ("seed", "n_mc", "resolution")}, "h": p.h}
+    _emit({"checks": records, "environment": env}, out_path, "report")
+    from .diagnostics import SATISFIED
+    return EXIT_CHECK_FAILED if any(
+        r["status"] == "hypothesis_violation" or r.get("verdict", SATISFIED) != SATISFIED
+        for r in records) else EXIT_OK
 
 
 # --------------------------------------------------------------- main

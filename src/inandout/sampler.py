@@ -440,11 +440,13 @@ class _Worker:
                     try:
                         # one that the caller cannot unpickle would read
                         # as a worker that died
-                        pickle.loads(pickle.dumps(exc))
+                        pickle.loads(pickle.dumps(exc, protocol=4))
                     except Exception:
                         raised = (c, RuntimeError(f"chain {c} raised {exc!r}"))
+                # an array unpickled from protocol 4 owns its data; one
+                # from protocol 5 would be a view of the message
                 with open(w, "wb") as f:
-                    pickle.dump((done, raised), f)
+                    pickle.dump((done, raised), f, protocol=4)
                 code = 0
             finally:
                 os._exit(code)
@@ -462,12 +464,6 @@ class _Worker:
             return [], (self.first, RuntimeError(
                 f"the worker running chain {self.first} ended "
                 f"with wait status {status} before reporting it"))
-        # an array unpickled under protocol 5 does not own its data
-        for result in done:
-            for name in ("point", "y_at_failure"):
-                a = getattr(result, name)
-                if a is not None:
-                    setattr(result, name, a.copy())
         return done, raised
 
     def reap(self):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -61,6 +62,42 @@ def test_ball_volume_formula_small_dimensions():
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
 
 
+def mpmath_ball_volume(n, r):
+    with mpmath.workdps(40):
+        n = mpmath.mpf(n)
+        return float(mpmath.pi ** (n / 2) / mpmath.gamma(n / 2 + 1) * mpmath.mpf(r) ** n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 57, 100, 171, 250, 300, 341])
+@pytest.mark.parametrize("r", [0.75, 1.0, 2.0, 7.25, 20.0])
+def test_ball_volume_keeps_the_direct_product_where_it_is_finite(n, r):
+    try:
+        direct = math.pi ** (n / 2) / math.gamma(n / 2 + 1) * r**n
+    except OverflowError:  # r**n past the float range
+        direct = None
+    volume = make_ball([0.0] * n, r).exact_volume
+    if direct is not None:
+        assert volume == direct
+    assert volume == pytest.approx(mpmath_ball_volume(n, r), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,r", [(342, 1.0), (342, 20.0), (400, 1.0), (400, 20.0)])
+def test_ball_volume_past_the_gamma_overflow_matches_mpmath(n, r):
+    # math.gamma(n / 2 + 1) overflows from n = 342 on
+    with pytest.raises(OverflowError):
+        math.gamma(n / 2 + 1)
+    assert make_ball([0.0] * n, r).exact_volume == pytest.approx(mpmath_ball_volume(n, r),
+                                                                 rel=1e-12)
+
+
+def test_inner_ball_claim_past_the_gamma_overflow_is_computed():
+    # a 400-D star whose core ball is its only volume claim: 64 hitless
+    # draws are far too few to refute it, and the claim itself is finite
+    star = star_shaped([make_box([-1.0] * 400, [1.0] * 400)], 1.0)
+    assert star.exact_volume is None
+    assert bodies._refute_volume_claim(star, 64) is None
+
+
 def test_box_basics():
     b = make_box([0.0, 0.0, 0.0], [2.0, 1.0, 4.0])
     assert b.exact_volume == 8.0
@@ -95,6 +132,8 @@ def test_extent_and_volume_must_be_finite():
         union(halves, 1e8)
     with pytest.raises(ValueError, match="exact volume must be positive and finite"):
         make_box([0.0, 0.0], [1e200, 1e200])
+    with pytest.raises(ValueError, match="exact volume must be positive and finite"):
+        make_ball([0.0, 0.0], 1e300)
 
 
 def test_polytope_matches_box_on_probes():

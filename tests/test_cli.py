@@ -220,8 +220,11 @@ def annulus_with(**outer):
     # finite corners whose difference overflows
     ({"kind": "box", "lo": [-1e308, 0.0], "hi": [1e308, 1.0]},
      "body: bbox must have a positive, finite extent"),
+    # a finite radius whose ball volume overflows
+    ({"kind": "ball", "center": [0, 0], "radius": 1e300},
+     "body: exact volume must be positive and finite, got inf"),
 ], ids=["bool-radius", "bool-center", "inf-lo", "nan-volume", "string-in-A",
-        "null-b-of-a-part", "overflowing-box"])
+        "null-b-of-a-part", "overflowing-box", "overflowing-ball"])
 def test_bad_body_values_exit_2(tmp_path, capsys, body, message):
     cfg = write_config(tmp_path, {"body": body, "plan": ANNULUS_PLAN,
                                   "run": {"t_cap": 5, "n_cap": 10}})
@@ -295,6 +298,17 @@ def test_plan_command_desk_scale_overflow(tmp_path, capsys):
     })
     assert main(["plan", "--config", cfg]) == EXIT_CHECK_FAILED
     assert "desk-scale" in capsys.readouterr().err
+
+
+def test_plan_command_on_a_400d_ball(tmp_path, capsys):
+    # math.gamma overflows in the ball's volume from 342-D on; the volume
+    # (8.81e244) and the plan are in range
+    ball = {"kind": "ball", "center": [0.0] * 400, "radius": 20.0}
+    cfg = write_config(tmp_path, {"body": ball, "plan": ANNULUS_PLAN})
+    assert main(["plan", "--config", cfg]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["inputs"]["n"] == 400
+    assert doc["plan"]["T"] == 394_913_199
 
 
 # --------------------------------------------------------------- sample
@@ -741,6 +755,70 @@ def test_diagnose_command_skips_unsupported_in_5d(tmp_path):
                                        "without a shell")
     ran = [c for c in report["checks"] if c["status"] == "ran"]
     assert all(c["verdict"] == "satisfied" for c in ran)
+
+
+SIMPLEX_5D = {
+    "kind": "polytope",
+    "A": [[-1 if j == i else 0 for j in range(5)] for i in range(5)] + [[1, 1, 1, 1, 1]],
+    "b": [0, 0, 0, 0, 0, 1],
+    "inner_center": [1.0 / (5.0 + math.sqrt(5.0))] * 5,
+    "inner_radius": 1.0 / (5.0 + math.sqrt(5.0)),
+}
+PER_ITERATION = ("stationary_failure", "expected_trials")
+
+
+def outcomes(names, outcome):
+    return dict.fromkeys(names, outcome)
+
+
+def bench_config(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", "configs", name)
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("doc,one_sector,expected,code", [
+    # the README config: every record ran and is satisfied
+    (bench_config("annulus.json"), False,
+     outcomes(["stationary_escape(r=0.25)", "stationary_escape(r=0.5)", *PER_ITERATION,
+               "certificate_soundness(t=0.5)", "grid_tv"], "satisfied"), EXIT_OK),
+    # a step above the per-iteration cap
+    (diagnose_config(h_override=0.5), False,
+     {**outcomes(["stationary_escape(r=0.5)", *PER_ITERATION], "hypothesis_violation"),
+      **outcomes(["certificate_soundness(t=0.5)", "grid_tv"], "satisfied")},
+     EXIT_CHECK_FAILED),
+    # more cells than the annulus occupies at resolution 400
+    (diagnose_config(n_cells=200_000), False,
+     {**outcomes(["stationary_escape(r=0.5)", *PER_ITERATION,
+                  "certificate_soundness(t=0.5)"], "satisfied"),
+      "grid_tv": "hypothesis_violation"}, EXIT_CHECK_FAILED),
+    # a sample file whose every point lies in one sector
+    (diagnose_config(), True,
+     {**outcomes(["stationary_escape(r=0.5)", *PER_ITERATION,
+                  "certificate_soundness(t=0.5)"], "satisfied"),
+      "grid_tv": "violated_beyond_3se"}, EXIT_CHECK_FAILED),
+    # nothing applies to the 5-D simplex, and no record fails
+    ({"body": SIMPLEX_5D, "plan": {"q": 2, "eps": 0.2, "M": 1, "C_PI": 1},
+      "diagnose": {"seed": 1, "n_mc": 400, "r_grid": [0.5], "t_grid": [0.5]}}, False,
+     outcomes(["stationary_escape(r=0.5)", *PER_ITERATION,
+               "certificate_soundness(t=0.5)", "grid_tv"], "skipped"), EXIT_OK),
+], ids=["readme", "h_override", "n_cells", "one_sector", "simplex_5d"])
+def test_diagnose_exit_code_is_read_from_its_records(tmp_path, doc, one_sector,
+                                                     expected, code):
+    out = tmp_path / "report.json"
+    argv = ["diagnose", "--config", write_config(tmp_path, doc), "--out", str(out)]
+    if one_sector:
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text('{"outcome": "success", "x": [0.75, 0.01]}\n' * 200,
+                           encoding="utf-8")
+        argv += ["--samples", str(samples)]
+    got = main(argv)
+    records = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    assert {r["name"]: r["verdict"] if r["status"] == "ran" else r["status"]
+            for r in records} == expected
+    failed = any(r["status"] == "hypothesis_violation"
+                 or r.get("verdict", "satisfied") != "satisfied" for r in records)
+    assert got == (EXIT_CHECK_FAILED if failed else EXIT_OK) == code
 
 
 def cube_config(**diag):
