@@ -85,9 +85,10 @@ class Body:
     shell, when set, is (center, r_in, r_out) and states that the body
     is exactly the closed shell r_in <= |x - center| <= r_out (a ball
     when r_in is 0), membership and interior being make_ball's radius
-    tests.  exclusion fuses such tests, and diagnostics draws and
-    integrates such bodies in the radius; a copy whose membership wraps
-    the original keeps it, one that changes the set must drop it.
+    tests.  exclusion fuses such tests, sample_uniform draws such bodies
+    in the radius and diagnostics integrates them there; a copy whose
+    membership wraps the original keeps it, one that changes the set
+    must drop it.
     """
 
     dim: int
@@ -514,11 +515,11 @@ def star_shaped(parts: Sequence[Body], core_inner_radius: float) -> Body:
         if p.growth is None or p.growth.source is not GrowthSource.CONVEX:
             raise ValueError(f"part {i} is not certified convex")
 
-    # deterministic probe batch: uniform in the core ball
-    probe_rng = np.random.default_rng(20240917)
-    z = probe_rng.standard_normal((_STAR_PROBES, n))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    probes = z * (r * probe_rng.random((_STAR_PROBES, 1)) ** (1.0 / n))
+    # deterministic probe batch: uniform in the core ball, by
+    # sample_uniform's radial draw (make_ball refuses a core ball whose
+    # volume underflows, as in high dimension)
+    probes = _radial_draw((np.zeros(n), 0.0, r), np.random.default_rng(20240917),
+                          _STAR_PROBES)
     for i, p in enumerate(parts):
         if not np.all(p.membership(probes)):
             raise CertificateError(
@@ -544,31 +545,41 @@ def with_growth(body: Body, alpha: float, beta: float) -> Body:
 
 # hits a body's claimed volume must expect before zero hits refute it
 _EXPECTED_HITS = 64
+# rows per block of the radial draw's uniforms; diagnostics takes it as
+# its points per membership or distance call
+ORACLE_BLOCK_POINTS = 8192
 
 
 def sample_uniform(body: Body, rng: np.random.Generator, size: Optional[int] = None):
-    """Exact uniform samples from the body by rejection from its bbox.
+    """Exact uniform samples from the body, the one draw of every caller.
 
     Returns one point of shape (dim,) when size is None, else an array
-    (size, dim).  Draws are sequential on the supplied generator, so
+    (size, dim); the point is row 0 of a size-1 draw from the same
+    generator state.  Draws are sequential on the supplied generator, so
     results are reproducible for a fixed generator state.
 
-    Raises EmptyBodyError when no draw has hit after enough draws that
-    the body's claimed volume (its exact volume, else its inner ball's)
-    expects 64 hits: under a true claim that happens with probability
-    e^-64.  A body with neither claim is sampled without this check.
+    A body with a shell is drawn in the radius (_radial_draw), at a cost
+    linear in size and dim.  Any other body is drawn by rejection from
+    its bbox, vol(bbox) / vol(body) draws per point in expectation, in
+    batches of 64 up to 65536 draws.  Rejection raises EmptyBodyError
+    when no draw has hit after enough draws that the body's claimed
+    volume (its exact volume, else its inner ball's) expects 64 hits:
+    under a true claim that happens with probability e^-64.  A body with
+    neither claim is sampled without this check.
     """
-    lo, hi = body.bbox
     want = 1 if size is None else int(size)
     if want < 1:
         raise ValueError(f"size must be positive, got {size}")
+    if body.shell is not None:
+        out = _radial_draw(body.shell, rng, want)
+        return out[0] if size is None else out
     out = np.empty((want, body.dim))
     got = drawn = 0
     # modest batches keep single-sample calls cheap while amortizing
     # vectorized membership for bulk requests
     batch = max(64, min(4 * want, 65536))
     while got < want:
-        pts = rng.uniform(lo, hi, size=(batch, body.dim))
+        pts = rng.uniform(*body.bbox, size=(batch, body.dim))
         keep = pts[body.membership(pts)]
         take = min(want - got, keep.shape[0])
         out[got:got + take] = keep[:take]
@@ -577,6 +588,29 @@ def sample_uniform(body: Body, rng: np.random.Generator, size: Optional[int] = N
         if got == 0:
             _refute_volume_claim(body, drawn)
     return out[0] if size is None else out
+
+
+def _radial_draw(shell: tuple, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size exact uniform points of the shell r_in <= |x - c| <= r_out.
+
+    A direction g / |g| from g = rng.standard_normal((size, n)), then
+    u = rng.random(size) and rho = (r_in^n + u (r_out^n - r_in^n))^(1/n),
+    taken as r_out (t + u (1 - t))^(1/n) with t = (r_in / r_out)^n so no
+    power overflows.  g is drawn whole and becomes the points; the
+    uniforms are drawn and applied ORACLE_BLOCK_POINTS rows at a time,
+    after all of g, with the bits of one call.  A shell is never empty
+    (Body requires r_in < r_out), so no volume claim needs refuting.
+    """
+    c, r_in, r_out = shell
+    n = c.shape[0]
+    g = rng.standard_normal((size, n))
+    t = (r_in / r_out) ** n
+    for i in range(0, size, ORACLE_BLOCK_POINTS):
+        x = g[i:i + ORACLE_BLOCK_POINTS]
+        rho = r_out * (t + rng.random(x.shape[0]) * (1.0 - t)) ** (1.0 / n)
+        x *= (rho / _radius(x, 0.0))[:, None]
+        x += c
+    return g
 
 
 def _refute_volume_claim(body: Body, drawn: int):

@@ -12,7 +12,8 @@ Exit codes: 0 success / all bounds satisfied, 1 a bound or consistency
 check failed, 2 invalid config (an empty body, or work too large to
 allocate, included), 3 I/O failure.  `diagnose` exits 1 exactly when a
 record of its report is a `hypothesis_violation` or has a verdict other
-than `satisfied`.
+than `satisfied`, or when every record is `skipped`, so that no check
+ran.
 
 Floats in every emitted document are formatted with 17 significant
 digits, which round-trips 64-bit values exactly and keeps reruns
@@ -404,7 +405,7 @@ def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
     else:
         # one draw refutes a false volume claim (EmptyBodyError), as the
         # empty bitmap does in 2-D, even when every check is skipped
-        diagnostics.uniform_reference(body, stream(200), 1)
+        bodies.sample_uniform(body, stream(200), 1)
 
     def bound_check(check, *args):
         """The run of a check that returns one BoundCheck."""
@@ -419,7 +420,7 @@ def _diagnose_checks(body: bodies.Body, p: planner.Plan, diag: dict,
                              f"resolution {diag['resolution']}")
         pts, src = samples, "supplied sample file"
         if samples is None:
-            pts = diagnostics.uniform_reference(body, stream(500), max(n_mc, 5 * n_cells))
+            pts = bodies.sample_uniform(body, stream(500), max(n_mc, 5 * n_cells))
             route = "bbox rejection" if body.shell is None else "radial draw"
             src = f"exact-uniform reference ({route})"
         tv = diagnostics.grid_tv_check(body, pts, n_cells, oracle=oracle)
@@ -504,9 +505,12 @@ def cmd_diagnose(cfg: RunConfig, out_path: str, seed_override: Optional[int],
     env = {**{k: diag[k] for k in ("seed", "n_mc", "resolution")}, "h": p.h}
     _emit({"checks": records, "environment": env}, out_path, "report")
     from .diagnostics import SATISFIED
-    return EXIT_CHECK_FAILED if any(
-        r["status"] == "hypothesis_violation" or r.get("verdict", SATISFIED) != SATISFIED
-        for r in records) else EXIT_OK
+    # a ran record's outcome is its verdict, any other record's its status
+    outcomes = {r.get("verdict", r["status"]) for r in records}
+    if outcomes == {"skipped"}:
+        print("diagnose: no check ran; every record is skipped", file=sys.stderr)
+    ok = SATISFIED in outcomes and outcomes <= {SATISFIED, "skipped"}
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 # --------------------------------------------------------------- main

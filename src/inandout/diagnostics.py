@@ -17,8 +17,8 @@ the annulus plan).  Above 2-D, a ball or a concentric shell (a body
 with a `shell`) is integrated in the radius instead, with its error the
 change from half the nodes plus the same padding cut; other bodies have
 no route, and both checks are unsupported there.  The uniform
-reference points of the checks are drawn exactly in the radius for a
-shell body and by bbox rejection otherwise.
+reference points of the checks come from bodies.sample_uniform, exact
+in the radius for a shell body and by bbox rejection otherwise.
 
 The escape, certificate and grid TV checks draw and reduce their points
 ORACLE_BLOCK_POINTS rows at a time, each draw in the order and with the
@@ -38,17 +38,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import specfun
-from .bodies import Body, _radius, sample_uniform, unit_ball_volume
+from .bodies import ORACLE_BLOCK_POINTS, Body, sample_uniform
 from .planner import RESOLUTION, Plan, step_size_regime, trial_floor
 
 SATISFIED = "satisfied"
 VIOLATED = "violated_beyond_3se"
-# Points per membership or distance call (GridOracle's cell centers, the
-# Monte Carlo checks' draws), grid rows per block of the quadrature's two
-# products and of grid_tv's angles, and padded columns per strip of the
-# quadrature: blocks keep every temporary of a 2-D check far below one
-# float per grid cell, and of a Monte Carlo check far below one per draw.
-ORACLE_BLOCK_POINTS = 8192
+# Points per membership or distance call (ORACLE_BLOCK_POINTS, from
+# bodies: GridOracle's cell centers, the Monte Carlo checks' draws), grid
+# rows per block of the quadrature's two products and of grid_tv's
+# angles, and padded columns per strip of the quadrature: blocks keep
+# every temporary of a 2-D check far below one float per grid cell, and
+# of a Monte Carlo check far below one per draw.
 GRID_BLOCK_ROWS = 128
 GRID_BLOCK_COLS = 224
 RADIAL_NODES = 2**15 + 1  # nodes of the radial quadrature; every other is the coarse rule
@@ -167,32 +167,6 @@ def expected_trials_closed_form(p: float, N: int) -> float:
     return -math.expm1(N * math.log1p(-p)) / p
 
 
-def uniform_reference(body: Body, rng: np.random.Generator, size: int) -> np.ndarray:
-    """size exact uniform points of the body, an array (size, dim).
-
-    A shell body r_in <= |x - c| <= r_out is drawn in the radius: a
-    direction g / |g| from g = rng.standard_normal((size, n)), then
-    u = rng.random(size) and rho = (r_in^n + u (r_out^n - r_in^n))^(1/n),
-    taken as r_out (t + u (1 - t))^(1/n) with t = (r_in / r_out)^n so no
-    power overflows.  g is drawn whole and becomes the points; the
-    uniforms are drawn and applied ORACLE_BLOCK_POINTS rows at a time,
-    after all of g, with the bits of one call.  Any other body falls
-    back to sample_uniform's bbox rejection.
-    """
-    if body.shell is None:
-        return sample_uniform(body, rng, size)
-    c, r_in, r_out = body.shell
-    n = body.dim
-    g = rng.standard_normal((size, n))
-    t = (r_in / r_out) ** n
-    for i in range(0, size, ORACLE_BLOCK_POINTS):
-        x = g[i:i + ORACLE_BLOCK_POINTS]
-        rho = r_out * (t + rng.random(x.shape[0]) * (1.0 - t)) ** (1.0 / n)
-        x *= (rho / _radius(x, 0.0))[:, None]
-        x += c
-    return g
-
-
 def _require_distance(body: Body, oracle: Optional[GridOracle]):
     """Pick the distance route: analytic when present, else a 2-D grid."""
     if body.distance is not None:
@@ -214,7 +188,7 @@ def stationary_escape_check(body: Body, h: float, r: float, n_mc: int,
                             oracle: Optional[GridOracle] = None) -> BoundCheck:
     """Check the smoothed-law escape bound at distance r.
 
-    Draws X uniform on the body (uniform_reference), forms
+    Draws X uniform on the body (bodies.sample_uniform), forms
     Y = X + sqrt(h) Z, and compares the empirical frequency of
     dist(Y, body) > r against alpha (n+1) Q_{2n}(r / sqrt(h)).  Requires
     h within the base cap of planner.step_size_regime.  The X are drawn
@@ -233,7 +207,7 @@ def stationary_escape_check(body: Body, h: float, r: float, n_mc: int,
     if not (0.0 < h <= h_cap * (1.0 + 1e-12)):
         raise ValueError(f"step size {h} violates the base regime cap {h_cap}")
     dist, note = _require_distance(body, oracle)
-    xs = uniform_reference(body, rng, n_mc)
+    xs = sample_uniform(body, rng, n_mc)
     escapes = 0
     for i in range(0, n_mc, ORACLE_BLOCK_POINTS):
         x = xs[i:i + ORACLE_BLOCK_POINTS]
@@ -388,8 +362,11 @@ def _radial_failure_and_trials(body: Body, h: float, N: int) -> tuple:
     noncentrality rho^2 / h (the second term only when r_in > 0).  The
     sums of _grid_failure_and_trials become integrals in rho against
     the sphere area n omega_n rho^(n-1), by the trapezoid rule on
-    RADIAL_NODES nodes over [max(0, r_in - z sqrt(h)), r_out + z sqrt(h)]
-    (see _padding); the coarse values take every other node.  A step h
+    RADIAL_NODES nodes over [lo, hi] = [max(0, r_in - z sqrt(h)),
+    r_out + z sqrt(h)] (see _padding); the coarse values take every
+    other node.  The area enters as (rho / hi)^(n-1): the constant
+    n omega_n hi^(n-1) cancels in every ratio, and neither it nor a
+    power overflows in any dimension or at any radius.  A step h
     so small that scipy.special.chndtr is not finite at some node (NaN
     near r_out at h = 1e-10 on the unit 3-ball, with noncentrality about
     1e10) is an UnsupportedCheck.  scipy.special loads here.
@@ -408,7 +385,7 @@ def _radial_failure_and_trials(body: Body, h: float, N: int) -> tuple:
     if not np.isfinite(ell).all():
         raise UnsupportedCheck(f"radial local conductance is not finite at h = {h}")
     np.clip(ell, 0.0, 1.0, out=ell)
-    area = n * unit_ball_volume(n) * rho ** (n - 1)
+    area = (rho / hi) ** (n - 1)
     with np.errstate(divide="ignore"):
         t = N * np.log1p(-ell)
     integrands = (ell * area, ell * np.exp(t) * area, -np.expm1(t) * area)

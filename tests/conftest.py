@@ -1,9 +1,17 @@
 import contextlib
+import os
 import signal
+from pathlib import Path
 
 import pytest
 
 from inandout import bodies, sampler
+
+# pytest finds the package under src (pyproject's pythonpath); the
+# interpreters the tests start find it there too, without an install
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(__file__).resolve().parents[1] / "src"),
+                  os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

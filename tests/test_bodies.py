@@ -643,6 +643,31 @@ def test_sample_uniform_stays_inside_and_reproduces(annulus):
     assert single.shape == (2,)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: make_ball([0.5, -1.0, 2.0], 1.5),
+    lambda: exclusion(make_ball([0.1] * 4, 1.0), make_ball([0.1] * 4, 0.5),
+                      (1.0 - 0.5**4) * bodies.unit_ball_volume(4)),
+    lambda: make_box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),
+], ids=["ball", "shell", "box"])
+def test_sample_uniform_single_point_is_row_0_of_a_one_point_draw(make):
+    # a shell's radial draw and a box's rejection alike
+    body = make()
+    one = sample_uniform(body, np.random.default_rng(8))
+    rows = sample_uniform(body, np.random.default_rng(8), 1)
+    assert one.shape == (body.dim,) and rows.shape == (1, body.dim)
+    assert np.array_equal(one, rows[0])
+
+
+@pytest.mark.parametrize("n,r", [(500, 1.0), (2, 1e-170)])
+def test_star_shaped_probes_a_core_that_make_ball_cannot_build(n, r):
+    # the core ball's volume underflows to 0, so make_ball refuses it;
+    # the probes are drawn in the radius all the same
+    with pytest.raises(ValueError, match="exact volume must be positive"):
+        make_ball([0.0] * n, r)
+    star = star_shaped([make_box([-1.0] * n, [1.0] * n)], r)
+    assert star.inner_ball[1] == r
+
+
 @pytest.mark.parametrize("size,draws", [(None, 2560), (1, 2560), (1000, 4000)])
 def test_sample_uniform_refutes_an_empty_body(time_limit, size, draws):
     # a hole that covers the outer ball leaves nothing, yet the claimed

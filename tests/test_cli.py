@@ -311,12 +311,48 @@ def test_plan_command_on_a_400d_ball(tmp_path, capsys):
     assert doc["plan"]["T"] == 394_913_199
 
 
+def test_diagnose_command_on_a_400d_ball(tmp_path, capsys):
+    # the radial quadrature's sphere area used to take unit_ball_volume(400),
+    # whose math.gamma overflows, and rho ** 399 overflows at radius 20
+    ball = {"kind": "ball", "center": [0.0] * 400, "radius": 20.0}
+    cfg = write_config(tmp_path, {
+        "body": ball, "plan": ANNULUS_PLAN,
+        "diagnose": {"seed": 1, "n_mc": 100, "r_grid": [0.25], "t_grid": [0.1]}})
+    out = tmp_path / "report.json"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    checks = {c["name"]: c for c in json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    assert [checks[name]["status"] for name in checks] == [
+        "ran", "ran", "ran", "skipped", "skipped"]
+    failure, trials = checks["stationary_failure"], checks["expected_trials"]
+    assert 0.0 < failure["empirical"] <= failure["theoretical_bound"]
+    assert 1.0 <= trials["empirical"] <= trials["theoretical_bound"]
+
+
 # --------------------------------------------------------------- sample
 
 
 def sample_config(**run):
     return {"body": ANNULUS_BODY, "plan": ANNULUS_PLAN,
             "run": {"n_chains": 5, "seed": 11, "t_cap": 50, "n_cap": 500, **run}}
+
+
+def test_sample_command_on_a_40d_ball(tmp_path, time_limit):
+    # bbox rejection hits the 40-D ball with probability 3.3e-21 per draw,
+    # so the warm starts ran without bound; the radial draw takes 40 normals
+    ball = {"kind": "ball", "center": [0.0] * 40, "radius": 1.0}
+    cfg = write_config(tmp_path, {
+        "body": ball, "plan": ANNULUS_PLAN,
+        "run": {"n_chains": 2, "seed": 42, "t_cap": 5, "n_cap": 1000}})
+    out = tmp_path / "out"
+    with time_limit(10):
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    lines = (out / "samples.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        rec = json.loads(line)
+        if rec["outcome"] == "success":
+            assert math.fsum(x * x for x in rec["x"]) <= 1.0
 
 
 def test_sample_command_outputs(tmp_path, capsys):
@@ -724,7 +760,7 @@ def test_diagnose_command_flags_hypothesis_violation(tmp_path):
     assert report["environment"]["h"] == 0.5
 
 
-def test_diagnose_command_skips_unsupported_in_5d(tmp_path):
+def test_diagnose_command_skips_unsupported_in_5d(tmp_path, capsys):
     r = 1.0 / (5.0 + math.sqrt(5.0))
     body = {
         "kind": "polytope",
@@ -741,7 +777,9 @@ def test_diagnose_command_skips_unsupported_in_5d(tmp_path):
                      "r_grid": [0.5], "t_grid": [0.5]},
     })
     out = tmp_path / "report.json"
-    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    # no check ran, which is no verdict: exit 1, with the reason
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().err == "diagnose: no check ran; every record is skipped\n"
     report = json.loads(out.read_text(encoding="utf-8"))
     status = {c["name"]: c["status"] for c in report["checks"]}
     assert status["stationary_escape(r=0.5)"] == "skipped"
@@ -797,11 +835,11 @@ def bench_config(name):
      {**outcomes(["stationary_escape(r=0.5)", *PER_ITERATION,
                   "certificate_soundness(t=0.5)"], "satisfied"),
       "grid_tv": "violated_beyond_3se"}, EXIT_CHECK_FAILED),
-    # nothing applies to the 5-D simplex, and no record fails
+    # nothing applies to the 5-D simplex: no record fails, and none ran
     ({"body": SIMPLEX_5D, "plan": {"q": 2, "eps": 0.2, "M": 1, "C_PI": 1},
       "diagnose": {"seed": 1, "n_mc": 400, "r_grid": [0.5], "t_grid": [0.5]}}, False,
      outcomes(["stationary_escape(r=0.5)", *PER_ITERATION,
-               "certificate_soundness(t=0.5)", "grid_tv"], "skipped"), EXIT_OK),
+               "certificate_soundness(t=0.5)", "grid_tv"], "skipped"), EXIT_CHECK_FAILED),
 ], ids=["readme", "h_override", "n_cells", "one_sector", "simplex_5d"])
 def test_diagnose_exit_code_is_read_from_its_records(tmp_path, doc, one_sector,
                                                      expected, code):
@@ -818,7 +856,8 @@ def test_diagnose_exit_code_is_read_from_its_records(tmp_path, doc, one_sector,
             for r in records} == expected
     failed = any(r["status"] == "hypothesis_violation"
                  or r.get("verdict", "satisfied") != "satisfied" for r in records)
-    assert got == (EXIT_CHECK_FAILED if failed else EXIT_OK) == code
+    ran = any(r["status"] == "ran" for r in records)
+    assert got == (EXIT_CHECK_FAILED if failed or not ran else EXIT_OK) == code
 
 
 def cube_config(**diag):

@@ -18,8 +18,6 @@ def test_all_five_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(tmp_path, demo):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     env["TMPDIR"] = str(tmp_path)   # demo 05 works in a temporary directory
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)

@@ -523,7 +523,7 @@ def test_grid_diagnostics_hold_no_resolution_squared_temporary(annulus, tmp_path
     assert peak < 1.0e6
     peak, _ = traced_peak(lambda: per_iteration_checks(annulus, p, oracle=oracle))
     assert peak < 2.2e6
-    pts = diagnostics.uniform_reference(annulus, make_rng(2), 20_000)
+    pts = bodies.sample_uniform(annulus, make_rng(2), 20_000)
     peak, _ = traced_peak(lambda: grid_tv_check(annulus, pts, 16, oracle=oracle))
     assert peak < 2.0e6
     # the strip and the scratch buffer grow linearly in the resolution:
@@ -573,9 +573,7 @@ def test_grid_quadrature_keeps_the_bits_at_each_blas_thread_count(threads):
     witness = f"{__file__}::test_grid_quadrature_matches_the_exact_sums_on_a_grid_aligned_box"
     cases = [*(f"{pinned}[{case}]" for case in ("annulus-400", "annulus-101", "flat_box-150")),
              *(f"{witness}[{resolution}]" for resolution in (101, 400))]
-    path = (str(Path(diagnostics.__file__).parents[1]), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *cases],
         env=env, capture_output=True, text=True)
@@ -705,7 +703,7 @@ SHELLS = [(2, [0.3, -0.2], 0.5, 1.0), (3, [1.0, 0.5, -2.0], 0.25, 2.0),
 def test_uniform_reference_draws_the_shell_exactly(n, center, r_in, r_out):
     body = shell_at(n, center, r_in, r_out)
     assert body.shell[1:] == (r_in, r_out)
-    pts = diagnostics.uniform_reference(body, make_rng(40 + n), 20_000)
+    pts = bodies.sample_uniform(body, make_rng(40 + n), 20_000)
     assert pts.shape == (20_000, n)
     assert body.membership(pts).all()
     d = pts - np.asarray(center)
@@ -741,14 +739,11 @@ def test_uniform_reference_ignores_a_membership_wrapper(make_body):
 
     wrapped = dataclasses.replace(body, membership=wrapper)
     assert (wrapped.shell is None) == (body.shell is None)
-    same = diagnostics.uniform_reference(wrapped, make_rng(5), 3000)
-    assert np.array_equal(same, diagnostics.uniform_reference(body, make_rng(5), 3000))
-    # a body without a shell falls back to bbox rejection
-    if body.shell is None:
-        assert calls
-        assert np.array_equal(same, bodies.sample_uniform(body, make_rng(5), 3000))
-    else:
-        assert not calls
+    same = bodies.sample_uniform(wrapped, make_rng(5), 3000)
+    assert np.array_equal(same, bodies.sample_uniform(body, make_rng(5), 3000))
+    # only a body without a shell is drawn by bbox rejection, through
+    # its membership
+    assert bool(calls) == (body.shell is None)
 
 
 def test_smoothed_conductance_samples_shape(unit_square):
@@ -1016,7 +1011,7 @@ B = diagnostics.ORACLE_BLOCK_POINTS
 
 
 def whole_array_uniform_reference(body, rng, size):
-    """uniform_reference with the uniforms drawn and applied in one call."""
+    """bodies.sample_uniform with a shell's uniforms drawn and applied in one call."""
     if body.shell is None:
         return bodies.sample_uniform(body, rng, size)
     c, r_in, r_out = body.shell
@@ -1079,7 +1074,7 @@ def test_monte_carlo_blocks_keep_the_bits_of_whole_arrays(request, name, n_mc):
     # moves the count
     r = math.sqrt(h) / 10.0
 
-    got = diagnostics.uniform_reference(body, make_rng(1), n_mc)
+    got = bodies.sample_uniform(body, make_rng(1), n_mc)
     assert np.array_equal(got, whole_array_uniform_reference(body, make_rng(1), n_mc))
 
     chk = stationary_escape_check(body, h, r, n_mc, make_rng(2), oracle=oracle)
@@ -1131,7 +1126,7 @@ def test_monte_carlo_checks_hold_no_n_mc_sized_temporary(annulus):
         peak, _ = traced_peak(lambda: certificate_soundness_check(
             annulus, 0.5, n_mc, make_rng(2), oracle=oracle))
         assert peak < 0.6e6, n_mc
-        pts = diagnostics.uniform_reference(annulus, make_rng(3), n_mc)
+        pts = bodies.sample_uniform(annulus, make_rng(3), n_mc)
         peak, _ = traced_peak(lambda: grid_tv_check(annulus, pts, 16, oracle=oracle))
         assert peak < 1.8e6, n_mc
 
