@@ -1,9 +1,9 @@
 """Compact bodies as membership oracles, with volume-growth certificates.
 
 A Body couples a deterministic membership test with the small set of
-facts the sampler and planner need: dimension, a bounding box, and —
-when available — exact volume, an inscribed ball, a certified growth
-pair (alpha, beta), an interior test, and a Euclidean distance
+facts the sampler and planner need: dimension, a bounding box, a
+certified growth pair (alpha, beta), an interior test, and — when
+available — exact volume, an inscribed ball and a Euclidean distance
 function.  Bodies are immutable; membership functions are pure and safe
 to call from multiple threads.
 
@@ -79,8 +79,9 @@ class Body:
 
     membership / interior / distance all follow the same calling
     convention: a point (n,) or a batch (m, n); boolean or float
-    results with matching leading shape.  interior and distance are
-    optional (None when no closed form is known).
+    results with matching leading shape.  Every body carries a growth
+    certificate and an interior test; distance is optional (None when
+    no closed form is known).
 
     shell, when set, is (center, r_in, r_out) and states that the body
     is exactly the closed shell r_in <= |x - center| <= r_out (a ball
@@ -94,14 +95,17 @@ class Body:
     dim: int
     membership: Callable[[np.ndarray], np.ndarray]
     bbox: tuple
+    growth: GrowthCertificate
+    interior: Callable[[np.ndarray], np.ndarray]
     exact_volume: Optional[float] = None
-    growth: Optional[GrowthCertificate] = None
     inner_ball: Optional[tuple] = None  # (center, radius)
-    interior: Optional[Callable[[np.ndarray], np.ndarray]] = None
     distance: Optional[Callable[[np.ndarray], np.ndarray]] = None
     shell: Optional[tuple] = None  # (center, r_in, r_out)
 
     def __post_init__(self):
+        if not (isinstance(self.growth, GrowthCertificate) and callable(self.interior)):
+            raise ValueError("a body needs a GrowthCertificate and a callable interior "
+                             f"test, got {self.growth!r} and {self.interior!r}")
         lo, hi = self.bbox
         lo, hi = _freeze(lo), _freeze(hi)
         if lo.shape != (self.dim,) or hi.shape != (self.dim,):
@@ -170,11 +174,6 @@ def _squared_bound(r: float) -> float:
     return s
 
 
-def unit_ball_volume(n: int) -> float:
-    """Lebesgue volume of the unit ball in n dimensions."""
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
 def _ball_volume(n: int, r: float) -> float:
     """Volume of an n-dimensional ball of radius r, inf past the float range.
 
@@ -182,7 +181,7 @@ def _ball_volume(n: int, r: float) -> float:
     overflows (gamma from n = 342 on, or r**n), the sum of logarithms
     is used instead."""
     try:
-        return unit_ball_volume(n) * r**n
+        return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * r**n
     except OverflowError:
         try:
             return math.exp(n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0 + 1.0)
@@ -192,7 +191,11 @@ def _ball_volume(n: int, r: float) -> float:
 
 
 def make_ball(center, radius: float) -> Body:
-    """Closed Euclidean ball with the convex certificate (1, 1/radius)."""
+    """Closed Euclidean ball with the convex certificate (1, 1/radius).
+
+    A ball whose volume underflows to 0 (the 500-D unit ball, a 2-D ball
+    of radius 1e-170) has no exact volume; its shell draws it all the same.
+    """
     center = _freeze(center)
     if center.ndim != 1:
         raise ValueError("center must be a 1-D point")
@@ -215,7 +218,7 @@ def make_ball(center, radius: float) -> Body:
         dim=n,
         membership=membership,
         bbox=(center - r, center + r),
-        exact_volume=_ball_volume(n, r),
+        exact_volume=_ball_volume(n, r) or None,
         growth=GrowthCertificate(1.0, 1.0 / r, GrowthSource.CONVEX),
         inner_ball=(center, r),
         interior=interior,
@@ -319,11 +322,9 @@ def make_halfspace_polytope(A, b, inner_center, inner_radius: float) -> Body:
         dim=n,
         membership=membership,
         bbox=(lo, hi),
-        exact_volume=None,
         growth=GrowthCertificate(1.0, 1.0 / r, GrowthSource.CONVEX),
         inner_ball=(c, r),
         interior=interior,
-        distance=None,
     )
 
 
@@ -332,12 +333,6 @@ def _products(pts, A) -> np.ndarray:
     # view of one: BLAS takes gemv for one point and gemm for a batch,
     # which differ in the last bit, and einsum's own loop does neither
     return np.einsum("...j,kj->...k", np.asarray(pts, dtype=float), A)
-
-
-def _hull_bbox(parts: Sequence[Body]) -> tuple:
-    los = np.stack([p.bbox[0] for p in parts])
-    his = np.stack([p.bbox[1] for p in parts])
-    return los.min(axis=0), his.max(axis=0)
 
 
 def _common_dim(parts: Sequence[Body]) -> int:
@@ -363,12 +358,29 @@ def _fold(fns: list, op: Callable) -> Optional[Callable]:
     return folded
 
 
+def _union_body(parts: list, growth: GrowthCertificate, exact_volume=None,
+                inner_ball=None) -> Body:
+    # the union of the parts with the given certificate and claims: the
+    # parts' oracles folded, the hull of their boxes
+    return Body(
+        dim=parts[0].dim,
+        membership=_fold([p.membership for p in parts], operator.or_),
+        bbox=(np.stack([p.bbox[0] for p in parts]).min(axis=0),
+              np.stack([p.bbox[1] for p in parts]).max(axis=0)),
+        growth=growth,
+        interior=_fold([p.interior for p in parts], operator.or_),
+        distance=_fold([p.distance for p in parts], np.minimum),
+        exact_volume=exact_volume,
+        inner_ball=inner_ball,
+    )
+
+
 def union(parts: Sequence[Body], union_volume: float) -> Body:
     """Finite union with the combined growth certificate.
 
-    Every part must carry a certificate and an exact volume; the
-    caller supplies the exact volume of the union (parts may overlap).
-    The combined pair is
+    Every part must carry an exact volume (a ball whose volume
+    underflows has none); the caller supplies the exact volume of the
+    union (parts may overlap).  The combined pair is
 
         A = (max_i alpha_i) * (sum_i Vol_i) / union_volume
         B = (sum_i Vol_i beta_i^n / sum_j Vol_j)^(1/n)
@@ -380,8 +392,6 @@ def union(parts: Sequence[Body], union_volume: float) -> Body:
         raise ValueError("union needs at least one part")
     n = _common_dim(parts)
     for i, p in enumerate(parts):
-        if p.growth is None:
-            raise ValueError(f"part {i} has no growth certificate")
         if p.exact_volume is None:
             raise ValueError(f"part {i} has no exact volume")
     vols = np.array([p.exact_volume for p in parts])
@@ -406,33 +416,22 @@ def union(parts: Sequence[Body], union_volume: float) -> Body:
         np.sum((vols / total) * (betas / beta_max) ** n) ** (1.0 / n)
     )
 
-    return Body(
-        dim=n,
-        membership=_fold([p.membership for p in parts], operator.or_),
-        bbox=_hull_bbox(parts),
-        exact_volume=float(union_volume),
-        growth=GrowthCertificate(alpha, beta, GrowthSource.UNION),
-        inner_ball=None,
-        interior=_fold([p.interior for p in parts], operator.or_),
-        distance=_fold([p.distance for p in parts], np.minimum),
-    )
+    return _union_body(parts, GrowthCertificate(alpha, beta, GrowthSource.UNION),
+                       exact_volume=float(union_volume))
 
 
 def exclusion(outer: Body, hole: Body, remaining_volume: float) -> Body:
     """Set difference outer minus the interior of hole (a closed set).
 
     Removing only the interior keeps the hole boundary inside the
-    result.  The certificate scales the outer one by the volume ratio:
-    (alpha * Vol(outer) / remaining_volume, beta).
+    result.  outer must carry an exact volume (a ball whose volume
+    underflows has none).  The certificate scales the outer one by the
+    volume ratio: (alpha * Vol(outer) / remaining_volume, beta).
     """
     if outer.dim != hole.dim:
         raise ValueError("outer and hole live in different dimensions")
-    if outer.growth is None:
-        raise ValueError("outer body has no growth certificate")
     if outer.exact_volume is None:
         raise ValueError("outer body has no exact volume")
-    if hole.interior is None:
-        raise ValueError("hole body has no interior test")
     # equality is allowed: a volume-negligible hole leaves the exact
     # remaining volume indistinguishable from the outer volume
     if not (0.0 < remaining_volume <= outer.exact_volume):
@@ -462,12 +461,10 @@ def exclusion(outer: Body, hole: Body, remaining_volume: float) -> Body:
         def membership(pts):
             return outer_mem(pts) & ~hole_int(pts)
 
-    interior = None
-    if outer.interior is not None:
-        outer_int, hole_mem = outer.interior, hole.membership
+    outer_int, hole_mem = outer.interior, hole.membership
 
-        def interior(pts):
-            return outer_int(pts) & ~hole_mem(pts)
+    def interior(pts):
+        return outer_int(pts) & ~hole_mem(pts)
 
     distance = None
     if balls and np.allclose(c_out, c_in, rtol=0.0, atol=1e-12 * r_out) and r_in < r_out:
@@ -486,7 +483,6 @@ def exclusion(outer: Body, hole: Body, remaining_volume: float) -> Body:
             g.alpha * outer.exact_volume / remaining_volume, g.beta,
             GrowthSource.EXCLUSION,
         ),
-        inner_ball=None,
         interior=interior,
         distance=distance,
         shell=(c_out, r_in, r_out) if concentric and r_in < r_out else None,
@@ -512,30 +508,20 @@ def star_shaped(parts: Sequence[Body], core_inner_radius: float) -> Body:
     if not (r > 0.0):
         raise ValueError(f"core radius must be positive, got {r}")
     for i, p in enumerate(parts):
-        if p.growth is None or p.growth.source is not GrowthSource.CONVEX:
+        if p.growth.source is not GrowthSource.CONVEX:
             raise ValueError(f"part {i} is not certified convex")
 
-    # deterministic probe batch: uniform in the core ball, by
-    # sample_uniform's radial draw (make_ball refuses a core ball whose
-    # volume underflows, as in high dimension)
-    probes = _radial_draw((np.zeros(n), 0.0, r), np.random.default_rng(20240917),
-                          _STAR_PROBES)
+    # deterministic probe batch: uniform in the core ball
+    probes = sample_uniform(make_ball(np.zeros(n), r), np.random.default_rng(20240917),
+                            _STAR_PROBES)
     for i, p in enumerate(parts):
         if not np.all(p.membership(probes)):
             raise CertificateError(
                 f"core ball of radius {r} is not contained in part {i}"
             )
 
-    return Body(
-        dim=n,
-        membership=_fold([p.membership for p in parts], operator.or_),
-        bbox=_hull_bbox(parts),
-        exact_volume=None,
-        growth=GrowthCertificate(1.0, 1.0 / r, GrowthSource.STAR_SHAPED),
-        inner_ball=(np.zeros(n), r),
-        interior=_fold([p.interior for p in parts], operator.or_),
-        distance=_fold([p.distance for p in parts], np.minimum),
-    )
+    return _union_body(parts, GrowthCertificate(1.0, 1.0 / r, GrowthSource.STAR_SHAPED),
+                       inner_ball=(np.zeros(n), r))
 
 
 def with_growth(body: Body, alpha: float, beta: float) -> Body:

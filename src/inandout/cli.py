@@ -264,7 +264,7 @@ def resolve_plan_inputs(cfg: RunConfig) -> tuple:
     for key in _AUTO:
         if node[key] == "auto":
             need = "a body" if key == "n" else "a body with a growth certificate"
-            if body is None or (key != "n" and body.growth is None):
+            if body is None:
                 raise ConfigError(f"config.plan.{key}: 'auto' needs {need}")
             node[key] = body.dim if key == "n" else getattr(body.growth, key)
     return _plan_inputs(node, "config.plan"), body

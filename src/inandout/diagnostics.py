@@ -196,8 +196,6 @@ def stationary_escape_check(body: Body, h: float, r: float, n_mc: int,
     ORACLE_BLOCK_POINTS rows at a time, so beyond the X no array grows
     with n_mc.
     """
-    if body.growth is None:
-        raise ValueError("body has no growth certificate")
     if not (r > 0.0):
         raise ValueError(f"escape distance must be positive, got {r}")
     if n_mc < 1:
@@ -423,8 +421,6 @@ def per_iteration_checks(body: Body, p: Plan,
     only down to one over its sample count, orders above 3/S, so it
     could neither confirm nor refute the bound.
     """
-    if body.growth is None:
-        raise ValueError("body has no growth certificate")
     alpha = body.growth.alpha
     h_cap = step_size_regime(body.dim, body.growth.beta, alpha, p.S).per_iteration_cap
     if not (p.h <= h_cap * (1.0 + 1e-12)):
@@ -620,8 +616,6 @@ def certificate_soundness_check(body: Body, t: float, n_mc: int,
     range (its width overflows), or when no draw lands in the body, as
     in high dimension, the check is unsupported at this t and n_mc.
     """
-    if body.growth is None:
-        raise ValueError("body has no growth certificate")
     if not (t >= 0.0):
         raise ValueError(f"dilation must be nonnegative, got {t}")
     if n_mc < 1:

@@ -21,7 +21,6 @@ from inandout.bodies import (
     sample_uniform,
     star_shaped,
     union,
-    unit_ball_volume,
     with_growth,
 )
 
@@ -57,6 +56,9 @@ def test_ball_distance():
 
 
 def test_ball_volume_formula_small_dimensions():
+    def unit_ball_volume(n):
+        return make_ball([0.0] * n, 1.0).exact_volume
+
     assert unit_ball_volume(1) == pytest.approx(2.0)
     assert unit_ball_volume(2) == pytest.approx(math.pi)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
@@ -573,6 +575,14 @@ def test_body_rejects_a_bad_shell(shell):
         dataclasses.replace(ball, shell=shell)
 
 
+def test_body_needs_a_certificate_and_an_interior_test():
+    # every constructor sets both, so no later step has to ask for them
+    ball = make_ball([0, 0], 1)
+    for field in ("growth", "interior"):
+        with pytest.raises(ValueError, match="GrowthCertificate and a callable interior"):
+            dataclasses.replace(ball, **{field: None})
+
+
 def test_union_distance_is_min_of_parts():
     d1 = make_ball([-2.0, 0.0], 1.0)
     d2 = make_ball([2.0, 0.0], 1.0)
@@ -646,7 +656,7 @@ def test_sample_uniform_stays_inside_and_reproduces(annulus):
 @pytest.mark.parametrize("make", [
     lambda: make_ball([0.5, -1.0, 2.0], 1.5),
     lambda: exclusion(make_ball([0.1] * 4, 1.0), make_ball([0.1] * 4, 0.5),
-                      (1.0 - 0.5**4) * bodies.unit_ball_volume(4)),
+                      (1.0 - 0.5**4) * make_ball([0.0] * 4, 1.0).exact_volume),
     lambda: make_box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),
 ], ids=["ball", "shell", "box"])
 def test_sample_uniform_single_point_is_row_0_of_a_one_point_draw(make):
@@ -660,10 +670,12 @@ def test_sample_uniform_single_point_is_row_0_of_a_one_point_draw(make):
 
 @pytest.mark.parametrize("n,r", [(500, 1.0), (2, 1e-170)])
 def test_star_shaped_probes_a_core_that_make_ball_cannot_build(n, r):
-    # the core ball's volume underflows to 0, so make_ball refuses it;
-    # the probes are drawn in the radius all the same
-    with pytest.raises(ValueError, match="exact volume must be positive"):
-        make_ball([0.0] * n, r)
+    # the core ball's volume underflows to 0, so make_ball builds it
+    # without an exact volume; its shell draws it in the radius all the same
+    core = make_ball([0.0] * n, r)
+    assert core.exact_volume is None and core.shell[1:] == (0.0, r)
+    pts = sample_uniform(core, np.random.default_rng(6), 100)
+    assert pts.shape == (100, n) and np.all(core.membership(pts))
     star = star_shaped([make_box([-1.0] * n, [1.0] * n)], r)
     assert star.inner_ball[1] == r
 

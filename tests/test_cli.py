@@ -311,9 +311,21 @@ def test_plan_command_on_a_400d_ball(tmp_path, capsys):
     assert doc["plan"]["T"] == 394_913_199
 
 
+UNIT_BALL_500 = {"kind": "ball", "center": [0.0] * 500, "radius": 1.0}
+
+
+def test_plan_command_on_a_500d_ball(tmp_path, capsys):
+    # the ball's volume underflows to 0, so it has no exact volume; the
+    # plan itself is what overflows
+    cfg = write_config(tmp_path, {"body": UNIT_BALL_500, "plan": ANNULUS_PLAN})
+    assert main(["plan", "--config", cfg]) == EXIT_CHECK_FAILED
+    assert "desk-scale exceeded" in capsys.readouterr().err
+
+
 def test_diagnose_command_on_a_400d_ball(tmp_path, capsys):
-    # the radial quadrature's sphere area used to take unit_ball_volume(400),
-    # whose math.gamma overflows, and rho ** 399 overflows at radius 20
+    # the radial quadrature's sphere area used to take the unit ball's
+    # volume, whose math.gamma(201) overflows, and rho ** 399 overflows at
+    # radius 20
     ball = {"kind": "ball", "center": [0.0] * 400, "radius": 20.0}
     cfg = write_config(tmp_path, {
         "body": ball, "plan": ANNULUS_PLAN,
@@ -353,6 +365,18 @@ def test_sample_command_on_a_40d_ball(tmp_path, time_limit):
         rec = json.loads(line)
         if rec["outcome"] == "success":
             assert math.fsum(x * x for x in rec["x"]) <= 1.0
+
+
+def test_sample_command_on_a_500d_ball(tmp_path, time_limit):
+    # a ball whose volume underflows to 0 is drawn in the radius all the same
+    cfg = write_config(tmp_path, {
+        "body": UNIT_BALL_500, "plan": {**ANNULUS_PLAN, "beta": 0.002},
+        "run": {"n_chains": 2, "seed": 42, "t_cap": 5, "n_cap": 1000}})
+    out = tmp_path / "out"
+    with time_limit(10):
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    lines = (out / "samples.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2
 
 
 def test_sample_command_outputs(tmp_path, capsys):

@@ -254,8 +254,8 @@ def test_escape_check_hypothesis_gate(unit_disk):
     with pytest.raises(ValueError):
         stationary_escape_check(unit_disk, h=0.05, r=-1.0, n_mc=100,
                                 rng=make_rng(8))
-    bare = dataclasses.replace(unit_disk, growth=None)
     with pytest.raises(ValueError):
+        bare = dataclasses.replace(unit_disk, growth=None)
         stationary_escape_check(bare, h=0.05, r=1.0, n_mc=100, rng=make_rng(8))
 
 
